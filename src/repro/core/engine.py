@@ -29,7 +29,7 @@ Three cooperating pieces:
   transforms kernels at most once per distinct kernel array, and
   executes through a fused fast path whose stage-1/stage-3 transforms
   are single Kronecker-product GEMMs writing into arena views.  The
-  blocked Table-1 executor is available via ``blocked=True``, with
+  blocked Table-1 executor is available via ``backend="blocked"``, with
   stage 2 in either the vectorized ``"fast"`` mode or the JIT-kernel
   ``"traced"`` mode (the mode the machine simulator instruments).
 
@@ -163,11 +163,12 @@ def kernel_fingerprint(kernels: np.ndarray) -> str:
 BACKENDS = ("fused", "blocked", "thread", "process", "compiled")
 
 #: Fallback chain: where a request reroutes when its backend fails with
-#: a worker crash / in-stage error / workspace corruption.  ``blocked``
-#: is the terminal station (single-process, no pool to lose); the
-#: compiled backend degrades to the pure-numpy fused path when the host
-#: loses (or never had) a C toolchain.
-FALLBACK_NEXT = {"process": "thread", "thread": "blocked", "compiled": "fused"}
+#: a worker crash / in-stage error / workspace corruption.  ``fused``
+#: is the terminal station (single-process, no pool to lose, honors
+#: ``out=`` and applies the epilogue inside its own span); the compiled
+#: backend degrades to it too when the host loses (or never had) a C
+#: toolchain.
+FALLBACK_NEXT = {"process": "thread", "thread": "fused", "compiled": "fused"}
 
 #: Failures the fallback chain absorbs.  Anything else (shape errors,
 #: bugs in stage math) propagates -- rerouting would just re-raise it.
@@ -1031,7 +1032,7 @@ class ConvolutionEngine:
         instances to aggregate across engines.
     fallback:
         Enable the backend fallback chain (``process -> thread ->
-        blocked``): a request whose backend fails with a worker crash,
+        fused``): a request whose backend fails with a worker crash,
         in-stage error or workspace corruption is rerouted down the
         chain instead of failing, with the event recorded in metrics
         and the trace.  The crashed process pool self-heals (respawns,
@@ -1173,7 +1174,6 @@ class ConvolutionEngine:
         fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
-        blocked: bool = False,
         blocking: BlockingConfig | None = None,
         backend: str | None = None,
         algorithm: str | None = None,
@@ -1188,8 +1188,7 @@ class ConvolutionEngine:
         calls with the same layer signature hit the plan cache, and
         repeated calls with the same kernel tensor skip the kernel
         transform entirely (the "FX" path).  ``backend`` overrides the
-        engine default per call; ``blocked=True`` is the legacy spelling
-        of ``backend="blocked"``.  ``algorithm`` overrides the engine's
+        engine default per call.  ``algorithm`` overrides the engine's
         algorithm default per call (``"auto"`` engages the portfolio
         planner); the backend knobs apply to the Winograd family only.
         ``tenant`` attributes plans built for this request to a serving
@@ -1202,9 +1201,8 @@ class ConvolutionEngine:
         with self._request_guard():
             return self._run(
                 images, kernels, fmr=fmr, padding=padding, dtype=dtype,
-                blocked=blocked, blocking=blocking, backend=backend,
-                algorithm=algorithm, tenant=tenant, out=out,
-                epilogue=epilogue,
+                blocking=blocking, backend=backend, algorithm=algorithm,
+                tenant=tenant, out=out, epilogue=epilogue,
             )
 
     def _run(
@@ -1215,7 +1213,6 @@ class ConvolutionEngine:
         fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
-        blocked: bool = False,
         blocking: BlockingConfig | None = None,
         backend: str | None = None,
         algorithm: str | None = None,
@@ -1243,7 +1240,7 @@ class ConvolutionEngine:
             # baseline algorithm would contradict it.  "nested" IS the
             # Winograd family (its inner r = 3 problem runs the normal
             # pipeline), so backend knobs pass through to it.
-            wino_forced = blocked or blocking is not None or backend is not None
+            wino_forced = blocking is not None or backend is not None
             if algo == "auto":
                 if wino_forced:
                     algo = "winograd"
@@ -1253,14 +1250,14 @@ class ConvolutionEngine:
                     ).algorithm
             elif wino_forced and algo != "nested":
                 raise ValueError(
-                    f"backend/blocked/blocking apply to the winograd path, "
+                    f"backend/blocking apply to the winograd path, "
                     f"not algorithm={algo!r}"
                 )
             if algo == "nested":
                 return self._run_nested(
                     images, kernels, padding, np.dtype(dtype), out,
-                    blocked=blocked, blocking=blocking, backend=backend,
-                    tenant=tenant, epilogue=epilogue,
+                    blocking=blocking, backend=backend, tenant=tenant,
+                    epilogue=epilogue,
                 )
             if algo != "winograd":
                 return self._run_baseline(
@@ -1268,15 +1265,15 @@ class ConvolutionEngine:
                     tenant=tenant, epilogue=epilogue,
                 )
         if backend is None:
-            backend = "blocked" if blocked else self.backend
-        elif blocked and backend != "blocked":
-            raise ValueError(f"blocked=True conflicts with backend={backend!r}")
+            backend = self.backend
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         spec = self._resolve_spec(fmr, images.shape, kernels.shape, padding)
         dtype = np.dtype(dtype)
         if backend not in ("blocked", "thread", "process", "compiled") and blocking is not None:
-            raise ValueError("blocking is only meaningful with blocked=True")
+            raise ValueError(
+                f"blocking is not meaningful with backend={backend!r}"
+            )
 
         self.metrics.counter(f"engine.requests.{backend}").inc()
         if backend == "compiled" and not compiled_available():
@@ -1332,7 +1329,6 @@ class ConvolutionEngine:
         fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
-        blocked: bool = False,
         blocking: BlockingConfig | None = None,
         backend: str | None = None,
         algorithm: str | None = None,
@@ -1395,8 +1391,8 @@ class ConvolutionEngine:
             )
         out = self.run(
             stacked, kernels, fmr=fmr, padding=padding, dtype=dtype,
-            blocked=blocked, blocking=blocking, backend=backend,
-            algorithm=algorithm, tenant=tenant,
+            blocking=blocking, backend=backend, algorithm=algorithm,
+            tenant=tenant,
         )
         results: list[np.ndarray] = []
         off = 0
@@ -1654,7 +1650,7 @@ class ConvolutionEngine:
 
     def _run_nested(
         self, images, kernels, padding, dtype, out,
-        blocked: bool = False, blocking=None, backend: str | None = None,
+        blocking=None, backend: str | None = None,
         tenant: str | None = None, epilogue=None,
     ) -> np.ndarray:
         """One request through the nested-Winograd decomposition.
@@ -1702,8 +1698,8 @@ class ConvolutionEngine:
                         result = self._run(
                             buf, stacked_kernels,
                             padding=executor.inner_padding, dtype=dtype,
-                            blocked=blocked, blocking=blocking,
-                            backend=backend, algorithm="winograd",
+                            blocking=blocking, backend=backend,
+                            algorithm="winograd",
                             tenant=tenant, out=out, epilogue=epilogue,
                         )
                 if out is not None and result is not out:

@@ -1,50 +1,50 @@
 """Statically scheduled parallel execution of the three-stage pipeline.
 
-This executor realizes Sec. 4.5 end to end: each stage's work is a
-D-dimensional grid of equal tasks, partitioned once by the recursive GCD
-scheduler, and executed by the persistent :class:`ForkJoinPool` with a
-single fork-join per stage over the custom spin barrier:
+This executor realizes Sec. 4.5 end to end on threads: each stage's work
+is a D-dimensional grid of equal tasks, partitioned once by the
+recursive GCD scheduler, and executed by the persistent
+:class:`ForkJoinPool` with a single fork-join per stage over the custom
+spin barrier.  Every thread runs the stage's one body
+(:mod:`repro.core.stages`) over its slice of the grid, writing into
+buffers shared by the whole pool:
 
-* **stage 1** -- grid ``B x (C/S) x N_1 x ... x N_n``; each task
-  transforms the ``S`` tiles of one (batch, channel-block, tile) triple
-  and scatters them into the shared ``U`` buffer,
-* **stage 1b** -- grid ``C x (C'/S)``; each task transforms ``S``
-  kernels,
+* **stage 1** -- grid ``B x (C/S) x N_1 x ... x N_n``; input tiles into
+  ``U``,
+* **stage 1b** -- grid ``C x (C'/S)``; kernels into ``V``,
 * **stage 2** -- grid ``T x (C'/C'_blk) x (NB/n_blk)``; the row-block
   dimension is least significant so each thread streams row blocks
   against a stationary ``V`` block,
-* **stage 3** -- 1-D grid ``B*N*C'/S``; each task inverse-transforms
-  ``S`` output tiles into the result tensor.
+* **stage 3** -- 1-D grid ``B*N*C'/S``; output tiles, cropped into the
+  result tensor after the join.
 
-CPython's GIL serializes the arithmetic, so this is a *behavioural*
-parallel implementation: the scheduling, sharing and synchronization are
-real (and tested), the speedup is not.  Numerical results are identical
-to the sequential plan up to float summation order.
+The process executor runs the same bodies over the same slices, so the
+two agree bitwise.  Numpy releases the GIL inside its array kernels and
+cffi for a whole compiled stage body (``use_compiled=True``), so the
+threads run concurrently only inside those calls; the Python between
+them is serialized.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
 from repro.core.blocking import BlockingConfig
 from repro.core.convolution import WinogradPlan
 from repro.core.parallel import ForkJoinPool
+from repro.core.stages import (
+    STAGE_BUFFERS,
+    buffer_shapes,
+    check_inputs,
+    input_interior,
+    make_stages,
+    stage_schedules,
+)
+from repro.core.tiling import assemble_output
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.core.scheduling import (
-    GridSlice,
-    stage1_grid,
-    stage2_grid,
-    stage3_grid,
-    static_schedule,
-)
-from repro.core.tiling import extract_tiles
-from repro.core.transforms import transform_tensor
-from repro.nets.reference import pad_images
 
 
 @dataclass
@@ -58,70 +58,43 @@ class ParallelWinogradExecutor:
     #: Observability hooks (see repro.obs); optional and no-op-safe.
     tracer: Tracer | None = None
     metrics: MetricsRegistry | None = None
-    #: Run stage bodies through the compiled C codelets instead of
-    #: numpy.  cffi ABI calls release the GIL, so this is where the
-    #: thread pool stops being merely behavioural and actually scales.
-    #: Requires a working toolchain (raises CompilerUnavailableError
-    #: at construction otherwise -- the engine probes first).
+    #: Run the compiled C codelets instead of the numpy stage bodies.
+    #: cffi ABI calls release the GIL for a whole stage body, so this is
+    #: where the thread pool scales.  Requires a working toolchain
+    #: (raises CompilerUnavailableError at construction otherwise --
+    #: the engine probes first).
     use_compiled: bool = False
 
     pool: ForkJoinPool = field(init=False)
 
     def __post_init__(self) -> None:
-        plan = self.plan
-        s = self.simd_width
-        if plan.c_in % s or plan.c_out % s:
-            raise ValueError(
-                f"channels ({plan.c_in}, {plan.c_out}) must be divisible by S={s}"
-            )
-        if plan.c_out % self.blocking.cprime_blk:
-            raise ValueError(
-                f"C'={plan.c_out} not divisible by C'_blk={self.blocking.cprime_blk}"
-            )
-        if plan.c_in % self.blocking.c_blk:
-            raise ValueError(
-                f"C={plan.c_in} not divisible by C_blk={self.blocking.c_blk}"
-            )
-        self._compiled = None
-        if self.use_compiled:
-            from repro.core.compiled_backend import get_compiled_stages
-
-            self._compiled = get_compiled_stages(
-                plan, self.blocking, s, tracer=self.tracer, metrics=self.metrics
-            )
+        self._schedules = stage_schedules(
+            self.plan, self.blocking, self.simd_width, self.n_threads
+        )
+        self.stages = make_stages(
+            self.plan, self.blocking, self.simd_width, self.use_compiled,
+            tracer=self.tracer, metrics=self.metrics,
+        )
         self.pool = ForkJoinPool(self.n_threads)
-        # Static schedules are computed once per executor (compile time).
-        self._sched1 = static_schedule(
-            stage1_grid(plan.batch, plan.c_in, plan.grid.counts, s), self.n_threads
-        )
-        self._sched1b = static_schedule(
-            (plan.c_in, plan.c_out // s), self.n_threads
-        )
-        self._sched2 = static_schedule(
-            stage2_grid(plan.t_matrices, plan.c_out, plan.gemm_rows, self.blocking),
-            self.n_threads,
-        )
-        self._sched3 = static_schedule(
-            stage3_grid(plan.batch, plan.tiles_per_image, plan.c_out, s),
-            self.n_threads,
-        )
 
     # ------------------------------------------------------------------
-    def _run_stage(self, name: str, fn, schedule) -> None:
+    def _run_stage(self, name: str, buffers: dict[str, np.ndarray]) -> None:
         """One traced fork-join: stage span + per-thread wall seconds."""
         tracer = self.tracer if self.tracer is not None else NULL_TRACER
+        body = getattr(self.stages, name)
+        args = [buffers[b] for b in STAGE_BUFFERS[name]]
         durations = [0.0] * self.n_threads
 
         def timed(tid, sl):
             t0 = time.perf_counter()
             try:
-                fn(tid, sl)
+                body(*args, sl.ranges)
             finally:
                 durations[tid] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         with tracer.span(f"thread.{name}") as sp:
-            self.pool.run(timed, schedule)
+            self.pool.run(timed, self._schedules[name])
             sp.attrs["worker_seconds"] = list(durations)
         if self.metrics is not None:
             self.metrics.histogram(f"thread.{name}.seconds").observe(
@@ -130,127 +103,17 @@ class ParallelWinogradExecutor:
 
     def execute(self, images: np.ndarray, kernels: np.ndarray) -> np.ndarray:
         plan = self.plan
-        s = self.simd_width
-        images = np.asarray(images, dtype=plan.dtype)
-        kernels = np.asarray(kernels, dtype=plan.dtype)
-        if tuple(images.shape) != plan.input_shape:
-            raise ValueError(f"images shape {images.shape} != {plan.input_shape}")
-
-        compiled = self._compiled
-        if compiled is not None:
-            # The C stages index the grid-padded image directly (they do
-            # their own tile addressing), so the numpy tile extraction
-            # is skipped entirely.
-            padded = np.zeros(
-                (plan.batch, plan.c_in) + plan.grid.padded_input_shape,
-                dtype=plan.dtype,
-            )
-            interior = (slice(None), slice(None)) + tuple(
-                slice(p, p + sz)
-                for p, sz in zip(plan.padding, plan.input_shape[2:])
-            )
-            padded[interior] = images
-            kernels = np.ascontiguousarray(kernels)
-        else:
-            padded = pad_images(images, plan.padding)
-            all_tiles = extract_tiles(padded, plan.grid)  # (B, C, *counts, *T)
-            b_mats = [t.as_arrays(plan.dtype)[1] for t in plan.transforms.dims]
-            g_mats = [t.as_arrays(plan.dtype)[2] for t in plan.transforms.dims]
-            a_mats = [t.as_arrays(plan.dtype)[0] for t in plan.transforms.dims]
-
-        n, t = plan.tiles_per_image, plan.t_matrices
-        counts = plan.grid.counts
-        u = np.zeros((t, plan.gemm_rows, plan.c_in), dtype=plan.dtype)
-        v = np.zeros((t, plan.c_in, plan.c_out), dtype=plan.dtype)
-        x = np.zeros((t, plan.gemm_rows, plan.c_out), dtype=plan.dtype)
-        if compiled is not None:
-            # stage3_direct writes the final cropped tensor; every
-            # element is covered by exactly one task, so empty is safe.
-            out = np.empty(
-                (plan.batch, plan.c_out) + plan.grid.output_shape,
-                dtype=plan.dtype,
-            )
-        else:
-            out_tiles = np.zeros(
-                (plan.batch, plan.c_out) + counts + plan.spec.m, dtype=plan.dtype
-            )
-
-        # ---- stage 1: input transform ---------------------------------
-        if compiled is not None:
-            def stage1(tid: int, sl: GridSlice) -> None:
-                compiled.stage1(padded, u, sl.ranges)
-        else:
-            def stage1(tid: int, sl: GridSlice) -> None:
-                for task in sl.tasks():
-                    b_idx, cb = task[0], task[1]
-                    tile_idx = task[2:]
-                    flat_tile = int(np.ravel_multi_index(tile_idx, counts))
-                    group = all_tiles[(b_idx, slice(cb * s, (cb + 1) * s)) + tile_idx]
-                    transformed = transform_tensor(group, b_mats)  # (S, *T)
-                    row = b_idx * n + flat_tile
-                    u[:, row, cb * s : (cb + 1) * s] = transformed.reshape(s, t).T
-
-        self._run_stage("stage1", stage1, self._sched1)
-
-        # ---- stage 1b: kernel transform --------------------------------
-        if compiled is not None:
-            def stage1b(tid: int, sl: GridSlice) -> None:
-                compiled.stage1b(kernels, v, sl.ranges)
-        else:
-            def stage1b(tid: int, sl: GridSlice) -> None:
-                for c_idx, cpb in sl.tasks():
-                    group = kernels[c_idx, cpb * s : (cpb + 1) * s]  # (S, *r)
-                    transformed = transform_tensor(group, g_mats)  # (S, *T)
-                    v[:, c_idx, cpb * s : (cpb + 1) * s] = transformed.reshape(s, t).T
-
-        self._run_stage("stage1b", stage1b, self._sched1b)
-
-        # ---- stage 2: blocked batched GEMM -----------------------------
-        blk = self.blocking
-        nb_rows = plan.gemm_rows
-
-        if compiled is not None:
-            def stage2(tid: int, sl: GridSlice) -> None:
-                compiled.stage2(u, v, x, sl.ranges)
-        else:
-            def stage2(tid: int, sl: GridSlice) -> None:
-                for ti, j, i in sl.tasks():
-                    rows = slice(i * blk.n_blk, min((i + 1) * blk.n_blk, nb_rows))
-                    cols = slice(j * blk.cprime_blk, (j + 1) * blk.cprime_blk)
-                    acc = None
-                    for k in range(0, plan.c_in, blk.c_blk):
-                        block = u[ti, rows, k : k + blk.c_blk] @ v[ti, k : k + blk.c_blk, cols]
-                        acc = block if acc is None else acc + block
-                    x[ti, rows, cols] = acc
-
-        self._run_stage("stage2", stage2, self._sched2)
-
-        # ---- stage 3: inverse transform --------------------------------
-        cp_blocks = plan.c_out // s
-
-        if compiled is not None:
-            def stage3(tid: int, sl: GridSlice) -> None:
-                compiled.stage3_direct(x, out, sl.ranges)
-        else:
-            def stage3(tid: int, sl: GridSlice) -> None:
-                for (flat,) in sl.tasks():
-                    b_idx, rem = divmod(flat, n * cp_blocks)
-                    tile_flat, cpb = divmod(rem, cp_blocks)
-                    tile_idx = np.unravel_index(tile_flat, counts)
-                    row = b_idx * n + tile_flat
-                    group = x[:, row, cpb * s : (cpb + 1) * s]  # (T, S)
-                    tiles = group.T.reshape((s,) + plan.spec.tile_shape)
-                    inv = transform_tensor(tiles, a_mats)  # (S, *m)
-                    out_tiles[(b_idx, slice(cpb * s, (cpb + 1) * s)) + tuple(tile_idx)] = inv
-
-        self._run_stage("stage3", stage3, self._sched3)
-
-        if compiled is not None:
-            return out
-
-        from repro.core.tiling import assemble_output
-
-        return assemble_output(out_tiles, plan.grid)
+        images, kernels = check_inputs(plan, images, kernels)
+        buffers = {
+            name: np.zeros(shape, dtype=plan.dtype)
+            for name, shape in buffer_shapes(plan).items()
+            if name != "kernels"
+        }
+        buffers["padded"][input_interior(plan)] = images
+        buffers["kernels"] = kernels
+        for name in STAGE_BUFFERS:
+            self._run_stage(name, buffers)
+        return assemble_output(buffers["out_tiles"], plan.grid)
 
     def shutdown(self) -> None:
         self.pool.shutdown()

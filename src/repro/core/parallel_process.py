@@ -1,10 +1,11 @@
 """True-parallel execution of the static schedule on worker *processes*.
 
 :class:`~repro.core.parallel_convolution.ParallelWinogradExecutor` is
-behaviourally faithful to the paper's Sec. 4.5 runtime but runs under
-the GIL, so its speedup is zero by construction.  This module maps the
-very same per-stage :class:`~repro.core.scheduling.GridSlice` schedules
-onto a persistent pool of **processes**, which CPython cannot serialize:
+faithful to the paper's Sec. 4.5 runtime, but its threads overlap only
+inside the numpy and cffi calls that release the GIL.  This module maps
+the very same per-stage :class:`~repro.core.scheduling.GridSlice`
+schedules and stage bodies onto a persistent pool of **processes**,
+which CPython cannot serialize:
 
 * every pipeline buffer (padded input, kernels, U, V, X/M, output tiles)
   lives in a :class:`~repro.core.shm.SharedTensorArena` segment that all
@@ -29,11 +30,12 @@ forwarded over an error queue and re-raised in the caller as
 :class:`WorkerCrashError` with exit codes, after which the pool is
 terminated and marked broken.
 
-Numerics: stage bodies are the vectorized equivalents of the
-thread-executor task loops -- identical per-element summation order --
-so results match :class:`ParallelWinogradExecutor` exactly and the
-sequential :class:`~repro.core.convolution.WinogradPlan` up to float
-summation order in stage 2 (blocked-K accumulation).
+Numerics: workers call the stage bodies of :mod:`repro.core.stages` --
+the numpy or compiled set the thread executor calls, over the same
+slices -- so results match :class:`ParallelWinogradExecutor` bitwise by
+construction, and the sequential
+:class:`~repro.core.convolution.WinogradPlan` up to float summation
+order in stage 2 (blocked-K accumulation).
 """
 
 from __future__ import annotations
@@ -49,20 +51,20 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.blocking import BlockingConfig
 from repro.core.convolution import WinogradPlan
-from repro.core.scheduling import (
-    GridSlice,
-    stage1_grid,
-    stage2_grid,
-    stage3_grid,
-    static_schedule,
-)
+from repro.core.scheduling import GridSlice
 from repro.core.shm import SegmentSpec, SharedTensorArena, attach_segments
+from repro.core.stages import (
+    STAGE_BUFFERS,
+    buffer_shapes,
+    check_inputs,
+    input_interior,
+    make_stages,
+    stage_schedules,
+)
 from repro.core.tiling import assemble_output
-from repro.core.transforms import transform_tensor
 from repro.obs.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -70,10 +72,9 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.fmr import FmrSpec
 
-#: Stage commands published through the shared control word.
-STAGE1, STAGE1B, STAGE2, STAGE3 = 1, 2, 3, 4
-#: Human-readable stage names, used for spans and metrics.
-STAGE_NAMES = {STAGE1: "stage1", STAGE1B: "stage1b", STAGE2: "stage2", STAGE3: "stage3"}
+#: Stage commands published through the shared control word (1-based
+#: pipeline positions) -> stage names, used for bodies, spans and metrics.
+STAGE_NAMES = dict(enumerate(STAGE_BUFFERS, start=1))
 _CMD_IDLE = 0
 _CMD_SHUTDOWN = -1
 _CMD_RAISE = -2  # fault-injection hook: raise inside the stage body
@@ -128,17 +129,16 @@ class WorkerConfig:
     blocking: BlockingConfig
     simd_width: int
     n_workers: int
-    schedules: dict[int, tuple[GridSlice, ...]]
+    schedules: dict[str, tuple[GridSlice, ...]]
     segments: dict[str, SegmentSpec]
-    #: Run stage bodies through the compiled C codelets (workers rebuild
-    #: the stage library from the content-addressed disk cache, so the
-    #: compile cost is paid once machine-wide).  Appended with a default
-    #: so configs pickled before this field still unpickle.
-    use_compiled: bool = False
+    #: Run the compiled C codelets (workers load the stage library from
+    #: the content-addressed disk cache, so the compile cost is paid
+    #: once machine-wide).
+    use_compiled: bool
 
 
 class _WorkerState:
-    """Per-worker plan state: transform matrices + shared-memory views.
+    """Per-worker state: the stage set, this rank's slices, shm views.
 
     Reconstructed deterministically from the :class:`WorkerConfig` --
     transform generation is exact-rational, so every worker holds the
@@ -146,169 +146,35 @@ class _WorkerState:
     """
 
     def __init__(self, cfg: WorkerConfig, rank: int):
-        self.cfg = cfg
         self.rank = rank
-        self.plan = WinogradPlan(
+        plan = WinogradPlan(
             spec=cfg.spec,
             input_shape=cfg.input_shape,
             c_out=cfg.c_out,
             padding=cfg.padding,
             dtype=np.dtype(cfg.dtype),
         )
-        plan = self.plan
-        dtype = plan.dtype
-        self.a_mats = [t.as_arrays(dtype)[0] for t in plan.transforms.dims]
-        self.b_mats = [t.as_arrays(dtype)[1] for t in plan.transforms.dims]
-        self.g_mats = [t.as_arrays(dtype)[2] for t in plan.transforms.dims]
-        self.s = cfg.simd_width
-        self.counts = plan.grid.counts
-        self.n = plan.tiles_per_image
-        self.t = plan.t_matrices
-        self.nb = plan.gemm_rows
-        self.cp_blocks = plan.c_out // self.s
-        self.compiled = None
-        if cfg.use_compiled:
-            from repro.core.compiled_backend import get_compiled_stages
-
-            self.compiled = get_compiled_stages(plan, cfg.blocking, self.s)
-        self.slices = {stage: sched[rank] for stage, sched in cfg.schedules.items()}
+        self.stages = make_stages(
+            plan, cfg.blocking, cfg.simd_width, cfg.use_compiled
+        )
+        self.ranges = {
+            name: sched[rank].ranges for name, sched in cfg.schedules.items()
+        }
         self.attached = attach_segments(cfg.segments)
-        # Per-stage/per-worker wall-clock telemetry, written by workers
-        # and read by the main process after each join (optional so old
-        # pickled configs without the segment still load).
-        self.obs = self.attached.arrays.get("obs")
-        self.padded = self.attached["padded"]
-        self.kernels = self.attached["kernels"]
-        self.u = self.attached["u"]
-        self.v = self.attached["v"]
-        self.x = self.attached["x"]
-        self.out_tiles = self.attached["out_tiles"]
-        # Stage-1 tile sub-rectangle of this worker (fixed at compile
-        # time): flat tile ids in row-major order of the rectangle.
-        sl1 = self.slices[STAGE1]
-        tile_ranges = sl1.ranges[2:]
-        if all(b > a for a, b in sl1.ranges):
-            grids = np.meshgrid(
-                *[np.arange(a, b) for a, b in tile_ranges], indexing="ij"
-            )
-            self.tile_flats1 = np.ravel_multi_index(
-                tuple(g.ravel() for g in grids), self.counts
-            )
-        else:
-            self.tile_flats1 = np.empty(0, dtype=np.intp)
+
+    def run(self, cmd: int) -> None:
+        """Run stage ``cmd`` over this worker's slice and record its
+        wall seconds in the ``obs`` segment (read by the main process
+        after the join)."""
+        name = STAGE_NAMES[cmd]
+        t0 = time.perf_counter()
+        getattr(self.stages, name)(
+            *(self.attached[b] for b in STAGE_BUFFERS[name]), self.ranges[name]
+        )
+        self.attached["obs"][cmd - 1, self.rank] = time.perf_counter() - t0
 
     def close(self) -> None:
         self.attached.close()
-
-
-# ----------------------------------------------------------------------
-# Stage bodies -- vectorized equivalents of the thread-executor loops
-# ----------------------------------------------------------------------
-def _stage1(st: _WorkerState) -> None:
-    """Input transform: grid ``B x (C/S) x N_1 x ... x N_n``."""
-    sl = st.slices[STAGE1]
-    if st.compiled is not None:
-        st.compiled.stage1(st.padded, st.u, sl.ranges)
-        return
-    if sl.task_count == 0:
-        return
-    spec = st.plan.spec
-    (b0, b1), (cb0, cb1) = sl.ranges[:2]
-    tile_ranges = sl.ranges[2:]
-    # Tile positions step by m_d over the sliding-window view.
-    window_idx = (slice(None),) + tuple(
-        slice(a * m, (b - 1) * m + 1, m) for (a, b), m in zip(tile_ranges, spec.m)
-    )
-    nsub = st.tile_flats1.size
-    s, t = st.s, st.t
-    for b_idx in range(b0, b1):
-        rows = b_idx * st.n + st.tile_flats1
-        for cb in range(cb0, cb1):
-            group = st.padded[b_idx, cb * s : (cb + 1) * s]
-            view = sliding_window_view(
-                group, spec.tile_shape, axis=tuple(range(1, 1 + spec.ndim))
-            )
-            tiles = np.ascontiguousarray(view[window_idx])  # (S, *nsub, *T)
-            transformed = transform_tensor(tiles, st.b_mats)
-            st.u[:, rows, cb * s : (cb + 1) * s] = (
-                transformed.reshape(s, nsub, t).transpose(2, 1, 0)
-            )
-
-
-def _stage1b(st: _WorkerState) -> None:
-    """Kernel transform: grid ``C x (C'/S)``."""
-    sl = st.slices[STAGE1B]
-    if st.compiled is not None:
-        st.compiled.stage1b(st.kernels, st.v, sl.ranges)
-        return
-    if sl.task_count == 0:
-        return
-    (c0, c1), (p0, p1) = sl.ranges
-    s, t = st.s, st.t
-    group = st.kernels[c0:c1, p0 * s : p1 * s]  # (dc, dp*S, *r)
-    transformed = transform_tensor(group, st.g_mats)  # (dc, dp*S, *T)
-    dc, dps = transformed.shape[:2]
-    st.v[:, c0:c1, p0 * s : p1 * s] = (
-        transformed.reshape(dc, dps, t).transpose(2, 0, 1)
-    )
-
-
-def _stage2(st: _WorkerState) -> None:
-    """Blocked batched GEMM: grid ``T x (C'/C'_blk) x (NB/n_blk)``.
-
-    The block-K accumulation loop is kept identical to the thread
-    executor's so both backends are bit-for-bit comparable.
-    """
-    sl = st.slices[STAGE2]
-    if st.compiled is not None:
-        st.compiled.stage2(st.u, st.v, st.x, sl.ranges)
-        return
-    blk = st.cfg.blocking
-    c_in = st.plan.c_in
-    u, v, x = st.u, st.v, st.x
-    for ti, j, i in sl.tasks():
-        rows = slice(i * blk.n_blk, min((i + 1) * blk.n_blk, st.nb))
-        cols = slice(j * blk.cprime_blk, (j + 1) * blk.cprime_blk)
-        acc = None
-        for k in range(0, c_in, blk.c_blk):
-            block = u[ti, rows, k : k + blk.c_blk] @ v[ti, k : k + blk.c_blk, cols]
-            acc = block if acc is None else acc + block
-        x[ti, rows, cols] = acc
-
-
-def _stage3(st: _WorkerState) -> None:
-    """Inverse transform: 1-D grid ``B*N*C'/S``, vectorized per
-    ``(batch, channel-block)`` run."""
-    sl = st.slices[STAGE3]
-    if st.compiled is not None:
-        st.compiled.stage3(st.x, st.out_tiles, sl.ranges)
-        return
-    (a, b) = sl.ranges[0]
-    if b <= a:
-        return
-    s = st.s
-    flats = np.arange(a, b)
-    b_all, rem = np.divmod(flats, st.n * st.cp_blocks)
-    tile_all, cpb_all = np.divmod(rem, st.cp_blocks)
-    for b_idx in np.unique(b_all):
-        in_b = b_all == b_idx
-        for cpb in np.unique(cpb_all[in_b]):
-            mask = in_b & (cpb_all == cpb)
-            tiles_f = tile_all[mask]
-            rows = b_idx * st.n + tiles_f
-            group = st.x[:, rows, cpb * s : (cpb + 1) * s]  # (T, k, S)
-            tiles = group.transpose(1, 2, 0).reshape(
-                (tiles_f.size, s) + st.plan.spec.tile_shape
-            )
-            inv = transform_tensor(tiles, st.a_mats)  # (k, S, *m)
-            tidx = np.unravel_index(tiles_f, st.counts)
-            # Scalar b_idx + the tile index arrays are non-adjacent
-            # advanced indices, so the broadcast (k,) axis leads the
-            # indexing result: shape (k, S, *m), matching inv directly.
-            st.out_tiles[(b_idx, slice(cpb * s, (cpb + 1) * s)) + tidx] = inv
-
-
-_STAGE_FNS = {STAGE1: _stage1, STAGE1B: _stage1b, STAGE2: _stage2, STAGE3: _stage3}
 
 
 # ----------------------------------------------------------------------
@@ -344,10 +210,7 @@ def _worker_main(rank, cfg_blob, start_barrier, done_barrier, command, param, er
                         raise RuntimeError(
                             init_error or f"worker {rank} has no state"
                         )
-                    t0 = time.perf_counter()
-                    _STAGE_FNS[cmd](state)
-                    if state.obs is not None:
-                        state.obs[cmd - 1, rank] = time.perf_counter() - t0
+                    state.run(cmd)
             except BaseException as exc:  # noqa: BLE001 - propagated to main
                 errors.put(
                     (rank, f"{type(exc).__name__}: {exc}", traceback.format_exc())
@@ -584,69 +447,21 @@ class ProcessWinogradExecutor:
     def __post_init__(self) -> None:
         plan = self.plan
         s = self.simd_width
-        if plan.c_in % s or plan.c_out % s:
-            raise ValueError(
-                f"channels ({plan.c_in}, {plan.c_out}) must be divisible by S={s}"
-            )
-        if plan.c_out % self.blocking.cprime_blk:
-            raise ValueError(
-                f"C'={plan.c_out} not divisible by C'_blk={self.blocking.cprime_blk}"
-            )
-        if plan.c_in % self.blocking.c_blk:
-            raise ValueError(
-                f"C={plan.c_in} not divisible by C_blk={self.blocking.c_blk}"
-            )
-        schedules = {
-            STAGE1: tuple(
-                static_schedule(
-                    stage1_grid(plan.batch, plan.c_in, plan.grid.counts, s),
-                    self.n_workers,
-                )
-            ),
-            STAGE1B: tuple(
-                static_schedule((plan.c_in, plan.c_out // s), self.n_workers)
-            ),
-            STAGE2: tuple(
-                static_schedule(
-                    stage2_grid(
-                        plan.t_matrices, plan.c_out, plan.gemm_rows, self.blocking
-                    ),
-                    self.n_workers,
-                )
-            ),
-            STAGE3: tuple(
-                static_schedule(
-                    stage3_grid(plan.batch, plan.tiles_per_image, plan.c_out, s),
-                    self.n_workers,
-                )
-            ),
-        }
-        if self.use_compiled:
-            # Build (or disk-cache-hit) the stage library before any
-            # worker spawns: toolchain problems surface here as a
-            # regular exception instead of as N worker init failures.
-            from repro.core.compiled_backend import get_compiled_stages
-
-            get_compiled_stages(
-                plan, self.blocking, s, tracer=self.tracer, metrics=self.metrics
-            )
-        b, c, cp = plan.batch, plan.c_in, plan.c_out
-        t, nb = plan.t_matrices, plan.gemm_rows
-        dtype = plan.dtype
+        schedules = stage_schedules(plan, self.blocking, s, self.n_workers)
+        # Load the stage set before any worker spawns: a missing
+        # toolchain surfaces here as a regular exception instead of as
+        # N worker init failures, and the workers then hit the disk
+        # build cache.
+        make_stages(
+            plan, self.blocking, s, self.use_compiled,
+            tracer=self.tracer, metrics=self.metrics,
+        )
         self.arena = SharedTensorArena(tag="wino")
         try:
-            self._padded = self.arena.allocate(
-                "padded", (b, c) + plan.grid.padded_input_shape, dtype
-            )
-            self._kernels = self.arena.allocate(
-                "kernels", (c, cp) + plan.spec.r, dtype
-            )
-            self._u = self.arena.allocate("u", (t, nb, c), dtype)
-            self._v = self.arena.allocate("v", (t, c, cp), dtype)
-            self._x = self.arena.allocate("x", (t, nb, cp), dtype)
-            self._out_tiles = self.arena.allocate(
-                "out_tiles", (b, cp) + plan.grid.counts + plan.spec.m, dtype
-            )
+            self._bufs = {
+                name: self.arena.allocate(name, shape, plan.dtype)
+                for name, shape in buffer_shapes(plan).items()
+            }
             # Per-stage x per-worker wall-clock seconds, written by the
             # workers, read by the main process after each join.
             self._obs = self.arena.allocate(
@@ -657,7 +472,7 @@ class ProcessWinogradExecutor:
                 input_shape=plan.input_shape,
                 c_out=plan.c_out,
                 padding=plan.padding,
-                dtype=dtype.name,
+                dtype=plan.dtype.name,
                 blocking=self.blocking,
                 simd_width=s,
                 n_workers=self.n_workers,
@@ -672,11 +487,7 @@ class ProcessWinogradExecutor:
         except BaseException:
             self.arena.release()
             raise
-        # Interior of the padded buffer receiving the raw images (the
-        # halo beyond it is conv padding + grid zero-extension).
-        self._interior = (slice(None), slice(None)) + tuple(
-            slice(p, p + sz) for p, sz in zip(plan.padding, plan.input_shape[2:])
-        )
+        self._interior = input_interior(plan)
         self._exec_lock = threading.Lock()
         #: Fingerprint of the kernel tensor currently uploaded to the
         #: shared segment (batch serving re-sends the same kernels every
@@ -742,7 +553,7 @@ class ProcessWinogradExecutor:
         if faults.should_fire("corrupt-workspace"):
             # Scribble *after* the CRC capture in execute(): the
             # integrity check must catch it.
-            self._padded.flat[0] += 1.0
+            self._bufs["padded"].flat[0] += 1.0
 
     def execute(
         self,
@@ -773,37 +584,30 @@ class ProcessWinogradExecutor:
         input workspace raises :class:`WorkspaceCorruptionError`.  The
         engine's fallback chain reroutes the failed request either way.
         """
-        plan = self.plan
-        images = np.asarray(images, dtype=plan.dtype)
-        kernels = np.asarray(kernels, dtype=plan.dtype)
-        if tuple(images.shape) != plan.input_shape:
-            raise ValueError(f"images shape {images.shape} != {plan.input_shape}")
-        expected_k = (plan.c_in, plan.c_out) + plan.spec.r
-        if tuple(kernels.shape) != expected_k:
-            raise ValueError(f"kernels shape {kernels.shape} != {expected_k}")
+        images, kernels = check_inputs(self.plan, images, kernels)
+        padded, kernels_buf = self._bufs["padded"], self._bufs["kernels"]
         with self._exec_lock:
             if self.arena.released:
                 raise RuntimeError("executor is shut down")
             self._ensure_pool()
-            self._padded[...] = 0
-            self._padded[self._interior] = images
+            padded[...] = 0
+            padded[self._interior] = images
             if (
                 kernels_fingerprint is None
                 or kernels_fingerprint != self._kernels_fp
             ):
-                self._kernels[...] = kernels
+                kernels_buf[...] = kernels
                 self.metrics.counter("process.kernel_uploads").inc()
             else:
                 self.metrics.counter("process.kernel_upload_skips").inc()
             self._kernels_fp = kernels_fingerprint
             crc_before = None
             if self.verify_workspace:
-                crc_before = (_buffer_crc(self._padded), _buffer_crc(self._kernels))
+                crc_before = (_buffer_crc(padded), _buffer_crc(kernels_buf))
             try:
                 self._inject_faults()
                 self._obs[...] = 0.0
-                for cmd in (STAGE1, STAGE1B, STAGE2, STAGE3):
-                    name = STAGE_NAMES[cmd]
+                for cmd, name in STAGE_NAMES.items():
                     t0 = time.perf_counter()
                     with self._tracer.span(f"process.{name}") as sp:
                         self.pool.run(cmd)
@@ -812,9 +616,7 @@ class ProcessWinogradExecutor:
                         time.perf_counter() - t0
                     )
                 if crc_before is not None:
-                    crc_after = (
-                        _buffer_crc(self._padded), _buffer_crc(self._kernels),
-                    )
+                    crc_after = (_buffer_crc(padded), _buffer_crc(kernels_buf))
                     if crc_after != crc_before:
                         self.metrics.counter("process.corruptions").inc()
                         # The kernel segment can no longer be trusted:
@@ -833,8 +635,9 @@ class ProcessWinogradExecutor:
             except WorkerError:
                 self.metrics.counter("process.worker_errors").inc()
                 raise
-            out = assemble_output(self._out_tiles, plan.grid)
-            if np.shares_memory(out, self._out_tiles):  # pragma: no cover
+            out_tiles = self._bufs["out_tiles"]
+            out = assemble_output(out_tiles, self.plan.grid)
+            if np.shares_memory(out, out_tiles):  # pragma: no cover
                 out = out.copy()
             return out
 

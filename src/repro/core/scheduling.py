@@ -18,6 +18,14 @@ Since batch size, channel counts and thread counts are typically powers
 of two, the GCD path almost always divides the work exactly; grids are
 ordered most-significant-first so threads keep spatially adjacent tiles
 (cache reuse along the least significant dimension, e.g. W).
+
+One refinement of the no-GCD rule: when the largest dimension is
+shorter than the thread set (``P_d < |K|``), cutting it into ``|K|``
+chunks would idle ``|K| - P_d`` threads while the others each take a
+whole slab.  The scheduler instead cuts it into its ``P_d`` unit parts,
+shares the threads among them as equally as possible and recurses;
+only a sub-grid down to a single task hands its surplus threads empty
+slices.
 """
 
 from __future__ import annotations
@@ -79,6 +87,12 @@ def _schedule_recursive(piece: GridSlice, k: int, out: list[GridSlice]) -> None:
     if k == 1:
         out.append(piece)
         return
+    if piece.task_count == 1:
+        # One task left: one thread takes it, the others get empty slices.
+        (a, _), *rest = piece.ranges
+        out.append(piece)
+        out.extend([GridSlice(((a, a), *rest))] * (k - 1))
+        return
     sizes = [b - a for a, b in piece.ranges]
     # Most significant dimension with GCD(P_d, |K|) > 1.
     for d, p in enumerate(sizes):
@@ -87,8 +101,7 @@ def _schedule_recursive(piece: GridSlice, k: int, out: list[GridSlice]) -> None:
             _split(piece, d, x, k // x, out)
             return
     # No common divisor anywhere: split the largest dimension as equally
-    # as possible into k chunks (some threads get one task more; if the
-    # dimension is shorter than k, trailing threads receive empty slices).
+    # as possible.
     d = max(range(len(sizes)), key=lambda i: sizes[i])
     _split_uneven(piece, d, k, out)
 
@@ -104,16 +117,23 @@ def _split(piece: GridSlice, dim: int, parts: int, threads_each: int,
 
 
 def _split_uneven(piece: GridSlice, dim: int, k: int, out: list[GridSlice]) -> None:
+    """Cut ``dim`` into ``min(P_d, k)`` near-equal parts and share the
+    ``k`` threads among them as equally as possible: one thread per part
+    when ``P_d >= k`` (some get one task more), else ``k // P_d`` per
+    unit part with the first ``k % P_d`` parts taking one more."""
     a, b = piece.ranges[dim]
-    n = b - a
-    base, extra = divmod(n, k)
+    parts = min(b - a, k)
+    size, size_extra = divmod(b - a, parts)
+    threads, threads_extra = divmod(k, parts)
     start = a
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
+    for i in range(parts):
+        n = size + (1 if i < size_extra else 0)
         ranges = list(piece.ranges)
-        ranges[dim] = (start, start + size)
-        out.append(GridSlice(tuple(ranges)))
-        start += size
+        ranges[dim] = (start, start + n)
+        _schedule_recursive(
+            GridSlice(tuple(ranges)), threads + (1 if i < threads_extra else 0), out
+        )
+        start += n
 
 
 # ----------------------------------------------------------------------

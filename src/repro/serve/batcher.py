@@ -28,7 +28,7 @@ Engine execution is blocking, so batches run on a small thread pool via
 ``run_in_executor``; the asyncio side only ever moves queue entries and
 futures.  A batch that fails with an unexpected error fails *those*
 requests with ``internal`` -- worker crashes inside the engine are
-absorbed by its process->thread->blocked fallback chain and the
+absorbed by its process->thread->fused fallback chain and the
 requests still succeed (the soak tests inject kills to prove it).
 """
 

@@ -16,7 +16,7 @@ JSON-lines protocol in :mod:`repro.serve.protocol`.  Concurrency model:
   interleaved task replies never corrupt the line framing.
 
 The engine's own fallback chain is live underneath: a worker crash
-mid-batch degrades the batch to the thread/blocked backend and every
+mid-batch degrades the batch to the thread/fused backend and every
 request in it still gets a correct reply (``tests/test_serve_load.py``
 injects kills to hold the server to that).
 """

@@ -18,9 +18,12 @@ This matrix pins them to each other across dimensionality, odd edge
 tiles, anisotropic tiles and dtypes.  Two tolerance classes:
 
 * **bitwise** -- thread vs process, and sequential-compiled vs
-  thread-compiled: each pair runs the identical stage bodies (same
-  block-K loop, same per-element summation order), so their outputs
-  must be ``array_equal``, not merely close;
+  thread-compiled: the thread and process pools call the one set of
+  stage bodies in :mod:`repro.core.stages` (numpy, or the compiled C
+  set the sequential compiled executor runs full-range), and each body
+  fills its buffer bit-for-bit the same however its grid is sliced --
+  which ``test_stage_slices_fill_like_full_range`` checks directly --
+  so each pair must be ``array_equal``, not merely close;
 * **tight allclose** -- everything else: the executors associate the
   linear maps differently (Kronecker vs mode-n products, blocked vs
   flat K summation, FMA contraction in the generated C), which is the
@@ -54,6 +57,13 @@ from repro.core.engine import ConvolutionEngine, parallel_simd_width
 from repro.core.fmr import FmrSpec
 from repro.core.parallel_convolution import ParallelWinogradExecutor
 from repro.core.parallel_process import ProcessWinogradExecutor
+from repro.core.stages import (
+    STAGE_BUFFERS,
+    buffer_shapes,
+    make_stages,
+    stage_grids,
+    stage_schedules,
+)
 from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry
 
@@ -85,22 +95,26 @@ def _data(batch, channels, spatial, spec, dtype, seed=0):
     return img, ker
 
 
+def _plan(spec, img, ker, padding, dtype):
+    return WinogradPlan(
+        spec=spec, input_shape=img.shape, c_out=ker.shape[1],
+        padding=padding, dtype=np.dtype(dtype),
+    )
+
+
 def _all_executors(spec, img, ker, padding, dtype):
     """Run every executor, return {name: output}.
 
     The two compiled variants join only when the host can build
     codelets; on toolchain-less hosts the matrix is the original five.
     """
-    plan = WinogradPlan(
-        spec=spec, input_shape=img.shape, c_out=ker.shape[1],
-        padding=padding, dtype=np.dtype(dtype),
-    )
+    plan = _plan(spec, img, ker, padding, dtype)
     outs = {"sequential": plan.execute(img, plan.transform_kernels(ker))}
     with ConvolutionEngine() as engine:
         outs["fused"] = engine.run(img, ker, fmr=spec, padding=padding, dtype=dtype)
         outs["blocked"] = engine.run(
             img, ker, fmr=spec, padding=padding, dtype=dtype,
-            blocked=True, blocking=BLK,
+            backend="blocked", blocking=BLK,
         )
     thread = ParallelWinogradExecutor(
         plan=plan, blocking=BLK, n_threads=2, simd_width=8
@@ -188,6 +202,80 @@ def test_executor_matrix_repeatable():
         np.testing.assert_array_equal(
             first[name], second[name], err_msg=f"{name} not deterministic"
         )
+
+
+@pytest.mark.parametrize("stage_set", ["numpy", "compiled"])
+@pytest.mark.parametrize(
+    "spec,batch,channels,spatial,padding,dtype",
+    [c[1:] for c in CASES],
+    ids=[c[0] for c in CASES],
+)
+def test_stage_slices_fill_like_full_range(
+    stage_set, spec, batch, channels, spatial, padding, dtype
+):
+    """Running every slice of a stage's static schedule fills its output
+    buffer bitwise-identically to one full-range call -- at 1, 3, 13 and
+    40 workers (40 outnumbers most grids' tasks, so some slices are
+    empty).  Both pools rest on this: it is what makes their results
+    independent of worker count."""
+    if stage_set == "compiled" and not compiled_available():
+        pytest.skip("no C toolchain")
+    img, ker = _data(batch, channels, spatial, spec, dtype)
+    plan = _plan(spec, img, ker, padding, dtype)
+    stages = make_stages(plan, BLK, 8, use_compiled=stage_set == "compiled")
+    rng = np.random.default_rng(1)
+    buffers = {
+        name: rng.standard_normal(shape).astype(dtype)
+        for name, shape in buffer_shapes(plan).items()
+    }
+    grids = stage_grids(plan, BLK, 8)
+    for name, (*sources, dest) in STAGE_BUFFERS.items():
+        body = getattr(stages, name)
+        args = [buffers[b] for b in sources]
+        full = np.zeros_like(buffers[dest])
+        body(*args, full, tuple((0, p) for p in grids[name]))
+        for n in (1, 3, 13, 40):
+            sliced = np.zeros_like(full)
+            for sl in stage_schedules(plan, BLK, 8, n)[name]:
+                body(*args, sliced, sl.ranges)
+            np.testing.assert_array_equal(
+                sliced, full, err_msg=f"{stage_set} {name}: {n} slices != full range"
+            )
+
+
+@pytest.mark.parametrize("n_workers", [3, 5])
+@pytest.mark.parametrize("case", [CASES[3], CASES[4]], ids=[CASES[3][0], CASES[4][0]])
+def test_thread_process_bitwise_at_odd_worker_counts(case, n_workers):
+    """Worker counts other than 2 (non-power-of-two schedules with
+    uneven and empty slices): thread and process still agree bitwise
+    and both compute the right convolution."""
+    _, spec, batch, channels, spatial, padding, dtype = case
+    img, ker = _data(batch, channels, spatial, spec, dtype, seed=n_workers)
+    plan = _plan(spec, img, ker, padding, dtype)
+    thread = ParallelWinogradExecutor(
+        plan=plan, blocking=BLK, n_threads=n_workers, simd_width=8
+    )
+    try:
+        y_thread = thread.execute(img, ker)
+    finally:
+        thread.shutdown()
+    with ProcessWinogradExecutor(
+        plan=plan, blocking=BLK, n_workers=n_workers, simd_width=8
+    ) as proc:
+        y_process = proc.execute(img, ker)
+    np.testing.assert_array_equal(
+        y_process, y_thread,
+        err_msg=f"process and thread backends differ at {n_workers} workers",
+    )
+    ref = direct_convolution(
+        img.astype(np.float64), ker.astype(np.float64), padding
+    )
+    scale = float(np.abs(ref).max())
+    atol = 1e-10 * scale if np.dtype(dtype) == np.float64 else 5e-4 * scale
+    np.testing.assert_allclose(
+        y_thread.astype(np.float64), ref, atol=atol, rtol=0,
+        err_msg=f"{n_workers}-worker result vs direct oracle",
+    )
 
 
 def test_compiled_fallback_is_visible_and_correct(monkeypatch):

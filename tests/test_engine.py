@@ -251,10 +251,12 @@ class TestEngineCorrectness:
         img = RNG.standard_normal((1, 32, 12, 12)).astype(np.float32)
         ker = RNG.standard_normal((32, 32, 3, 3)).astype(np.float32)
         y = self._compare(
-            engine, img, ker, (1, 1), fmr="F(2x2,3x3)", blocked=True, blocking=BLK
+            engine, img, ker, (1, 1), fmr="F(2x2,3x3)", backend="blocked",
+            blocking=BLK,
         )
         y2 = engine.run(
-            img, ker, fmr="F(2x2,3x3)", padding=(1, 1), blocked=True, blocking=BLK
+            img, ker, fmr="F(2x2,3x3)", padding=(1, 1), backend="blocked",
+            blocking=BLK,
         )
         np.testing.assert_array_equal(y, y2)  # second run hits the cache
         assert engine.plans.stats.hits >= 1
@@ -299,7 +301,7 @@ class TestEngineCaching:
         engine = ConvolutionEngine(wisdom_path=path)
         img = RNG.standard_normal((1, 32, 12, 12)).astype(np.float32)
         ker = RNG.standard_normal((32, 32, 3, 3)).astype(np.float32)
-        engine.run(img, ker, fmr="F(2x2,3x3)", padding=(1, 1), blocked=True)
+        engine.run(img, ker, fmr="F(2x2,3x3)", padding=(1, 1), backend="blocked")
         assert len(engine.wisdom) == 1
         engine.save_wisdom()
         engine2 = ConvolutionEngine(wisdom_path=path)

@@ -4,7 +4,7 @@ Each test arms a :class:`~repro.obs.faults.FaultPlan` and asserts the
 documented recovery path:
 
 * ``kill-worker`` mid-request -> the engine reroutes down the fallback
-  chain (``process -> thread -> blocked``), the request still returns an
+  chain (``process -> thread -> fused``), the request still returns an
   oracle-correct output, exactly one fallback event is recorded, and
   the crashed pool self-heals (respawns) for the next request;
 * exhausting the respawn budget surfaces ONE clean error instead of
@@ -208,8 +208,8 @@ class TestFallbackChain:
                 eng.run(images, kernels)
             assert eng.metrics.counter_value("engine.fallbacks") == 0
 
-    def test_thread_failure_falls_back_to_blocked(self):
-        """The chain's second hop: thread -> blocked on a worker error."""
+    def test_thread_failure_falls_back_to_fused(self):
+        """The chain's second hop: thread -> fused on a worker error."""
         images, kernels = _data()
         with ConvolutionEngine(backend="thread", n_workers=2) as eng:
             # Sabotage the cached thread executor so its next run fails.
@@ -229,7 +229,7 @@ class TestFallbackChain:
                 execu.pool.run = orig
             np.testing.assert_allclose(out, _oracle(images, kernels), atol=1e-3)
             assert (
-                eng.metrics.counter_value("engine.fallbacks.thread_to_blocked")
+                eng.metrics.counter_value("engine.fallbacks.thread_to_fused")
                 == 1
             )
 

@@ -258,7 +258,7 @@ class TestEngineAlgorithmDispatch:
         images, kernels = _arrays(_layer(c_in=16, c_out=16))
         with ConvolutionEngine() as eng:
             with pytest.raises(ValueError, match="winograd path"):
-                eng.run(images, kernels, algorithm="fft", blocked=True)
+                eng.run(images, kernels, algorithm="fft", backend="blocked")
             with pytest.raises(ValueError, match="winograd path"):
                 eng.run(images, kernels, algorithm="fft", backend="thread")
 

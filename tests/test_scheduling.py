@@ -1,7 +1,7 @@
 """Tests for the recursive GCD static scheduler."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocking import BlockingConfig
@@ -104,6 +104,7 @@ class TestStaticSchedule:
         grid=st.lists(st.integers(1, 12), min_size=1, max_size=4).map(tuple),
         k=st.integers(1, 16),
     )
+    @example(grid=(2, 3, 3), k=13)  # no GCD, largest dim shorter than k
     def test_cover_property(self, grid, k):
         """Exact cover and sane imbalance for arbitrary grids."""
         slices = static_schedule(grid, k)
