@@ -33,6 +33,7 @@ import numpy as np
 
 from conftest import format_table, write_csv
 from repro.baselines.direct import mkldnn_direct
+from repro.core.autotune import network_model_time
 from repro.core.convolution import WinogradPlan, max_workspace_bytes
 from repro.core.engine import ConvolutionEngine
 from repro.core.fmr import FmrSpec
@@ -47,7 +48,6 @@ from repro.graph import (
 )
 from repro.machine.spec import KNL_7210
 from repro.nets.architectures import ARCHITECTURES, benchmarked_fraction
-from repro.nets.network import network_model_time
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 

@@ -10,14 +10,13 @@ table).  This CLI reproduces those entry points::
     python -m repro accuracy [--net VGG|C3D|both]
     python -m repro gemm
     python -m repro tune --network VGG --layer 4.2 --fmr "F(4x4,3x3)"
-    python -m repro serve --network VGG --layer 3.2 --requests 50 --backend process
-    python -m repro serve --stats --trace-json trace.json   # live [stats] lines + span dump
+    python -m repro serve --listen 127.0.0.1:8765 --backend process --stats
     python -m repro run --network VGG --layer 3.2 --backend process --check
     python -m repro info
 
 All performance numbers are from the simulated machine substrate and
 are labelled as such; ``accuracy`` is a real float32 measurement, and
-``serve`` reports real wall-clock latency through the execution engine.
+``run`` reports real wall-clock latency through the execution engine.
 """
 
 from __future__ import annotations
@@ -267,7 +266,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_serve_listen(args) -> int:
+def cmd_serve(args) -> int:
     """``serve --listen``: the multi-tenant TCP front-end [real].
 
     Binds :class:`repro.serve.ConvServer` on ``HOST:PORT`` and serves
@@ -285,6 +284,8 @@ def _cmd_serve_listen(args) -> int:
     host = host or "127.0.0.1"
     try:
         port = int(port_s)
+        if not 0 <= port <= 65535:
+            raise ValueError(port)
     except ValueError:
         print(f"error: --listen expects HOST:PORT, got {args.listen!r}",
               file=sys.stderr)
@@ -320,111 +321,6 @@ def _cmd_serve_listen(args) -> int:
     finally:
         if args.stats:
             _print_metrics_snapshot(engine.stats())
-        engine.close()
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """Serve repeated inference requests through the execution engine [real].
-
-    With ``--listen HOST:PORT`` this becomes the real network server
-    (see :func:`_cmd_serve_listen`).  Otherwise it runs a scaled-down
-    Table-2 layer for ``--requests`` iterations through
-    :class:`repro.core.engine.ConvolutionEngine` and reports first-call
-    latency, warm latency percentiles, sustained request rate, and the
-    plan-cache/arena statistics.  Unlike ``bench`` these are real wall
-    clock numbers on this host, not machine-model predictions.
-    """
-    import numpy as np
-
-    from repro.core.engine import ConvolutionEngine
-
-    if args.listen:
-        return _cmd_serve_listen(args)
-
-    try:
-        layer = get_layer(args.network, args.layer)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    layer = layer.scaled(
-        batch=args.batch,
-        channels_divisor=args.channels_divisor,
-        image_divisor=args.image_divisor,
-    )
-    engine = ConvolutionEngine(
-        wisdom_path=args.wisdom, backend=args.backend, n_workers=args.workers,
-        algorithm=args.algorithm, profile=args.profile,
-    )
-    rng = np.random.default_rng(0)
-    images = rng.standard_normal(
-        (layer.batch, layer.c_in) + layer.image
-    ).astype(np.float32)
-    kernels = (
-        rng.standard_normal((layer.c_in, layer.c_out) + layer.kernel) * 0.05
-    ).astype(np.float32)
-
-    try:
-        latencies = []
-        stats_every = max(1, args.requests // 5)
-        for i in range(args.requests):
-            t0 = time.perf_counter()
-            engine.run(images, kernels, padding=layer.padding)
-            latencies.append(time.perf_counter() - t0)
-            if args.stats and (i + 1) % stats_every == 0:
-                snap = engine.stats()
-                window = sorted(latencies[1:]) or sorted(latencies)
-
-                def wpct(p):
-                    return window[min(len(window) - 1,
-                                      int(p / 100 * len(window)))] * 1e3
-
-                hits, misses = snap["plans"]["hits"], snap["plans"]["misses"]
-                print(f"[stats] req={i + 1} p50_ms={wpct(50):.2f} "
-                      f"p95_ms={wpct(95):.2f} "
-                      f"cache_hit_rate={hits / max(1, hits + misses):.2f} "
-                      f"fallbacks={int(snap['fallbacks'])} "
-                      f"shm_live={snap['shm']['segments_live']}")
-        warm = sorted(latencies[1:]) if len(latencies) > 1 else sorted(latencies)
-
-        def pct(p):
-            return warm[min(len(warm) - 1, int(p / 100 * len(warm)))] * 1e3
-
-        print(f"layer             : {layer.label} (scaled: B={layer.batch} "
-              f"C={layer.c_in} C'={layer.c_out} I={'x'.join(map(str, layer.image))})")
-        print(f"backend           : {args.backend}"
-              + (f" ({engine.n_workers} workers)"
-                 if args.backend in ("thread", "process") else ""))
-        print(f"algorithm         : {args.algorithm}")
-        for d in engine.algorithm_decisions():
-            print(f"  decision        : {d['algorithm']} (source: {d['source']}, "
-                  f"kernel {'x'.join(map(str, d['kernel_shape'][2:]))})")
-        print(f"requests          : {args.requests}")
-        print(f"first-call latency: {latencies[0] * 1e3:.2f} ms")
-        print(f"warm p50 / p95    : {pct(50):.2f} / {pct(95):.2f} ms")
-        print(f"sustained rate    : {(len(warm) / sum(warm)):.1f} req/s")
-        stats = engine.stats()
-        plans = stats["plans"]
-        print(f"plan cache        : {plans['hits']} hits / {plans['misses']} misses "
-              f"({plans['bytes_cached'] / 1e6:.1f} MB cached)")
-        print(f"workspace arena   : {stats['arena']['capacity_bytes'] / 1e6:.1f} MB, "
-              f"{stats['arena']['grows']} grows over {stats['arena']['leases']} leases")
-        print(f"fallbacks         : {int(stats['fallbacks'])}")
-        if args.stats:
-            _print_metrics_snapshot(stats)
-        if args.trace_json:
-            _write_trace(engine.tracer, args.trace_json)
-        if args.wisdom:
-            # Tune the blocked-mode blocking for this layer too, so the saved
-            # wisdom is useful beyond the serving path exercised above.
-            engine.tune_blocking(
-                images.shape, layer.c_out, padding=layer.padding
-            )
-            engine.save_wisdom()
-            print(f"wisdom saved to   : {args.wisdom} "
-                  f"({len(engine.wisdom)} entries)")
-    finally:
-        # Parallel backends hold worker pools / shared memory.
         engine.close()
     return 0
 
@@ -690,15 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
     a2.set_defaults(fn=cmd_analyze)
 
     sv = sub.add_parser(
-        "serve", help="serve repeated inference through the execution engine [real]"
+        "serve", help="multi-tenant TCP serving front-end [real]"
     )
-    sv.add_argument("--network", default="VGG")
-    sv.add_argument("--layer", default="3.2")
-    sv.add_argument("--requests", type=int, default=20)
-    sv.add_argument("--batch", type=int, default=4,
-                    help="scaled batch size for this host (default 4)")
-    sv.add_argument("--channels-divisor", type=int, default=4)
-    sv.add_argument("--image-divisor", type=int, default=4)
+    sv.add_argument("--listen", metavar="HOST:PORT", required=True,
+                    help="address to serve the JSON-lines protocol on "
+                         "(port 0 = ephemeral)")
     sv.add_argument("--backend", choices=list(ENGINE_BACKENDS), default="fused",
                     help="execution backend (process = true parallelism; "
                          "compiled = C codelets, falls back to fused "
@@ -713,27 +605,20 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile for the cost model and "
                          "wisdom namespace (default: manycore-knl)")
-    sv.add_argument("--wisdom", help="wisdom file to load/update")
+    sv.add_argument("--wisdom", help="wisdom file to load")
     sv.add_argument("--stats", action="store_true",
-                    help="periodic [stats] lines plus a final metrics snapshot")
-    sv.add_argument("--trace-json", metavar="PATH",
-                    help="write the span trace as JSON to PATH")
-    sv.add_argument("--listen", metavar="HOST:PORT",
-                    help="run the TCP serving front-end instead of the "
-                         "synthetic loop (JSON-lines protocol; port 0 = "
-                         "ephemeral)")
+                    help="print a metrics snapshot on shutdown")
     sv.add_argument("--max-batch", type=int, default=8,
-                    help="dynamic-batching cap per dispatch (listen mode)")
+                    help="dynamic-batching cap per dispatch")
     sv.add_argument("--window-ms", type=float, default=2.0,
-                    help="batching window in milliseconds (listen mode)")
+                    help="batching window in milliseconds")
     sv.add_argument("--max-pending", type=int, default=1024,
                     help="global pending-request cap before over_capacity "
-                         "rejects (listen mode)")
+                         "rejects")
     sv.add_argument("--tenant-max-pending", type=int, default=128,
-                    help="per-tenant pending-request quota (listen mode)")
+                    help="per-tenant pending-request quota")
     sv.add_argument("--tenant-plan-mb", type=int, default=128,
-                    help="per-tenant plan-cache quota in MB; 0 disables "
-                         "(listen mode)")
+                    help="per-tenant plan-cache quota in MB; 0 disables")
     sv.set_defaults(fn=cmd_serve)
 
     rn = sub.add_parser(

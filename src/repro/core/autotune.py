@@ -144,3 +144,30 @@ def autotune_layer(
     if wisdom is not None:
         wisdom.put(key, best.to_wisdom_entry())
     return best
+
+
+def network_model_time(
+    layers: list[tuple[ConvLayerSpec, FmrSpec]],
+    machine: MachineSpec,
+    *,
+    wisdom: Wisdom | None = None,
+    inference_only: bool = True,
+) -> float:
+    """Simulated whole-network time: sum of autotuned per-layer costs.
+
+    The auxiliary transform buffers are reused across layers (Sec. 4.4),
+    so the network cost is simply the sum of the layer costs plus no
+    inter-layer reshuffling (the layout contract).
+    """
+    total = 0.0
+    wisdom = wisdom if wisdom is not None else Wisdom()
+    for spec, fmr in layers:
+        tune = autotune_layer(
+            spec, fmr, machine, wisdom=wisdom,
+            transform_kernels=not inference_only,
+        )
+        model = WinogradCostModel(machine, threads_per_core=tune.threads_per_core)
+        total += model.layer_cost(
+            spec, fmr, tune.blocking, transform_kernels=not inference_only
+        ).seconds
+    return total

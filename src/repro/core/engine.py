@@ -1760,24 +1760,6 @@ class ConvolutionEngine:
             self._spec_cache[key] = spec
         return spec
 
-    def tune_blocking(
-        self, input_shape, c_out, *, fmr=None, padding=None
-    ) -> BlockingConfig:
-        """Autotune (or look up) the blocked-mode blocking for a layer
-        signature, recording the result in this engine's wisdom so that
-        :meth:`save_wisdom` persists it even when only the fused path runs.
-        """
-        input_shape = tuple(input_shape)
-        r = FmrSpec.parse(fmr).r if isinstance(fmr, str) else (
-            fmr.r if fmr is not None else (3,) * (len(input_shape) - 2)
-        )
-        kernel_shape = (input_shape[1], c_out) + r
-        if padding is None:
-            padding = (0,) * len(r)
-        padding = tuple(padding)
-        spec = self._resolve_spec(fmr, input_shape, kernel_shape, padding)
-        return self._resolve_blocking(spec, input_shape, c_out, padding)
-
     def _resolve_blocking(self, spec, input_shape, c_out, padding) -> BlockingConfig:
         """Wisdom-backed blocking for the blocked executor (memoized)."""
         key = (spec, tuple(input_shape), c_out, padding)

@@ -1,7 +1,6 @@
 """Whole-graph execution: DAG IR, per-node planner, graph executor."""
 
 from repro.graph.builders import (
-    from_sequential,
     graph_scaled_c3d,
     graph_scaled_fusionnet,
     graph_scaled_vgg,
@@ -29,7 +28,6 @@ __all__ = [
     "NodePlan",
     "eval_node",
     "execute_plan_naive",
-    "from_sequential",
     "graph_scaled_c3d",
     "graph_scaled_fusionnet",
     "graph_scaled_vgg",

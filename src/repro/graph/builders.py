@@ -1,12 +1,11 @@
-"""Graph builders: importers, residual blocks, and a topology fuzzer.
+"""Graph builders: evaluation stacks, residual blocks, a topology fuzzer.
 
 Three families:
 
-* :func:`from_sequential` imports a :class:`~repro.nets.network.
-  SequentialConvNet` -- conv / relu / maxpool per layer, with each conv
-  carrying the layer's ``FmrSpec`` so the graph path hits the *same*
-  plan-cache entries as ``SequentialConvNet.forward`` and stays bitwise
-  identical to it;
+* the scaled evaluation networks (:func:`graph_scaled_vgg`,
+  :func:`graph_scaled_fusionnet`, :func:`graph_scaled_c3d`) -- chains of
+  conv / relu / maxpool with each conv pinned to its ``FmrSpec``, the
+  paper's "output of one layer is the input to the next" (Sec. 4.1);
 * hand-written branching builders (ResNet-style basic and bottleneck
   residual blocks, a BN+GAP+GEMM classifier head) that exercise the
   graph shapes a linear net cannot: skip connections, merges, 1x1
@@ -20,60 +19,67 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.fmr import FmrSpec
 from repro.graph.ir import Graph, GraphError
-from repro.nets.network import (
-    SequentialConvNet,
-    scaled_c3d,
-    scaled_fusionnet,
-    scaled_vgg,
-)
 
 
-def from_sequential(net: SequentialConvNet, name: str | None = None) -> Graph:
-    """Import a :class:`SequentialConvNet` (weights must be set).
+def _stack(
+    name: str, ndim: int, batch: int, stages: list[tuple[int, int, int]],
+    padding: int, m: int, seed: int,
+) -> Graph:
+    """A downsampling stack; stages are ``(c_in, c_out, image_size)``.
 
-    Produces ``conv{i} [-> relu{i}] [-> pool{i}]`` per layer, the exact
-    op sequence :meth:`ConvLayer.forward` executes, with the layer's
-    ``fmr`` pinned on the conv node.
+    Emits ``conv{i} -> relu{i} -> pool{i}`` per stage (no pool after the
+    last), every conv pinned to ``F(m, 3)`` in each dimension.  Only the
+    first stage's image size is used; the chain derives the rest.
+    Weights come layer by layer from one ``default_rng(seed)``, cast to
+    float32 *before* the 0.05 scaling (unlike :func:`_weights`); the
+    test suite pins the resulting bytes, since benchmarks build these.
     """
-    g = Graph(name=name if name is not None else net.name)
-    tensor = g.add_input("input", net.input_shape)
-    for i, layer in enumerate(net.layers, start=1):
-        if layer._weights is None:
-            raise GraphError(
-                "bad_attr",
-                f"layer {layer.spec.label}: weights not set "
-                f"(call net.initialize first)",
-            )
+    rng = np.random.default_rng(seed)
+    g = Graph(name=name)
+    first_c, _, size = stages[0]
+    tensor = g.add_input("input", (batch, first_c) + (size,) * ndim)
+    for i, (c_in, c_out, _) in enumerate(stages, start=1):
+        weights = rng.normal(
+            size=(c_in, c_out) + (3,) * ndim
+        ).astype(np.float32) * 0.05
         tensor = g.add(
-            "conv", f"conv{i}", tensor,
-            weights=layer._weights,
-            padding=layer.spec.padding,
-            fmr=layer.fmr,
+            "conv", f"conv{i}", tensor, weights=weights,
+            padding=(padding,) * ndim, fmr=FmrSpec.uniform(ndim, m, 3),
         )
-        if layer.activation:
-            tensor = g.add("relu", f"relu{i}", tensor)
-        if layer.pool > 1:
-            tensor = g.add("maxpool", f"pool{i}", tensor, window=layer.pool)
+        tensor = g.add("relu", f"relu{i}", tensor)
+        if i < len(stages):
+            tensor = g.add("maxpool", f"pool{i}", tensor, window=2)
     g.mark_output(tensor)
     return g
 
 
-def _init(net: SequentialConvNet, seed: int) -> SequentialConvNet:
-    net.initialize(np.random.default_rng(seed))
-    return net
-
-
 def graph_scaled_vgg(batch: int = 1, seed: int = 0) -> Graph:
-    return from_sequential(_init(scaled_vgg(batch), seed))
+    """VGG-style 2D detection stack (channels double, images halve)."""
+    return _stack(
+        "VGG-s", ndim=2, batch=batch,
+        stages=[(16, 32, 32), (32, 64, 16), (64, 64, 8)],
+        padding=1, m=4, seed=seed,
+    )
 
 
 def graph_scaled_fusionnet(batch: int = 1, seed: int = 0) -> Graph:
-    return from_sequential(_init(scaled_fusionnet(batch), seed))
+    """FusionNet-style 2D segmentation stack (B=1, large images)."""
+    return _stack(
+        "FusionNet-s", ndim=2, batch=batch,
+        stages=[(16, 16, 48), (16, 32, 23)],
+        padding=0, m=2, seed=seed,
+    )
 
 
 def graph_scaled_c3d(batch: int = 1, seed: int = 0) -> Graph:
-    return from_sequential(_init(scaled_c3d(batch), seed))
+    """C3D-style 3D spatiotemporal stack."""
+    return _stack(
+        "C3D-s", ndim=3, batch=batch,
+        stages=[(16, 16, 12), (16, 32, 6)],
+        padding=1, m=2, seed=seed,
+    )
 
 
 # ----------------------------------------------------------------------

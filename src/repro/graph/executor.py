@@ -31,13 +31,34 @@ import numpy as np
 
 from repro.graph.ir import Graph, GraphError, Node
 from repro.graph.planner import GraphPlan, NodePlan, plan_graph
-from repro.nets.network import max_pool
 from repro.nets.reference import direct_convolution
 
 
 # ----------------------------------------------------------------------
 # Single source of truth for non-conv op numerics
 # ----------------------------------------------------------------------
+def max_pool(x: np.ndarray, window: int = 2) -> np.ndarray:
+    """Non-overlapping spatial max pooling on a ``(B, C, *spatial)`` batch.
+
+    Trailing elements that do not fill a window are dropped (the
+    convention of the evaluation networks).
+    """
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    ndim = x.ndim - 2
+    spatial = x.shape[2:]
+    trimmed = tuple((s // window) * window for s in spatial)
+    crop = (slice(None), slice(None)) + tuple(slice(0, t) for t in trimmed)
+    x = x[crop]
+    shape = x.shape[:2]
+    for t in trimmed:
+        shape += (t // window, window)
+    # Interleave (n_i, window) pairs then reduce over the window axes.
+    view = x.reshape(shape)
+    axes = tuple(3 + 2 * d for d in range(ndim))
+    return view.max(axis=axes)
+
+
 def eval_node(node: Node, operands: list[np.ndarray], out=None) -> np.ndarray:
     """Evaluate one non-conv node; ``out`` aliases are allowed.
 

@@ -6,6 +6,7 @@ from repro.core.autotune import (
     autotune_layer,
     blocking_from_wisdom,
     layer_key,
+    network_model_time,
 )
 from repro.core.fmr import FmrSpec
 from repro.machine.spec import KNL_7210
@@ -136,3 +137,16 @@ class TestWisdomStore:
         w.put("a", WisdomEntry(8, 64, 64, 1, 0.1))
         assert w.keys() == ["a", "b"]
         assert len(w) == 2
+
+
+class TestNetworkModelTime:
+    @pytest.mark.slow
+    def test_sum_of_layer_costs(self):
+        layers = [
+            (get_layer("VGG", "4.2"), FmrSpec.uniform(2, 4, 3)),
+            (get_layer("VGG", "5.2"), FmrSpec.uniform(2, 4, 3)),
+        ]
+        total = network_model_time(layers, KNL_7210)
+        assert total > 0
+        single = network_model_time(layers[:1], KNL_7210)
+        assert total > single

@@ -14,6 +14,8 @@ mid-graph), and the serve/CLI wiring round-trips.
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from repro.graph import (
     Graph,
     GraphError,
     GraphExecutor,
+    Node,
+    eval_node,
     execute_plan_naive,
-    from_sequential,
     graph_scaled_c3d,
     graph_scaled_fusionnet,
     graph_scaled_vgg,
@@ -37,10 +40,9 @@ from repro.graph import (
     residual_block,
     toy_classifier,
 )
-from repro.nets.network import scaled_vgg
 from repro.obs.faults import FaultPlan
 from repro.serve import ServeClient
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, encode_tensor
 from repro.serve.server import ConvServer
 
 #: name -> zero-arg builder for the evaluation networks of the issue.
@@ -172,6 +174,12 @@ class TestValidation:
         g.add("maxpool", "p", "x", window=4)
         assert self._code(g) == "shape_mismatch"
 
+    def test_maxpool_bad_window(self):
+        g = Graph()
+        g.add_input("x", (1, 4, 4, 4))
+        g.add("maxpool", "p", "x", window=0)
+        assert self._code(g) == "bad_attr"
+
     def test_gemm_needs_2d_input(self):
         g = Graph()
         g.add_input("x", (1, 4, 8, 8))
@@ -277,17 +285,31 @@ class TestDifferential:
                 plan_graph(residual_block(c=8, size=8), eng,
                            backend="thread", algorithm="fft")
 
-    def test_graph_path_matches_sequential_forward_bitwise(self):
-        """The importer + graph executor reproduce SequentialConvNet's
-        forward pass bit for bit (same engine, same fmr, same op order)."""
-        net = scaled_vgg()
-        net.initialize(np.random.default_rng(0))
-        g = from_sequential(net)
-        x = np.random.default_rng(1).standard_normal(net.input_shape).astype(np.float32)
-        with ConvolutionEngine(backend="fused") as eng:
-            want = net.forward(x, engine=eng)
-            got = eng.run_graph(g, x)[g.outputs[0]]
-        np.testing.assert_array_equal(got, want)
+    @pytest.mark.parametrize("shape, want", [
+        ((1, 1, 4, 4), [[[[5, 7], [13, 15]]]]),
+        ((1, 1, 2, 2, 2), [[[[[7]]]]]),
+        ((1, 1, 5, 5), [[[[6, 8], [16, 18]]]]),  # ragged edge dropped
+    ], ids=["2d", "3d", "ragged"])
+    def test_maxpool_numerics(self, shape, want):
+        x = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        node = Node(name="p", op="maxpool", inputs=("x",), attrs={"window": 2})
+        np.testing.assert_array_equal(eval_node(node, [x]), want)
+
+    def test_evaluation_graphs_are_pinned(self):
+        """The scaled evaluation graphs -- topology, fmr pins and weight
+        bytes -- never drift: benchmark workloads are built from them."""
+        pinned = {
+            (graph_scaled_vgg, 8):
+                "20dae43bc0272c03446313b3a26ba9cd6f0b907a2bef181437ffce8ea2528b95",
+            (graph_scaled_c3d, 8):
+                "46990acfac0368585a2ac4b0b4b432e88037c710ff8a5b27a2c10ecf6f6bcf99",
+            (graph_scaled_fusionnet, 1):
+                "02af43cd76e2dc3f55e5f3e7a0febd69e82604e8521446e23ae842d724da28a7",
+        }
+        for (build, batch), digest in pinned.items():
+            g = build(batch=batch, seed=0)
+            payload = json.dumps(g.to_dict(encode_tensor), sort_keys=True)
+            assert hashlib.sha256(payload.encode()).hexdigest() == digest, g.name
 
     def test_run_graph_convenience_equals_executor(self):
         g = residual_block(c=8, size=8)
