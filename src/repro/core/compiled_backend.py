@@ -139,7 +139,7 @@ def _probe_dlopen(path: Path) -> bool:
         return False
 
 
-_PROBE_CACHE: dict[tuple[str, ...] | None, Toolchain | None] = {}
+_PROBE_CACHE: dict[tuple[str | None, str | None], Toolchain | None] = {}
 _PROBE_LOCK = threading.Lock()
 
 
@@ -147,14 +147,16 @@ def probe_toolchain() -> Toolchain | None:
     """Find (and cache) a compiler + flag set that builds a loadable
     shared object; ``None`` when the host has no usable toolchain.
 
-    Cached per compiler argv, so changing ``$CC`` re-probes without an
-    explicit cache clear.  ``-march=native`` is kept only when the probe
+    Cached per ``($CC, $PATH)``, so changing either re-probes without an
+    explicit cache clear, while a hit resolves no compiler (no PATH
+    walk per request).  ``-march=native`` is kept only when the probe
     compile accepts it.
     """
-    argv = find_compiler()
+    key = (os.environ.get("CC"), os.environ.get("PATH"))
     with _PROBE_LOCK:
-        if argv in _PROBE_CACHE:
-            return _PROBE_CACHE[argv]
+        if key in _PROBE_CACHE:
+            return _PROBE_CACHE[key]
+    argv = find_compiler()
     tc: Toolchain | None = None
     if argv is not None and _have_cffi():
         with tempfile.TemporaryDirectory(prefix="repro-cc-probe-") as td:
@@ -167,7 +169,7 @@ def probe_toolchain() -> Toolchain | None:
                     tc = Toolchain(argv=argv, flags=flags)
                     break
     with _PROBE_LOCK:
-        _PROBE_CACHE[argv] = tc
+        _PROBE_CACHE[key] = tc
     return tc
 
 

@@ -777,11 +777,11 @@ class _FusedPlan:
 
     The N-D transforms are separable mode-``n`` products (Eqn. 8);
     since every tile is transformed by the *same* per-dimension
-    matrices, the whole stage collapses into one GEMM with the
-    Kronecker product ``B_1 (x) ... (x) B_N`` (and likewise ``A``).
-    That turns stage 1/3 from ``2N`` strided tensor passes into a
-    single BLAS call each, and stage 2 consumes the result through
-    F-contiguous sub-matrix views so no re-pack transpose is needed.
+    matrices, stage 1/3 collapse from ``2N`` strided tensor passes into
+    one GEMM per sample with the Kronecker product ``B_1 (x) ... (x) B_N``
+    (and likewise ``A``).  Stage 2 reads stage 1's result as F-contiguous
+    sub-matrix views and stage 3 reads X's per-sample ``(T, N*C')``
+    sub-matrix in place, so no stage re-packs its operand with a transpose.
     Numerically this is the same linear map evaluated in a different
     association order -- verified against the reference pipeline to
     float tolerance by ``tests/test_engine.py``.
@@ -791,9 +791,9 @@ class _FusedPlan:
         self.plan = plan
         dtype = plan.dtype
         a_mats, b_mats, _ = plan.transforms.matrices(np.float64)
-        # bk: (T, K) applied from the left to K-major tiles; akt: (T, L).
+        # bk: (T, K) and ak: (L, T), both applied from the left.
         self.bk = np.ascontiguousarray(reduce(np.kron, b_mats).astype(dtype))
-        self.akt = np.ascontiguousarray(reduce(np.kron, a_mats).astype(dtype).T)
+        self.ak = np.ascontiguousarray(reduce(np.kron, a_mats).astype(dtype))
         grid, spec = plan.grid, plan.spec
         self.ndim = spec.ndim
         self.counts = grid.counts
@@ -812,8 +812,7 @@ class _FusedPlan:
             "tiles": (b, c, n, t),
             "u": (t, b, c, n),
             "x": (t, b, n, cp),
-            "xt": (b, n, cp, t),
-            "y": (b, n, cp, l),
+            "y": (b, l, n, cp),
         }
         if self.crop:
             self._shapes["pout"] = (b, cp) + self.pout
@@ -821,13 +820,13 @@ class _FusedPlan:
             round_up(prod(s) * itemsize, CACHE_LINE_BYTES)
             for s in self._shapes.values()
         )
-        self.const_bytes = self.bk.nbytes + self.akt.nbytes
-        # Assemble permutation: (B, n_1..n_N, C', m_1..m_N) ->
+        self.const_bytes = self.bk.nbytes + self.ak.nbytes
+        # Assemble permutation: (B, m_1..m_N, n_1..n_N, C') ->
         # (B, C', n_1, m_1, ..., n_N, m_N).
         nd = self.ndim
-        perm = [0, nd + 1]
+        perm = [0, 2 * nd + 1]
         for d in range(nd):
-            perm.extend([1 + d, nd + 2 + d])
+            perm.extend([nd + 1 + d, 1 + d])
         self._assemble_perm = tuple(perm)
 
     def run(
@@ -849,7 +848,6 @@ class _FusedPlan:
         buf_tiles = lease.take(self._shapes["tiles"], dtype)
         buf_u = lease.take(self._shapes["u"], dtype)
         buf_x = lease.take(self._shapes["x"], dtype)
-        buf_xt = lease.take(self._shapes["xt"], dtype)
         buf_y = lease.take(self._shapes["y"], dtype)
 
         with tracer.span("fused.stage1"):
@@ -896,12 +894,14 @@ class _FusedPlan:
             np.matmul(buf_u.transpose(0, 1, 3, 2), w.data[:, None], out=buf_x)
 
         with tracer.span("fused.stage3"):
-            # Stage 3: one transpose pass, one GEMM with A_kron, one
-            # scatter-assemble pass writing (cropped) output tiles.
-            np.copyto(buf_xt, buf_x.transpose(1, 2, 3, 0))
-            np.matmul(buf_xt, self.akt, out=buf_y)
+            # Stage 3: Y = A_kron @ X per sample (batch-independent shapes,
+            # as in stage 1) on X's row-strided (T, N*C') view -- BLAS-native,
+            # no transpose pass -- then one scatter-assemble of output tiles.
+            for i in range(b):
+                np.matmul(self.ak, buf_x[:, i].reshape(t, -1),
+                          out=buf_y[i].reshape(-1, n * cp))
 
-            y_tiles = buf_y.reshape((b,) + self.counts + (cp,) + self.m)
+            y_tiles = buf_y.reshape((b,) + self.m + self.counts + (cp,))
             if self.crop:
                 buf_pout = lease.take(self._shapes["pout"], dtype)
                 np.copyto(

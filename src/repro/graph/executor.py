@@ -41,22 +41,22 @@ def max_pool(x: np.ndarray, window: int = 2) -> np.ndarray:
     """Non-overlapping spatial max pooling on a ``(B, C, *spatial)`` batch.
 
     Trailing elements that do not fill a window are dropped (the
-    convention of the evaluation networks).
+    convention of the evaluation networks).  Each spatial axis in turn
+    folds its ``window`` strided phases together with ``np.maximum``:
+    streaming passes, and exact, so the fold order changes no value.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    ndim = x.ndim - 2
-    spatial = x.shape[2:]
-    trimmed = tuple((s // window) * window for s in spatial)
-    crop = (slice(None), slice(None)) + tuple(slice(0, t) for t in trimmed)
-    x = x[crop]
-    shape = x.shape[:2]
-    for t in trimmed:
-        shape += (t // window, window)
-    # Interleave (n_i, window) pairs then reduce over the window axes.
-    view = x.reshape(shape)
-    axes = tuple(3 + 2 * d for d in range(ndim))
-    return view.max(axis=axes)
+    if window == 1:
+        return x.copy()
+    for axis in range(2, x.ndim):
+        lead = (slice(None),) * axis
+        stop = x.shape[axis] // window * window
+        phases = [x[lead + (slice(o, stop, window),)] for o in range(window)]
+        x = np.maximum(phases[0], phases[1])
+        for phase in phases[2:]:
+            np.maximum(x, phase, out=x)
+    return x
 
 
 def eval_node(node: Node, operands: list[np.ndarray], out=None) -> np.ndarray:

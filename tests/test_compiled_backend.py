@@ -14,6 +14,9 @@ instead (see ``test_differential.test_compiled_fallback_is_visible_and_correct``
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
@@ -245,5 +248,32 @@ def test_probe_is_per_compiler(monkeypatch):
         assert probe_toolchain() is None
         monkeypatch.delenv("CC")
         assert probe_toolchain() == real
+    finally:
+        clear_compiled_caches()
+
+
+def test_probe_hit_skips_path_lookup(monkeypatch):
+    """Every compiled request asks ``compiled_available()``: a cache hit
+    must not walk $PATH again, while a changed PATH still re-resolves."""
+    lookups = []
+    real_which = shutil.which
+
+    def counting_which(cmd, *args, **kwargs):
+        lookups.append(cmd)
+        return real_which(cmd, *args, **kwargs)
+
+    monkeypatch.delenv("CC", raising=False)
+    monkeypatch.setattr(shutil, "which", counting_which)
+    clear_compiled_caches()
+    try:
+        first = compiled_available()
+        assert lookups, "a cold probe resolves the compiler on PATH"
+        lookups.clear()
+        assert compiled_available() == first
+        assert lookups == []
+        path = os.environ.get("PATH", "")
+        monkeypatch.setenv("PATH", f"{path}{os.pathsep}{path}")
+        assert compiled_available() == first
+        assert lookups
     finally:
         clear_compiled_caches()

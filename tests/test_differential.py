@@ -320,26 +320,39 @@ def test_compiled_fallback_is_visible_and_correct(monkeypatch):
 # front-end sells is that coalescing is *invisible*: every request's
 # output is bitwise identical to what a lone ``run`` call would have
 # produced.  That holds because every executor computes output samples
-# independently -- per-sample stage-1 GEMMs in the fused path, per-tile
-# block-K loops everywhere else -- and these tests pin it across all
-# backends and across randomly composed mixed-shape queues.
+# independently -- per-sample stage-1 and stage-3 GEMMs in the fused
+# path, per-tile block-K loops everywhere else -- and these tests pin it
+# across all backends, tile sizes up to the VGG workload's F(4x4,3x3),
+# an N-D case, and randomly composed mixed-shape queues.
 # ----------------------------------------------------------------------
 ENGINE_BACKENDS = ("fused", "blocked", "thread", "process", "compiled")
 
+#: (id suffix, fmr, spatial) of the batch-invariance layers, all with
+#: 16 -> 16 channels and padding 1; the first keeps the bare backend id.
+RUN_MANY_LAYERS = (
+    ("", FmrSpec(m=(2, 2), r=(3, 3)), (10, 10)),
+    ("F(4x4,3x3)", FmrSpec(m=(4, 4), r=(3, 3)), (10, 10)),
+    ("F(2x2x2,3x3x3)", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), (6, 5, 6)),
+)
 
-@pytest.mark.parametrize("backend", ENGINE_BACKENDS)
-def test_run_many_bitwise_equals_run(backend):
+
+@pytest.mark.parametrize("backend, spec, spatial", [
+    pytest.param(backend, spec, spatial, id="-".join(filter(None, (backend, name))))
+    for name, spec, spatial in RUN_MANY_LAYERS
+    for backend in ENGINE_BACKENDS
+])
+def test_run_many_bitwise_equals_run(backend, spec, spatial):
     if backend == "compiled" and not compiled_available():
         pytest.skip("no C toolchain")
-    spec = FmrSpec(m=(2, 2), r=(3, 3))
     rng = np.random.default_rng(11)
-    ker = (rng.standard_normal((16, 16, 3, 3)) * 0.2).astype(np.float32)
+    ker = (rng.standard_normal((16, 16) + spec.r) * 0.2).astype(np.float32)
     # Mixed per-request batch sizes, coalesced total 5, bucketed to 8.
     reqs = [
-        rng.standard_normal((b, 16, 10, 10)).astype(np.float32)
+        rng.standard_normal((b, 16) + spatial).astype(np.float32)
         for b in (1, 2, 1, 1)
     ]
-    kwargs = dict(fmr=spec, padding=(1, 1), dtype=np.float32, backend=backend)
+    padding = (1,) * spec.ndim
+    kwargs = dict(fmr=spec, padding=padding, dtype=np.float32, backend=backend)
     if backend in ("blocked", "thread", "process", "compiled"):
         kwargs["blocking"] = BLK
     with ConvolutionEngine(n_workers=2) as engine:
@@ -353,7 +366,7 @@ def test_run_many_bitwise_equals_run(backend):
     # And the batch is still the right convolution.
     for im, many in zip(reqs, batched):
         ref = direct_convolution(
-            im.astype(np.float64), ker.astype(np.float64), (1, 1)
+            im.astype(np.float64), ker.astype(np.float64), padding
         )
         scale = float(np.abs(ref).max())
         np.testing.assert_allclose(

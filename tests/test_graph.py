@@ -89,6 +89,19 @@ def _assert_graph_faithful(engine, graph, *, backend=None, algorithm=None,
     return ex
 
 
+def _max_pool_reference(x: np.ndarray, window: int) -> np.ndarray:
+    """The executor's former max pool, kept as the reference: crop the
+    ragged edge, split each spatial axis into ``(n, window)`` and reduce
+    over the window axes."""
+    trimmed = tuple((s // window) * window for s in x.shape[2:])
+    x = x[(slice(None), slice(None)) + tuple(slice(0, t) for t in trimmed)]
+    shape = x.shape[:2]
+    for t in trimmed:
+        shape += (t // window, window)
+    axes = tuple(3 + 2 * d for d in range(len(trimmed)))
+    return x.reshape(shape).max(axis=axes)
+
+
 # ----------------------------------------------------------------------
 # IR validation: structured errors
 # ----------------------------------------------------------------------
@@ -294,6 +307,32 @@ class TestDifferential:
         x = np.arange(np.prod(shape), dtype=float).reshape(shape)
         node = Node(name="p", op="maxpool", inputs=("x",), attrs={"window": 2})
         np.testing.assert_array_equal(eval_node(node, [x]), want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("window", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_maxpool_matches_reference(self, ndim, window, dtype):
+        """The phase-fold pool returns the reference's bytes, NaN and
+        infinities included; with signed zeros in a window the values
+        agree but which zero wins is not pinned."""
+        rng = np.random.default_rng([ndim, window, np.dtype(dtype).itemsize])
+        node = Node(name="p", op="maxpool", inputs=("x",), attrs={"window": window})
+        values = np.array([1.0, -1.0, 2.5, np.inf, -np.inf, np.nan, 0.0])
+        for draw in range(4):
+            # Every axis ragged on the first draw (when window > 1).
+            rem = (window - 1,) * ndim if draw == 0 else rng.integers(0, window, ndim)
+            spatial = tuple(
+                int(n) * window + int(r)
+                for n, r in zip(rng.integers(1, 4, ndim), rem)
+            )
+            x = rng.choice(values, size=(2, 3) + spatial).astype(dtype)
+            got, want = eval_node(node, [x]), _max_pool_reference(x, window)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+            x = rng.choice(np.append(values, -0.0), size=x.shape).astype(dtype)
+            got, want = eval_node(node, [x]), _max_pool_reference(x, window)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_evaluation_graphs_are_pinned(self):
         """The scaled evaluation graphs -- topology, fmr pins and weight
