@@ -10,8 +10,8 @@ table).  This CLI reproduces those entry points::
     python -m repro accuracy [--net VGG|C3D|both]
     python -m repro gemm
     python -m repro tune --network VGG --layer 4.2 --fmr "F(4x4,3x3)"
-    python -m repro serve --listen 127.0.0.1:8765 --backend process --stats
-    python -m repro run --network VGG --layer 3.2 --backend process --check
+    python -m repro serve --listen 127.0.0.1:8765 --backend compiled --stats
+    python -m repro run --network VGG --layer 3.2 --backend compiled --check
     python -m repro info
 
 All performance numbers are from the simulated machine substrate and
@@ -76,7 +76,6 @@ def _print_run_stats(stats, tracer) -> None:
     )
     print("--- stats ---")
     print(f"fallbacks: {int(stats['fallbacks'])}{detail}")
-    print(f"shm live : {stats['shm']['segments_live']} segments")
     print("stage timings (ms):")
     for s in _stage_spans(tracer):
         flag = f"  [failed: {s.attrs['error']}]" if "error" in s.attrs else ""
@@ -295,7 +294,7 @@ def cmd_serve(args) -> int:
         max_plan_bytes=args.tenant_plan_mb << 20 if args.tenant_plan_mb else None,
     )
     engine = ConvolutionEngine(
-        wisdom_path=args.wisdom, backend=args.backend, n_workers=args.workers,
+        wisdom_path=args.wisdom, backend=args.backend,
         algorithm=args.algorithm, profile=args.profile,
     )
 
@@ -356,23 +355,18 @@ def cmd_run(args) -> int:
     ).astype(np.float32)
 
     with ConvolutionEngine(
-        backend=args.backend, n_workers=args.workers, algorithm=args.algorithm,
-        profile=args.profile,
+        backend=args.backend, algorithm=args.algorithm, profile=args.profile,
     ) as engine:
         t0 = time.perf_counter()
         out = engine.run(images, kernels, padding=layer.padding)
         elapsed = time.perf_counter() - t0
-        workers = engine.n_workers
-        # Snapshot while pools/segments are still alive so shm gauges
-        # reflect the serving state, not the post-close teardown.
         stats = engine.stats()
         decisions = engine.algorithm_decisions()
         tracer = engine.tracer
 
     print(f"layer    : {layer.label} (scaled: B={layer.batch} C={layer.c_in} "
           f"C'={layer.c_out} I={'x'.join(map(str, layer.image))})")
-    print(f"backend  : {args.backend}"
-          + (f" ({workers} workers)" if args.backend in ("thread", "process") else ""))
+    print(f"backend  : {args.backend}")
     print(f"profile  : {args.profile or 'manycore-knl'}")
     print(f"algorithm: {args.algorithm}"
           + "".join(f" -> {d['algorithm']} ({d['source']})" for d in decisions))
@@ -442,8 +436,7 @@ def cmd_run_graph(args) -> int:
 
     failed = False
     with ConvolutionEngine(
-        backend=args.backend, n_workers=args.workers, algorithm=args.algorithm,
-        profile=args.profile,
+        backend=args.backend, algorithm=args.algorithm, profile=args.profile,
     ) as engine:
         t0 = time.perf_counter()
         executor = GraphExecutor(graph, engine, fuse=not args.no_fuse)
@@ -592,16 +585,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="address to serve the JSON-lines protocol on "
                          "(port 0 = ephemeral)")
     sv.add_argument("--backend", choices=list(ENGINE_BACKENDS), default="fused",
-                    help="execution backend (process = true parallelism; "
-                         "compiled = C codelets, falls back to fused "
-                         "without a toolchain)")
+                    help="execution backend (compiled = C codelets, "
+                         "falls back to fused without a toolchain)")
     sv.add_argument("--algorithm", choices=["auto"] + list(ENGINE_ALGORITHMS),
                     default="winograd",
                     help="convolution algorithm; 'auto' lets the portfolio "
                          "planner pick per shape (predict -> probe -> wisdom)")
-    sv.add_argument("--workers", type=int, default=None,
-                    help="worker count for thread/process backends "
-                         "(default: host core count)")
     sv.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile for the cost model and "
                          "wisdom namespace (default: manycore-knl)")
@@ -636,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                     default="winograd",
                     help="convolution algorithm; 'auto' engages the portfolio "
                          "planner")
-    rn.add_argument("--workers", type=int, default=None)
     rn.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile (portfolio decisions are "
                          "namespaced per profile in wisdom)")
@@ -660,7 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--algorithm", choices=["auto"] + list(ENGINE_ALGORITHMS),
                     default="winograd",
                     help="'auto' lets the portfolio planner pick per conv node")
-    rg.add_argument("--workers", type=int, default=None)
     rg.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile for per-node planning")
     rg.add_argument("--seed", type=int, default=0)

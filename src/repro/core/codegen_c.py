@@ -21,7 +21,7 @@ instantiation at compile time:
 * every stage function takes ``[start, stop)`` range arguments matching
   the :class:`~repro.core.scheduling.GridSlice` grids, so the very same
   entry points serve the sequential executor (full ranges) and the
-  thread/process executors (one slice per worker).
+  thread executor (one slice per worker).
 
 Numerics: coefficients are emitted as hex float literals, pre-rounded to
 float32 for single-precision plans (mirroring NEP-50 scalar conversion
@@ -29,18 +29,18 @@ in the numpy codelets).  The build allows FMA contraction
 (``-ffp-contract=fast``), so compiled results can differ from the
 Python paths in the last bits -- they remain within differential-test
 tolerance of the direct-convolution oracle, and are deterministic
-across runs and bit-identical across compiled executors (sequential,
-thread, process) by construction: every executor runs this same
+across runs and bit-identical across compiled executors (sequential
+and thread) by construction: every executor runs this same
 translation unit, and the per-output arithmetic order is fixed by the
 emitted source, not by the schedule.
 
-Buffer layouts match the parallel executors exactly (shared-memory
-compatible): ``padded (B, C, *padded_input)``, ``u (T, NB, C)``,
-``v (T, C, C')``, ``x (T, NB, C')``, ``out_tiles (B, C', *counts, *m)``.
+Buffer layouts match the parallel executor exactly:
+``padded (B, C, *padded_input)``, ``u (T, NB, C)``, ``v (T, C, C')``,
+``x (T, NB, C')``, ``out_tiles (B, C', *counts, *m)``.
 Stage 3 is emitted twice: ``wino_stage3`` scatters into ``out_tiles``
-(the shared-memory arena layout), ``wino_stage3_direct`` writes the
-final cropped ``out (B, C', *output)`` tensor so the sequential and
-thread paths skip ``assemble_output`` entirely.
+(the parallel executor's layout), ``wino_stage3_direct`` writes the
+final cropped ``out (B, C', *output)`` tensor so the sequential path
+skips ``assemble_output`` entirely.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ one C translation unit; this module owns everything around that source:
   disk cache (``$REPRO_CODELET_CACHE`` or
   ``$XDG_CACHE_HOME/repro/codelets``) keyed by a digest of the source,
   compiler and flags; the write is atomic (temp + rename) so concurrent
-  builders -- including the process backend's forked workers -- race
-  benignly.  dlopen handles are memoized per digest in-process.
+  builders -- threads or separate processes -- race benignly.  dlopen
+  handles are memoized per digest in-process.
 * **entry points** -- the stage wrappers pass numpy buffers through
   ``ffi.from_buffer`` with zero copies, and cffi ABI-mode calls release
   the GIL, so the thread executor achieves real parallelism when its
@@ -211,7 +211,7 @@ def build_shared_library(
 
     The ``.c`` is kept next to the ``.so`` for debuggability.  Both are
     written atomically via temp-file + rename, so concurrent builders
-    (threads, forked workers, separate processes) converge on one
+    (threads or separate processes) converge on one
     artifact without locking.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
@@ -404,10 +404,10 @@ class CompiledWinogradExecutor:
     """Runs a :class:`WinogradPlan` entirely through the compiled stages.
 
     Owns persistent pipeline buffers in the executors' shared layouts
-    (padded / U / V / X); :meth:`execute` is serialized internally,
-    mirroring the process executor's one-workspace semantics.  Stage 3
-    runs the direct variant, writing a fresh output tensor in its final
-    cropped layout -- no ``out_tiles`` buffer and no numpy reassembly.
+    (padded / U / V / X); :meth:`execute` is serialized internally, so
+    the one workspace serves one request at a time.  Stage 3 runs the
+    direct variant, writing a fresh output tensor in its final cropped
+    layout -- no ``out_tiles`` buffer and no numpy reassembly.
     Passing :class:`TransformedKernels` uses the memoized ``(T, C, C')``
     data as V directly -- the FX path skips stage 1b.
     """

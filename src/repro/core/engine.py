@@ -40,7 +40,6 @@ restarts its binary per layer benchmark); see DESIGN.md.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import time
 from collections import OrderedDict
@@ -66,13 +65,6 @@ from repro.core.compiled_backend import (
 from repro.core.codelets import clear_codelet_cache
 from repro.core.convolution import TransformedKernels, WinogradPlan
 from repro.core.fmr import FmrSpec
-from repro.core.parallel_convolution import ParallelWinogradExecutor
-from repro.core.parallel_process import (
-    ProcessWinogradExecutor,
-    WorkerCrashError,
-    WorkerError,
-    WorkspaceCorruptionError,
-)
 from repro.core.nested import NestedWinogradExecutor
 from repro.core.portfolio import (
     ALGORITHMS,
@@ -81,12 +73,10 @@ from repro.core.portfolio import (
     PortfolioPlanner,
     make_baseline,
 )
-from repro.core.shm import live_segment_count
 from repro.core.transforms import clear_transform_caches
 from repro.machine.spec import KNL_7210, MachineSpec
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import output_shape
-from repro.obs.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.alignment import CACHE_LINE_BYTES, round_up
@@ -160,34 +150,27 @@ def kernel_fingerprint(kernels: np.ndarray) -> str:
 
 
 #: Execution backends selectable per engine (or per call).
-BACKENDS = ("fused", "blocked", "thread", "process", "compiled")
+BACKENDS = ("fused", "blocked", "compiled")
 
-#: Fallback chain: where a request reroutes when its backend fails with
-#: a worker crash / in-stage error / workspace corruption.  ``fused``
-#: is the terminal station (single-process, no pool to lose, honors
-#: ``out=`` and applies the epilogue inside its own span); the compiled
-#: backend degrades to it too when the host loses (or never had) a C
-#: toolchain.
-FALLBACK_NEXT = {"process": "thread", "thread": "fused", "compiled": "fused"}
+#: Fallback chain: where a request reroutes when its backend fails.
+#: The compiled backend degrades to ``fused`` -- the terminal station,
+#: which honors ``out=`` and applies the epilogue inside its own span --
+#: when the host loses (or never had) a C toolchain or a codelet build
+#: fails.
+FALLBACK_NEXT = {"compiled": "fused"}
 
 #: Failures the fallback chain absorbs.  Anything else (shape errors,
 #: bugs in stage math) propagates -- rerouting would just re-raise it.
-FALLBACK_ERRORS = (
-    WorkerCrashError,
-    WorkerError,
-    WorkspaceCorruptionError,
-    CompilerUnavailableError,
-    CodeletBuildError,
-)
+FALLBACK_ERRORS = (CompilerUnavailableError, CodeletBuildError)
 
 
 def parallel_simd_width(c_in: int, c_out: int) -> int:
     """Largest power-of-two SIMD group dividing both channel counts.
 
-    The parallel executors require ``C`` and ``C'`` divisible by ``S``;
-    shrinking ``S`` (rather than rejecting the layer) keeps the thread
-    and process backends available for arbitrary channel counts at the
-    cost of shorter vector groups.
+    The compiled and parallel executors require ``C`` and ``C'``
+    divisible by ``S``; shrinking ``S`` (rather than rejecting the
+    layer) keeps the compiled backend available for arbitrary channel
+    counts at the cost of shorter vector groups.
     """
     for s in (16, 8, 4, 2, 1):
         if c_in % s == 0 and c_out % s == 0:
@@ -196,7 +179,7 @@ def parallel_simd_width(c_in: int, c_out: int) -> int:
 
 
 def default_parallel_blocking(c_in: int, c_out: int, simd: int) -> BlockingConfig:
-    """A valid stage-2 blocking for the parallel backends.
+    """A valid stage-2 blocking for the compiled and parallel executors.
 
     Largest channel blocks <= 128 that divide the channel counts and are
     multiples of ``simd`` -- correctness-first defaults when no wisdom
@@ -238,7 +221,7 @@ class PlanKey:
     padding: tuple[int, ...]
     dtype: str
     blocking: BlockingConfig | None = None  # None: fused numpy fast path
-    backend: str = "fused"  # fused | blocked | thread | process | compiled
+    backend: str = "fused"  # fused | blocked | compiled
     algorithm: str = "winograd"  # winograd | fft | direct | im2col
     kernel: tuple[int, ...] | None = None  # baseline plans only
 
@@ -275,9 +258,9 @@ class PlanEntry:
     """One cached plan plus everything derived from it.
 
     Holds the :class:`WinogradPlan`, the fused fast-path constants (the
-    Kronecker transform matrices), the lazily built blocked executor
-    (whose construction generates the transform codelets), and the
-    kernel transforms seen so far, keyed by kernel fingerprint.
+    Kronecker transform matrices), the lazily built blocked and compiled
+    executors (whose construction generates the transform codelets),
+    and the kernel transforms seen so far, keyed by kernel fingerprint.
     """
 
     def __init__(self, key: PlanKey, plan: WinogradPlan):
@@ -285,8 +268,8 @@ class PlanEntry:
         self.plan = plan
         self.fast = _FusedPlan(plan)
         self._executor: BlockedWinogradExecutor | None = None
-        self._parallel: ParallelWinogradExecutor | ProcessWinogradExecutor | None = None
         self._compiled: CompiledWinogradExecutor | None = None
+        self._build_error: str | None = None
         self.kernels: dict[str, TransformedKernels] = {}
         self.packed_kernels: dict[str, np.ndarray] = {}
         self.lock = threading.Lock()
@@ -303,52 +286,6 @@ class PlanEntry:
                 )
             return self._executor
 
-    def parallel_executor(
-        self,
-        n_workers: int,
-        timeout: float = 60.0,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        faults: FaultPlan | None = None,
-        respawn_budget: int = 2,
-    ):
-        """Lazily built thread/process executor for this plan.
-
-        The executor is part of the cached entry -- its schedules, pool
-        (threads or worker processes) and shared-memory arena are the
-        "compile time" products the cache amortizes across requests.
-        The observability hooks are captured at first build (one
-        executor serves one engine, so they never need to change).
-        """
-        if self.key.backend not in ("thread", "process") or self.key.blocking is None:
-            raise ValueError(
-                f"plan was cached for backend {self.key.backend!r}, not a parallel one"
-            )
-        with self.lock:
-            if self._parallel is None:
-                if self.key.backend == "thread":
-                    self._parallel = ParallelWinogradExecutor(
-                        plan=self.plan,
-                        blocking=self.key.blocking,
-                        n_threads=n_workers,
-                        simd_width=self.key.blocking.simd_width,
-                        tracer=tracer,
-                        metrics=metrics,
-                    )
-                else:
-                    self._parallel = ProcessWinogradExecutor(
-                        plan=self.plan,
-                        blocking=self.key.blocking,
-                        n_workers=n_workers,
-                        simd_width=self.key.blocking.simd_width,
-                        timeout=timeout,
-                        tracer=tracer,
-                        metrics=metrics,
-                        faults=faults,
-                        respawn_budget=respawn_budget,
-                    )
-            return self._parallel
-
     def compiled_executor(
         self,
         tracer: Tracer | None = None,
@@ -360,26 +297,34 @@ class PlanEntry:
         build cache) and dlopens the stage library; raises
         :class:`CompilerUnavailableError` / :class:`CodeletBuildError`
         on hosts without a toolchain, which the engine's fallback chain
-        absorbs.
+        absorbs.  A failed build is remembered: later calls raise a
+        fresh :class:`CodeletBuildError` without rerunning the compiler,
+        so their requests go straight down the chain.  The build is
+        retried only once the entry has been evicted and rebuilt.
         """
         if self.key.backend != "compiled" or self.key.blocking is None:
             raise ValueError(
                 f"plan was cached for backend {self.key.backend!r}, not 'compiled'"
             )
         with self.lock:
+            if self._build_error is not None:
+                raise CodeletBuildError(self._build_error)
             if self._compiled is None:
-                self._compiled = CompiledWinogradExecutor(
-                    plan=self.plan,
-                    blocking=self.key.blocking,
-                    simd_width=self.key.blocking.simd_width,
-                    tracer=tracer,
-                    metrics=metrics,
-                )
+                try:
+                    self._compiled = CompiledWinogradExecutor(
+                        plan=self.plan,
+                        blocking=self.key.blocking,
+                        simd_width=self.key.blocking.simd_width,
+                        tracer=tracer,
+                        metrics=metrics,
+                    )
+                except CodeletBuildError as exc:
+                    self._build_error = str(exc)
+                    raise
             return self._compiled
 
     def release(self) -> None:
-        """Tear down pooled resources (worker processes, shared memory,
-        compiled-executor workspace buffers).
+        """Drop the compiled executor's workspace buffers.
 
         Called on cache eviction/clear; idempotent and safe for entries
         that never built an executor.  The dlopen'd stage library itself
@@ -387,10 +332,7 @@ class PlanEntry:
         a few kilobytes); only the per-plan workspace is dropped here.
         """
         with self.lock:
-            ex, self._parallel = self._parallel, None
             self._compiled = None
-        if ex is not None:
-            ex.shutdown()
 
     def nbytes(self) -> int:
         n = self.fast.const_bytes
@@ -650,7 +592,7 @@ class PlanCache:
                 break  # never evict the sole (and only legal) resident
             key, entry = self._entries.popitem(last=False)
             self._owners.pop(key, None)
-            entry.release()  # tear down worker pools / shared memory
+            entry.release()  # drop compiled-executor workspaces
             self.stats.evictions += 1
             self._bump("evictions")
             self._recount()
@@ -947,10 +889,10 @@ def _result_buffer(out, shape, dtype) -> np.ndarray:
 def _apply_epilogue(result: np.ndarray, epilogue) -> np.ndarray:
     """Apply a graph epilogue in place on a finished backend result.
 
-    Backends without an in-place output path (blocked/thread/process/
-    compiled) return a private heap array, so mutating it is safe; the
-    fused path instead applies the epilogue inside
-    :meth:`_FusedPlan.run` while the result buffer is cache-hot.  Either
+    Backends without an in-place output path (blocked/compiled) return
+    a private heap array, so mutating it is safe; the fused path instead
+    applies the epilogue inside :meth:`_FusedPlan.run` while the result
+    buffer is cache-hot.  Either
     way the epilogue runs exactly once per *successful* attempt -- a
     fallback reroute re-dispatches before any epilogue has been applied.
     """
@@ -994,12 +936,10 @@ class ConvolutionEngine:
         :func:`repro.core.tile_selection.select_tile_size`).
     backend:
         Default execution backend for :meth:`run`: ``"fused"`` (the
-        Kronecker fast path), ``"blocked"`` (the Table-1 pipeline),
-        ``"thread"`` (fork-join threads; GIL-bound, faithful to the
-        paper's schedule) or ``"process"`` (worker processes over
-        shared memory -- true parallelism).  Engines using the
-        parallel backends own pooled workers; call :meth:`close` (or
-        use the engine as a context manager) to release them.
+        Kronecker fast path), ``"blocked"`` (the Table-1 pipeline) or
+        ``"compiled"`` (generated C codelets; needs a C toolchain).
+        Cached compiled plans own workspace buffers; call :meth:`close`
+        (or use the engine as a context manager) to release them.
     algorithm:
         Default convolution *algorithm* for :meth:`run`:
         ``"winograd"`` (every backend above), one of the portfolio
@@ -1016,34 +956,19 @@ class ConvolutionEngine:
     probe_backend:
         Backend the Winograd-family probes (``winograd``/``nested``)
         run under; defaults to the engine's own ``backend``, so e.g. a
-        process-backend engine's probes measure the process executor,
+        compiled-backend engine's probes measure the compiled executor,
         not the fused one.
-    n_workers:
-        Worker count for the thread/process backends (defaults to the
-        host core count).
-    worker_timeout:
-        Per-stage watchdog for the process backend's barriers; a dead
-        worker surfaces as ``WorkerCrashError`` within this bound.
     tracer, metrics:
         Observability hooks (:mod:`repro.obs`): a span tracer recording
-        per-request / per-stage / per-worker timings and a metrics
-        registry (plan-cache, arena, backend mix, latency percentiles,
-        live shm segments).  Engine-scoped by default; pass shared
-        instances to aggregate across engines.
+        per-request / per-stage timings and a metrics registry
+        (plan-cache, arena, backend mix, latency percentiles).
+        Engine-scoped by default; pass shared instances to aggregate
+        across engines.
     fallback:
-        Enable the backend fallback chain (``process -> thread ->
-        fused``): a request whose backend fails with a worker crash,
-        in-stage error or workspace corruption is rerouted down the
-        chain instead of failing, with the event recorded in metrics
-        and the trace.  The crashed process pool self-heals (respawns,
-        within ``respawn_budget``) for subsequent requests.
-    faults:
-        Armed :class:`~repro.obs.faults.FaultPlan` for fault-injection
-        testing; defaults to parsing the ``REPRO_FAULT`` environment
-        variable.
-    respawn_budget:
-        How many times a crashed process pool may be respawned per
-        cached executor before it is declared permanently broken.
+        Enable the backend fallback chain (``compiled -> fused``): a
+        compiled request whose host has no C toolchain or whose codelet
+        build fails is rerouted to the fused path instead of failing,
+        with the event recorded in metrics and the trace.
     """
 
     def __init__(
@@ -1062,13 +987,9 @@ class ConvolutionEngine:
         portfolio_probe: bool = True,
         probe_budget_seconds: float = 0.5,
         probe_backend: str | None = None,
-        n_workers: int | None = None,
-        worker_timeout: float = 60.0,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         fallback: bool = True,
-        faults: FaultPlan | None = None,
-        respawn_budget: int = 2,
     ):
         if stage2_mode not in ("fast", "traced"):
             raise ValueError(f"stage2_mode must be 'fast' or 'traced', got {stage2_mode!r}")
@@ -1080,8 +1001,6 @@ class ConvolutionEngine:
             raise ValueError(
                 f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algorithm!r}"
             )
-        if n_workers is not None and n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         if probe_backend is not None and probe_backend not in BACKENDS:
             raise ValueError(
                 f"probe_backend must be one of {BACKENDS}, got {probe_backend!r}"
@@ -1097,20 +1016,14 @@ class ConvolutionEngine:
         self.profile = profile
         # Backend the portfolio's Winograd-family probes run under
         # (default: the engine's own backend, so probes measure exactly
-        # what serving will pay -- including process/thread/compiled).
+        # what serving will pay -- including compiled).
         self.probe_backend = probe_backend if probe_backend is not None else backend
-        self.n_workers = n_workers if n_workers is not None else (os.cpu_count() or 1)
-        self.worker_timeout = worker_timeout
         self.machine = machine
         # Observability: tracer + metrics are engine-scoped (pass shared
-        # instances to aggregate across engines); the fault plan arms
-        # the injection seam -- by default it is read from REPRO_FAULT.
+        # instances to aggregate across engines).
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.metrics.gauge("shm.live_segments", live_segment_count)
         self.fallback = fallback
-        self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.respawn_budget = respawn_budget
         self.plans = PlanCache(
             max_plans=max_plans, max_bytes=max_cache_bytes, metrics=self.metrics
         )
@@ -1133,37 +1046,6 @@ class ConvolutionEngine:
         self._blocking_cache: dict[tuple, BlockingConfig] = {}
         self._algo_cache: dict[tuple, AlgorithmChoice] = {}
         self._lock = threading.Lock()
-        # close()-vs-in-flight-request accounting (see _request_guard).
-        self._inflight = 0
-        self._sweep_pending = False
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _request_guard(self):
-        """Track in-flight requests so :meth:`close` cannot leak plans.
-
-        A request that is mid-fallback when ``close()`` clears the plan
-        cache will happily repopulate it (``process -> thread`` builds a
-        fresh entry -- potentially with pooled workers and shared-memory
-        segments).  ``close()`` flags that situation instead of racing
-        it: the *last* in-flight request to drain performs a second,
-        idempotent cache clear, so nothing the closed-over requests
-        rebuilt survives them.  Regression-tested by
-        ``tests/test_fault_injection.py``.
-        """
-        with self._lock:
-            self._inflight += 1
-        try:
-            yield
-        finally:
-            sweep = False
-            with self._lock:
-                self._inflight -= 1
-                if self._inflight == 0 and self._sweep_pending:
-                    self._sweep_pending = False
-                    sweep = True
-            if sweep:
-                self.plans.clear()
 
     # ------------------------------------------------------------------
     def run(
@@ -1198,28 +1080,6 @@ class ConvolutionEngine:
         executor's folded ReLU/BN/add/mul chains; it is applied exactly
         once, after whichever backend attempt succeeds.
         """
-        with self._request_guard():
-            return self._run(
-                images, kernels, fmr=fmr, padding=padding, dtype=dtype,
-                blocking=blocking, backend=backend, algorithm=algorithm,
-                tenant=tenant, out=out, epilogue=epilogue,
-            )
-
-    def _run(
-        self,
-        images: np.ndarray,
-        kernels: np.ndarray,
-        *,
-        fmr: FmrSpec | str | None = None,
-        padding: tuple[int, ...] | None = None,
-        dtype=np.float32,
-        blocking: BlockingConfig | None = None,
-        backend: str | None = None,
-        algorithm: str | None = None,
-        tenant: str | None = None,
-        out: np.ndarray | None = None,
-        epilogue=None,
-    ) -> np.ndarray:
         images = np.asarray(images)
         kernels = np.asarray(kernels)
         if images.ndim < 3:
@@ -1270,7 +1130,7 @@ class ConvolutionEngine:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         spec = self._resolve_spec(fmr, images.shape, kernels.shape, padding)
         dtype = np.dtype(dtype)
-        if backend not in ("blocked", "thread", "process", "compiled") and blocking is not None:
+        if backend == "fused" and blocking is not None:
             raise ValueError(
                 f"blocking is not meaningful with backend={backend!r}"
             )
@@ -1302,8 +1162,6 @@ class ConvolutionEngine:
                         nxt = FALLBACK_NEXT.get(current)
                         if nxt is None or not self.fallback:
                             raise
-                        # Reroute this request down the chain; the
-                        # process pool self-heals for the next one.
                         self.metrics.counter("engine.fallbacks").inc()
                         self.metrics.counter(
                             f"engine.fallbacks.{current}_to_{nxt}"
@@ -1341,10 +1199,9 @@ class ConvolutionEngine:
         holds per-request image tensors sharing ``(C, *spatial)`` (their
         leading batch dimensions may differ); they are stacked along the
         batch axis and executed through a single :meth:`run` call -- one
-        plan-cache lookup, one kernel fingerprint, one arena lease, and
-        for the parallel backends one fork-join barrier round for the
-        whole batch instead of one per request.  The returned list holds
-        one output view per request, in order.
+        plan-cache lookup, one kernel fingerprint and one arena lease
+        for the whole batch instead of one per request.  The returned
+        list holds one output view per request, in order.
 
         ``pad_to`` zero-pads the stacked batch up to a fixed size before
         execution (the padded samples' outputs are discarded).  The
@@ -1353,8 +1210,8 @@ class ConvolutionEngine:
         one per observed batch size.
 
         Numerics: every executor computes output samples independently
-        (batched GEMMs iterate per-sample sub-matrices, schedules slice
-        rows, never reductions), so batched results are **bitwise
+        (batched GEMMs iterate per-sample sub-matrices, never reductions
+        across samples), so batched results are **bitwise
         identical** to per-request :meth:`run` results -- asserted
         across all backends by ``tests/test_differential.py``.
         """
@@ -1447,8 +1304,8 @@ class ConvolutionEngine:
 
         The fused path's exact arena lease size, used by the serving
         front-end's per-tenant arena quotas as the admission estimate
-        for every backend (the parallel backends' shared-memory
-        footprint is the same pipeline tensors).  Resolving the plan
+        for every backend (the compiled executor's workspace holds the
+        same pipeline tensors).  Resolving the plan
         warms the same cache entry execution will use, so admission
         control does not duplicate planning work.
         """
@@ -1484,7 +1341,7 @@ class ConvolutionEngine:
             blocking = blocking if blocking is not None else self._resolve_blocking(
                 spec, images.shape, kernels.shape[1], padding
             )
-        elif backend in ("thread", "process", "compiled"):
+        elif backend == "compiled":
             blocking = blocking if blocking is not None else self._parallel_blocking(
                 spec, images.shape, kernels.shape[1], padding
             )
@@ -1500,27 +1357,6 @@ class ConvolutionEngine:
         entry = self.plans.get_or_create(key, tenant=tenant)
         if backend == "blocked":
             return _apply_epilogue(self._run_blocked(entry, images, kernels), epilogue)
-        if backend in ("thread", "process"):
-            execu = entry.parallel_executor(
-                self.n_workers,
-                timeout=self.worker_timeout,
-                tracer=self.tracer,
-                metrics=self.metrics,
-                faults=self.faults,
-                respawn_budget=self.respawn_budget,
-            )
-            with self.tracer.span(f"execute.{backend}"):
-                if backend == "process":
-                    # Batched serving hits the same kernel tensor every
-                    # round; shipping its fingerprint lets the executor
-                    # skip the shared-memory kernel upload on a match.
-                    result = execu.execute(
-                        images, kernels,
-                        kernels_fingerprint=kernel_fingerprint(kernels),
-                    )
-                else:
-                    result = execu.execute(images, kernels)
-            return _apply_epilogue(result, epilogue)
         if backend == "compiled":
             execu = entry.compiled_executor(tracer=self.tracer, metrics=self.metrics)
             # Same FX memoization as the fused path: the (T, C, C')
@@ -1591,9 +1427,9 @@ class ConvolutionEngine:
             # exact dispatch path serving will use (plan cache, arena,
             # memoized kernel prep) rather than a synthetic harness.
             # Winograd-family probes additionally pin the probe backend
-            # (engine default: its own), so a process/compiled engine's
-            # decisions are measured under that executor, never a
-            # silently-fused stand-in.
+            # (engine default: its own), so a compiled engine's decisions
+            # are measured under that executor, never a silently-fused
+            # stand-in.
             kwargs = {}
             if algo in ENGINE_EXECUTED:
                 kwargs["backend"] = self.probe_backend
@@ -1659,7 +1495,7 @@ class ConvolutionEngine:
         (:mod:`repro.core.nested`): the stacked input is gathered into an
         arena lease, the stacked kernel bank is memoized in the plan
         cache like a baseline's prepared kernels, and the inner
-        convolution re-enters :meth:`_run` on the normal Winograd path --
+        convolution re-enters :meth:`run` on the normal Winograd path --
         honoring the request's backend knobs, epilogue and ``out=``, and
         inheriting the plan cache / FX memoization / fallback chain.
         """
@@ -1695,7 +1531,7 @@ class ConvolutionEngine:
                             executor.stack_input(
                                 images.astype(dtype, copy=False), out=buf
                             )
-                        result = self._run(
+                        result = self.run(
                             buf, stacked_kernels,
                             padding=executor.inner_padding, dtype=dtype,
                             blocking=blocking, backend=backend,
@@ -1789,13 +1625,13 @@ class ConvolutionEngine:
         return blocking
 
     def _parallel_blocking(self, spec, input_shape, c_out, padding) -> BlockingConfig:
-        """Blocking for the thread/process backends (memoized).
+        """Blocking for the compiled backend (memoized).
 
-        Prefers a tuned wisdom entry when it satisfies the parallel
-        executors' divisibility constraints (``C``/``C'`` multiples of
+        Prefers a tuned wisdom entry when it satisfies the compiled
+        executor's divisibility constraints (``C``/``C'`` multiples of
         the SIMD group and of the channel blocks); otherwise falls back
         to correctness-first defaults sized by the channel counts --
-        autotuning is never triggered from the parallel hot path.
+        autotuning is never triggered from the compiled hot path.
         """
         c_in = input_shape[1]
         simd = parallel_simd_width(c_in, c_out)
@@ -1828,21 +1664,12 @@ class ConvolutionEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release pooled resources held by cached plans.
+        """Release the workspaces held by cached plans.
 
-        Parallel-backend entries own worker processes/threads and named
-        shared-memory segments; dropping the plan cache shuts them all
-        down.  The engine stays usable afterwards -- plans simply
-        rebuild on the next call.
-
-        Safe to call with requests in flight: a request mid-fallback
-        repopulates the cache it was using, so the last such request to
-        drain re-clears it (see :meth:`_request_guard`), guaranteeing no
-        worker pool or shared-memory segment outlives both the close and
-        the requests it raced.
+        Dropping the plan cache frees every compiled executor's buffers.
+        The engine stays usable afterwards -- plans simply rebuild on the
+        next call.
         """
-        with self._lock:
-            self._sweep_pending = self._inflight > 0
         self.plans.clear()
 
     def __enter__(self) -> "ConvolutionEngine":
@@ -1876,8 +1703,6 @@ class ConvolutionEngine:
 
     def stats(self) -> dict[str, object]:
         """Cache + arena counters for reporting/monitoring."""
-        from repro.core.shm import shm_stats
-
         return {
             "plans": self.plans.stats.as_dict(),
             "cached_plans": len(self.plans),
@@ -1885,7 +1710,6 @@ class ConvolutionEngine:
             "wisdom_entries": len(self.wisdom),
             "algo_wisdom_entries": self.wisdom.algo_count,
             "algorithm_decisions": self.algorithm_decisions(),
-            "shm": shm_stats(),
             "metrics": self.metrics.snapshot(),
             "fallbacks": self.metrics.counter_value("engine.fallbacks"),
         }

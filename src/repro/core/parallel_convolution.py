@@ -17,11 +17,11 @@ buffers shared by the whole pool:
 * **stage 3** -- 1-D grid ``B*N*C'/S``; output tiles, cropped into the
   result tensor after the join.
 
-The process executor runs the same bodies over the same slices, so the
-two agree bitwise.  Numpy releases the GIL inside its array kernels and
-cffi for a whole compiled stage body (``use_compiled=True``), so the
-threads run concurrently only inside those calls; the Python between
-them is serialized.
+The output is bitwise independent of the thread count (see
+:mod:`repro.core.stages`).  Numpy releases the GIL inside its array
+kernels and cffi for a whole compiled stage body (``use_compiled=True``),
+so the threads run concurrently only inside those calls; the Python
+between them is serialized.
 """
 
 from __future__ import annotations

@@ -6,12 +6,11 @@ static scheduler assigned it.  This module holds that body once:
 :class:`NumpyStages` is the numpy set, with the same signatures as the
 compiled C set (:class:`~repro.core.compiled_backend.CompiledStages`),
 and :func:`make_stages` picks one of the two.  The module also owns the
-pipeline geometry both the thread executor
-(:mod:`repro.core.parallel_convolution`) and the process executor
-(:mod:`repro.core.parallel_process`) are built from: the channel and
+pipeline geometry the thread executor
+(:mod:`repro.core.parallel_convolution`) is built from: the channel and
 blocking checks, the shared buffer shapes, and the per-stage static
-schedules.  Because both pools call the same bodies over the same
-slices, their outputs agree bitwise by construction.
+schedules.  Because every worker count calls the same bodies over
+slices of the same grids, the output does not depend on it.
 
 The shared buffers (all C-contiguous):
 

@@ -1,21 +1,15 @@
-"""Observability for the serving stack: tracing, metrics, fault injection.
+"""Observability for the serving stack: tracing and metrics.
 
 Extension beyond the paper (see DESIGN.md E23): the paper's per-stage
 analysis is reproduced *as telemetry* -- a span tracer with per-stage /
-per-worker timings, a metrics registry (plan-cache, arena, backend mix,
-latency percentiles, shm lifetime), and a budgeted fault-injection seam
-that makes the engine's fallback chain and worker self-healing testable.
+per-worker timings and a metrics registry (plan-cache, arena, backend
+mix, fallbacks, latency percentiles).
 """
 
-from repro.obs.faults import FAULT_ENV, FAULT_KINDS, FaultPlan, FaultSpec
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Span, Tracer
 
 __all__ = [
-    "FAULT_ENV",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
     "Counter",
     "Gauge",
     "Histogram",

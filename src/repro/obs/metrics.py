@@ -2,8 +2,8 @@
 
 A deliberately small metrics registry -- enough to answer the questions
 the ROADMAP's serving story raises (plan-cache hit rates, arena reuse,
-backend mix, request latency percentiles, live shared-memory segments)
-without pulling in a client library the container does not have.
+backend mix, fallbacks, request latency percentiles) without depending
+on a metrics client library.
 
 Semantics:
 
@@ -16,7 +16,7 @@ Semantics:
   exact over *all* observations).
 * :class:`Gauge` -- a point-in-time reading: either ``set`` explicitly
   or backed by a zero-argument callable sampled at read time (used for
-  the live shm-segment count, which the shm module owns).
+  the serving batcher's queue depth, which the batcher owns).
 
 The registry itself is get-or-create by name so independent subsystems
 (plan cache, arena, engine, executors) can share one instance without

@@ -7,8 +7,8 @@ incoming request lands in a queue keyed by ``(tenant, model, per-request
 image signature)``, and a per-key drain task coalesces whatever arrives
 within a small batching window (or is already waiting) into one
 :meth:`~repro.core.engine.ConvolutionEngine.run_many` call -- one plan
-lookup, one kernel fingerprint, one arena lease, and for the parallel
-backends ONE barrier round for the whole batch.
+lookup, one kernel fingerprint and one arena lease for the whole
+batch.
 
 Batch sizes are padded up to power-of-two buckets (``1, 2, 4, ...,
 max_batch``) so a queue draining at arbitrary depths exercises a bounded
@@ -27,9 +27,9 @@ Admission control is two-layered and fails fast with retry hints:
 Engine execution is blocking, so batches run on a small thread pool via
 ``run_in_executor``; the asyncio side only ever moves queue entries and
 futures.  A batch that fails with an unexpected error fails *those*
-requests with ``internal`` -- worker crashes inside the engine are
-absorbed by its process->thread->fused fallback chain and the
-requests still succeed (the soak tests inject kills to prove it).
+requests with ``internal`` -- a failed codelet build inside the engine
+is absorbed by its compiled->fused fallback chain and the requests
+still succeed (the soak tests break the build to prove it).
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ JSON-lines protocol in :mod:`repro.serve.protocol`.  Concurrency model:
 * writes to a connection are serialized by a per-connection lock so
   interleaved task replies never corrupt the line framing.
 
-The engine's own fallback chain is live underneath: a worker crash
-mid-batch degrades the batch to the thread/fused backend and every
+The engine's own fallback chain is live underneath: a failed codelet
+build mid-batch degrades the batch to the fused backend and every
 request in it still gets a correct reply (``tests/test_serve_load.py``
-injects kills to hold the server to that).
+breaks the build to hold the server to that).
 """
 
 from __future__ import annotations

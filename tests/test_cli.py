@@ -1,8 +1,11 @@
 """Tests for the artifact-style CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+from repro.core.compiled_backend import clear_compiled_caches
 
 
 class TestCli:
@@ -97,7 +100,8 @@ class TestCliServe:
         proc = subprocess.Popen(
             [_sys.executable, "-m", "repro.cli", "serve",
              "--listen", "127.0.0.1:0"],
-            cwd="/root/repo", env=env, stdout=subprocess.PIPE,
+            cwd=Path(__file__).resolve().parents[1], env=env,
+            stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True,
         )
         try:
@@ -135,12 +139,9 @@ class TestCliRun:
         "--channels-divisor", "16", "--image-divisor", "4",
     ]
 
-    @pytest.mark.parametrize("backend", ["fused", "blocked", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["fused", "blocked", "compiled"])
     def test_run_all_backends_check_against_oracle(self, capsys, backend):
-        args = self.RUN_ARGS + ["--backend", backend, "--check"]
-        if backend in ("thread", "process"):
-            args += ["--workers", "2"]
-        assert main(args) == 0
+        assert main(self.RUN_ARGS + ["--backend", backend, "--check"]) == 0
         out = capsys.readouterr().out
         assert f"backend  : {backend}" in out
         assert "max |err| vs direct reference" in out
@@ -158,17 +159,19 @@ class TestCliRun:
             assert stage in out
 
     def test_run_under_fault_reports_one_fallback(self, capsys, monkeypatch):
-        """The issue's acceptance scenario, via the env-var seam."""
-        monkeypatch.setenv("REPRO_FAULT", "kill-worker:1")
-        assert main(self.RUN_ARGS + [
-            "--backend", "process", "--workers", "2", "--check",
-        ]) == 0
+        """A masked toolchain (``CC=/bin/false``) reroutes a compiled run
+        to fused, and the stats block names the edge and its cause."""
+        monkeypatch.setenv("CC", "/bin/false")
+        clear_compiled_caches()
+        try:
+            assert main(self.RUN_ARGS + ["--backend", "compiled", "--check"]) == 0
+        finally:
+            clear_compiled_caches()
         out = capsys.readouterr().out
         assert "max |err| vs direct reference" in out  # oracle still passes
-        assert "fallbacks: 1 (process->thread on WorkerCrashError)" in out
+        assert "fallbacks: 1 (compiled->fused on CompilerUnavailableError)" in out
         # Per-stage timings for every stage that actually executed.
-        for stage in ("thread.stage1", "thread.stage1b",
-                      "thread.stage2", "thread.stage3"):
+        for stage in ("fused.stage1", "fused.stage2", "fused.stage3"):
             assert stage in out
 
     def test_run_trace_json_and_metrics_snapshot(self, capsys, tmp_path):
@@ -176,16 +179,18 @@ class TestCliRun:
 
         trace = tmp_path / "trace.json"
         assert main(self.RUN_ARGS + [
-            "--backend", "thread", "--workers", "2",
-            "--stats", "--trace-json", str(trace),
+            "--backend", "blocked", "--stats", "--trace-json", str(trace),
         ]) == 0
         out = capsys.readouterr().out
         snap = json.loads(out.split("--- metrics ---", 1)[1])
-        assert snap["counters"]["engine.requests.thread"] == 1
+        assert snap["counters"]["engine.requests.blocked"] == 1
         doc = json.loads(trace.read_text())
         assert doc["version"] == 1
         by_name = {s["name"]: s for s in doc["spans"]}
-        assert len(by_name["thread.stage2"]["attrs"]["worker_seconds"]) == 2
+        request = by_name["request"]
+        assert request["attrs"]["backend"] == "blocked"
+        stage2 = by_name["blocked.stage2"]
+        assert stage2["parent"] == by_name["execute.blocked"]["id"]
 
     def test_run_unknown_layer(self, capsys):
         assert main(["run", "--network", "VGG", "--layer", "9.9"]) == 2
@@ -236,9 +241,9 @@ class TestCliRunGraph:
         assert "fused_epilogues=0" in out
         assert "0 folded" in out
 
-    def test_run_graph_thread_backend(self, capsys):
+    def test_run_graph_compiled_backend(self, capsys):
         assert main(["run-graph", "--network", "classifier", "--backend",
-                     "thread", "--workers", "2", "--check"]) == 0
+                     "compiled", "--check"]) == 0
         out = capsys.readouterr().out
         assert "bitwise-vs-naive=True" in out
 

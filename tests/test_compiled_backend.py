@@ -36,7 +36,6 @@ from repro.core.convolution import WinogradPlan
 from repro.core.engine import ConvolutionEngine
 from repro.core.fmr import FmrSpec
 from repro.core.parallel_convolution import ParallelWinogradExecutor
-from repro.core.parallel_process import ProcessWinogradExecutor
 from repro.obs.metrics import MetricsRegistry
 
 needs_cc = pytest.mark.skipif(
@@ -146,7 +145,7 @@ def test_fx_path_matches_stage1b():
 def test_repeat_and_cross_executor_bitwise():
     """Same translation unit, fixed arithmetic order: repeated runs and
     every executor that slices the compiled stages (sequential, thread
-    pool, worker processes) must agree to the bit."""
+    pool at 2 and 3 workers) must agree to the bit."""
     plan = _plan()
     img, ker = _data(plan, seed=5)
     with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
@@ -154,20 +153,13 @@ def test_repeat_and_cross_executor_bitwise():
         y2 = ex.execute(img, ker)
     np.testing.assert_array_equal(y1, y2)
 
-    thread = ParallelWinogradExecutor(
-        plan=plan, blocking=BLK, n_threads=2, simd_width=8, use_compiled=True
-    )
-    try:
-        yt = thread.execute(img, ker)
-    finally:
-        thread.shutdown()
-    np.testing.assert_array_equal(yt, y1)
-
-    with ProcessWinogradExecutor(
-        plan=plan, blocking=BLK, n_workers=2, simd_width=8, use_compiled=True
-    ) as proc:
-        yp = proc.execute(img, ker)
-    np.testing.assert_array_equal(yp, y1)
+    for n_threads in (2, 3):
+        with ParallelWinogradExecutor(
+            plan=plan, blocking=BLK, n_threads=n_threads, simd_width=8,
+            use_compiled=True,
+        ) as thread:
+            yt = thread.execute(img, ker)
+        np.testing.assert_array_equal(yt, y1)
 
 
 @needs_cc

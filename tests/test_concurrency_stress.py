@@ -225,76 +225,19 @@ class TestEngineConcurrency:
         assert engine.plans.stats.evictions > 0
 
 
-class TestProcessBackendStress:
-    """Fault injection and concurrency on the process-parallel backend."""
+class TestCompiledBackendStress:
+    """Concurrency on the compiled backend's one persistent workspace."""
 
-    def _executor(self, timeout=60.0, **kwargs):
-        from repro.core.blocking import BlockingConfig
-        from repro.core.convolution import WinogradPlan
-        from repro.core.fmr import FmrSpec
-        from repro.core.parallel_process import ProcessWinogradExecutor
-
-        plan = WinogradPlan(
-            spec=FmrSpec(m=(2, 2), r=(3, 3)),
-            input_shape=(1, 8, 8, 8),
-            c_out=8,
-            padding=(1, 1),
-            dtype=np.float32,
-        )
-        blocking = BlockingConfig(n_blk=6, c_blk=8, cprime_blk=8, simd_width=4)
-        return ProcessWinogradExecutor(
-            plan=plan, blocking=blocking, n_workers=2, simd_width=4,
-            timeout=timeout, **kwargs,
-        )
-
-    def _data(self):
-        rng = np.random.default_rng(11)
-        img = rng.standard_normal((1, 8, 8, 8)).astype(np.float32)
-        ker = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
-        return img, ker
-
-    def test_worker_exception_propagates_and_pool_survives(self):
-        """An in-stage Python exception surfaces as WorkerError with the
-        worker's traceback; the pool stays usable afterwards."""
-        from repro.core.parallel_process import WorkerError
-
-        img, ker = self._data()
-        with self._executor() as execu:
-            y0 = execu.execute(img, ker)
-            for _ in range(3):
-                with pytest.raises(WorkerError, match="injected"):
-                    execu.pool.inject("raise")
-            y1 = execu.execute(img, ker)  # pool survived the storm
-            np.testing.assert_array_equal(y0, y1)
-
-    def test_worker_death_is_detected_and_pool_breaks(self):
-        """A worker dying mid-stage (simulated via os._exit) must surface
-        as WorkerCrashError within the timeout, and -- with self-healing
-        disabled via a zero respawn budget -- the broken pool must refuse
-        further work instead of hanging.  (The respawn path itself is
-        covered by tests/test_fault_injection.py.)"""
-        from repro.core.parallel_process import WorkerCrashError
-
-        img, ker = self._data()
-        execu = self._executor(timeout=5.0, respawn_budget=0)
-        try:
-            execu.execute(img, ker)
-            with pytest.raises(WorkerCrashError):
-                execu.pool.inject("exit")
-            assert execu.pool.broken
-            with pytest.raises(WorkerCrashError, match="respawn budget"):
-                execu.execute(img, ker)
-        finally:
-            execu.shutdown()
-            execu.shutdown()  # idempotent
-        assert execu.arena.released
-
-    def test_concurrent_engine_calls_on_process_backend(self):
-        """Multiple threads driving one engine on backend='process':
-        the executor serializes internally, every result is correct."""
+    def test_concurrent_engine_calls_on_compiled_backend(self):
+        """Multiple threads driving one engine on backend='compiled':
+        the executor serializes its workspace internally, every result
+        is correct."""
+        from repro.core.compiled_backend import compiled_available
         from repro.core.engine import ConvolutionEngine
         from repro.nets.reference import direct_convolution
 
+        if not compiled_available():
+            pytest.skip("no C toolchain")
         rng = np.random.default_rng(13)
         img = rng.standard_normal((1, 8, 10, 10)).astype(np.float32)
         ker = rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
@@ -302,7 +245,7 @@ class TestProcessBackendStress:
             img.astype(np.float64), ker.astype(np.float64), (1, 1)
         )
         errors = []
-        with ConvolutionEngine(backend="process", n_workers=2) as engine:
+        with ConvolutionEngine(backend="compiled") as engine:
 
             def worker():
                 try:
@@ -320,17 +263,5 @@ class TestProcessBackendStress:
             for t in threads:
                 t.join(timeout=120)
         assert not errors
-        assert engine.plans.stats.misses == 1  # one plan, one worker pool
-
-    def test_engine_close_releases_segments(self):
-        """engine.close() tears down the pool and unlinks every segment."""
-        from repro.core.engine import ConvolutionEngine
-        from repro.core.shm import active_segment_names
-
-        img, ker = self._data()
-        before = set(active_segment_names())
-        engine = ConvolutionEngine(backend="process", n_workers=2)
-        engine.run(img, ker, padding=(1, 1))
-        assert len(active_segment_names()) > len(before)
-        engine.close()
-        assert set(active_segment_names()) == before
+        assert engine.plans.stats.misses == 1  # one plan, one workspace
+        assert engine.metrics.counter_value("engine.fallbacks") == 0

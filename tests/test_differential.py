@@ -1,36 +1,34 @@
 """Differential harness: every executor agrees with every other.
 
-The repo now has seven ways to evaluate the same convolution:
+The repo has six ways to evaluate the same convolution:
 
 1. the sequential :class:`WinogradPlan` pipeline (the reference
    implementation of the paper's Table-1 algorithm),
 2. the blocked pipeline (packed layouts, block-K stage 2),
 3. the engine's fused Kronecker fast path,
 4. the thread-parallel executor (static GCD schedule on a fork-join
-   thread pool),
-5. the process-parallel executor (same schedule, worker processes over
-   shared memory),
-6. the compiled-C sequential executor (generated codelets, cffi), and
-7. the thread-parallel executor with compiled stage bodies
-   (6 and 7 join the matrix only on hosts with a C toolchain).
+   thread pool -- the paper's Sec. 4.5 runtime),
+5. the compiled-C sequential executor (generated codelets, cffi), and
+6. the thread-parallel executor with compiled stage bodies
+   (5 and 6 join the matrix only on hosts with a C toolchain).
 
 This matrix pins them to each other across dimensionality, odd edge
 tiles, anisotropic tiles and dtypes.  Two tolerance classes:
 
-* **bitwise** -- thread vs process, and sequential-compiled vs
-  thread-compiled: the thread and process pools call the one set of
-  stage bodies in :mod:`repro.core.stages` (numpy, or the compiled C
-  set the sequential compiled executor runs full-range), and each body
-  fills its buffer bit-for-bit the same however its grid is sliced --
-  which ``test_stage_slices_fill_like_full_range`` checks directly --
-  so each pair must be ``array_equal``, not merely close;
+* **bitwise** -- the thread executor at 2 workers vs 1 worker, and
+  sequential-compiled vs thread-compiled: every worker calls the one
+  set of stage bodies in :mod:`repro.core.stages` (numpy, or the
+  compiled C set the sequential compiled executor runs full-range), and
+  each body fills its buffer bit-for-bit the same however its grid is
+  sliced -- which ``test_stage_slices_fill_like_full_range`` checks
+  directly -- so each pair must be ``array_equal``, not merely close;
 * **tight allclose** -- everything else: the executors associate the
   linear maps differently (Kronecker vs mode-n products, blocked vs
   flat K summation, FMA contraction in the generated C), which is the
   same math in a different rounding order.
 
-The ``slow``-marked fuzz test drives the process backend -- and the
-compiled executor, when a toolchain exists -- against the
+The ``slow``-marked fuzz test drives the thread-parallel executor --
+and the compiled executor, when a toolchain exists -- against the
 direct-convolution oracle on randomized shapes (hypothesis when
 available, seeded stdlib ``random`` otherwise).
 
@@ -53,10 +51,9 @@ from repro.core.compiled_backend import (
     compiled_available,
 )
 from repro.core.convolution import WinogradPlan
-from repro.core.engine import ConvolutionEngine, parallel_simd_width
+from repro.core.engine import BACKENDS, ConvolutionEngine, parallel_simd_width
 from repro.core.fmr import FmrSpec
 from repro.core.parallel_convolution import ParallelWinogradExecutor
-from repro.core.parallel_process import ProcessWinogradExecutor
 from repro.core.stages import (
     STAGE_BUFFERS,
     buffer_shapes,
@@ -102,11 +99,20 @@ def _plan(spec, img, ker, padding, dtype):
     )
 
 
+def _thread(plan, img, ker, n_threads, blocking=BLK, simd=8, use_compiled=False):
+    """One run of the thread-parallel executor at ``n_threads`` workers."""
+    with ParallelWinogradExecutor(
+        plan=plan, blocking=blocking, n_threads=n_threads, simd_width=simd,
+        use_compiled=use_compiled,
+    ) as ex:
+        return ex.execute(img, ker)
+
+
 def _all_executors(spec, img, ker, padding, dtype):
     """Run every executor, return {name: output}.
 
     The two compiled variants join only when the host can build
-    codelets; on toolchain-less hosts the matrix is the original five.
+    codelets; on toolchain-less hosts the matrix is the other four.
     """
     plan = _plan(spec, img, ker, padding, dtype)
     outs = {"sequential": plan.execute(img, plan.transform_kernels(ker))}
@@ -116,30 +122,14 @@ def _all_executors(spec, img, ker, padding, dtype):
             img, ker, fmr=spec, padding=padding, dtype=dtype,
             backend="blocked", blocking=BLK,
         )
-    thread = ParallelWinogradExecutor(
-        plan=plan, blocking=BLK, n_threads=2, simd_width=8
-    )
-    try:
-        outs["thread"] = thread.execute(img, ker)
-    finally:
-        thread.shutdown()
-    with ProcessWinogradExecutor(
-        plan=plan, blocking=BLK, n_workers=2, simd_width=8
-    ) as proc:
-        outs["process"] = proc.execute(img, ker)
+    outs["thread"] = _thread(plan, img, ker, 2)
+    outs["thread@1"] = _thread(plan, img, ker, 1)
     if compiled_available():
         with CompiledWinogradExecutor(
             plan=plan, blocking=BLK, simd_width=8
         ) as comp:
             outs["compiled"] = comp.execute(img, ker)
-        tc = ParallelWinogradExecutor(
-            plan=plan, blocking=BLK, n_threads=2, simd_width=8,
-            use_compiled=True,
-        )
-        try:
-            outs["thread-compiled"] = tc.execute(img, ker)
-        finally:
-            tc.shutdown()
+        outs["thread-compiled"] = _thread(plan, img, ker, 2, use_compiled=True)
     return outs
 
 
@@ -168,8 +158,8 @@ def test_executor_matrix(spec, batch, channels, spatial, padding, dtype):
 
     # Bitwise class: identical summation order.
     np.testing.assert_array_equal(
-        outs["process"], outs["thread"],
-        err_msg="process and thread backends must agree bitwise",
+        outs["thread"], outs["thread@1"],
+        err_msg="thread executor at 2 and 1 workers must agree bitwise",
     )
     if "compiled" in outs:
         # One translation unit, fixed per-output arithmetic order: the
@@ -216,8 +206,8 @@ def test_stage_slices_fill_like_full_range(
     """Running every slice of a stage's static schedule fills its output
     buffer bitwise-identically to one full-range call -- at 1, 3, 13 and
     40 workers (40 outnumbers most grids' tasks, so some slices are
-    empty).  Both pools rest on this: it is what makes their results
-    independent of worker count."""
+    empty).  The thread executor rests on this: it is what makes its
+    results independent of worker count."""
     if stage_set == "compiled" and not compiled_available():
         pytest.skip("no C toolchain")
     img, ker = _data(batch, channels, spatial, spec, dtype)
@@ -247,25 +237,15 @@ def test_stage_slices_fill_like_full_range(
 @pytest.mark.parametrize("case", [CASES[3], CASES[4]], ids=[CASES[3][0], CASES[4][0]])
 def test_thread_process_bitwise_at_odd_worker_counts(case, n_workers):
     """Worker counts other than 2 (non-power-of-two schedules with
-    uneven and empty slices): thread and process still agree bitwise
-    and both compute the right convolution."""
+    uneven and empty slices): the thread executor agrees bitwise with
+    its single-worker run and computes the right convolution."""
     _, spec, batch, channels, spatial, padding, dtype = case
     img, ker = _data(batch, channels, spatial, spec, dtype, seed=n_workers)
     plan = _plan(spec, img, ker, padding, dtype)
-    thread = ParallelWinogradExecutor(
-        plan=plan, blocking=BLK, n_threads=n_workers, simd_width=8
-    )
-    try:
-        y_thread = thread.execute(img, ker)
-    finally:
-        thread.shutdown()
-    with ProcessWinogradExecutor(
-        plan=plan, blocking=BLK, n_workers=n_workers, simd_width=8
-    ) as proc:
-        y_process = proc.execute(img, ker)
+    y_thread = _thread(plan, img, ker, n_workers)
     np.testing.assert_array_equal(
-        y_process, y_thread,
-        err_msg=f"process and thread backends differ at {n_workers} workers",
+        y_thread, _thread(plan, img, ker, 1),
+        err_msg=f"thread executor at {n_workers} workers differs from 1 worker",
     )
     ref = direct_convolution(
         img.astype(np.float64), ker.astype(np.float64), padding
@@ -325,7 +305,7 @@ def test_compiled_fallback_is_visible_and_correct(monkeypatch):
 # across all backends, tile sizes up to the VGG workload's F(4x4,3x3),
 # an N-D case, and randomly composed mixed-shape queues.
 # ----------------------------------------------------------------------
-ENGINE_BACKENDS = ("fused", "blocked", "thread", "process", "compiled")
+ENGINE_BACKENDS = BACKENDS
 
 #: (id suffix, fmr, spatial) of the batch-invariance layers, all with
 #: 16 -> 16 channels and padding 1; the first keeps the bare backend id.
@@ -353,9 +333,9 @@ def test_run_many_bitwise_equals_run(backend, spec, spatial):
     ]
     padding = (1,) * spec.ndim
     kwargs = dict(fmr=spec, padding=padding, dtype=np.float32, backend=backend)
-    if backend in ("blocked", "thread", "process", "compiled"):
+    if backend != "fused":
         kwargs["blocking"] = BLK
-    with ConvolutionEngine(n_workers=2) as engine:
+    with ConvolutionEngine() as engine:
         batched = engine.run_many(reqs, ker, pad_to=8, **kwargs)
         singles = [engine.run(im, ker, **kwargs) for im in reqs]
     for i, (one, many) in enumerate(zip(singles, batched)):
@@ -440,7 +420,7 @@ def test_fuzz_mixed_shape_queue_batching(seed):
 
 
 # ----------------------------------------------------------------------
-# Shape fuzzing: process backend vs the im2col-style direct oracle.
+# Shape fuzzing: thread-parallel executor vs the direct oracle.
 # ----------------------------------------------------------------------
 def _fuzz_one(ndim, m, channels, c_out, batch, size, pad):
     spec = FmrSpec(m=(m,) * ndim, r=(3,) * ndim)
@@ -458,10 +438,7 @@ def _fuzz_one(ndim, m, channels, c_out, batch, size, pad):
     blocking = BlockingConfig(
         n_blk=6, c_blk=channels, cprime_blk=c_out, simd_width=simd
     )
-    with ProcessWinogradExecutor(
-        plan=plan, blocking=blocking, n_workers=2, simd_width=simd
-    ) as proc:
-        y = proc.execute(img, ker)
+    y = _thread(plan, img, ker, 2, blocking=blocking, simd=simd)
     ref = direct_convolution(
         img.astype(np.float64), ker.astype(np.float64), padding
     )
@@ -470,7 +447,7 @@ def _fuzz_one(ndim, m, channels, c_out, batch, size, pad):
                  f"I={spatial} P={padding}")
     np.testing.assert_allclose(
         y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0,
-        err_msg=f"process backend vs oracle: {shape_msg}",
+        err_msg=f"thread executor vs oracle: {shape_msg}",
     )
     if compiled_available():
         # Same shapes through the generated C: the codegen has its own
@@ -499,7 +476,7 @@ if HAVE_HYPOTHESIS:
         size=st.integers(min_value=5, max_value=13),
         pad=st.integers(min_value=0, max_value=1),
     )
-    def test_fuzz_process_vs_oracle(ndim, m, channels, c_out, batch, size, pad):
+    def test_fuzz_parallel_vs_oracle(ndim, m, channels, c_out, batch, size, pad):
         if ndim == 3:  # keep 3-D volumes laptop-sized
             size = min(size, 7)
             channels = min(channels, 16)
@@ -509,7 +486,7 @@ else:  # pragma: no cover - exercised only without hypothesis
 
     @pytest.mark.slow
     @pytest.mark.parametrize("seed", range(25))
-    def test_fuzz_process_vs_oracle(seed):
+    def test_fuzz_parallel_vs_oracle(seed):
         r = random.Random(1000 + seed)
         ndim = r.choice([2, 3])
         _fuzz_one(
@@ -566,7 +543,7 @@ def test_graph_execution_matrix(backend, network):
     if backend == "compiled" and not compiled_available():
         pytest.skip("no C toolchain")
     graph = graph_scaled_vgg() if network == "vgg" else residual_block()
-    with ConvolutionEngine(n_workers=2) as engine:
+    with ConvolutionEngine() as engine:
         _assert_graph_differential(engine, graph, backend)
 
 
@@ -585,12 +562,11 @@ def test_graph_fuzz_topologies_vs_oracle(seed):
 # Nested axis: the large-kernel decomposition joins the matrix (PR 10).
 # ``algorithm="nested"`` reduces an r > 3 layer to ONE channel-stacked
 # r = 3 Winograd problem and hands it to whichever backend the request
-# names -- so per backend it inherits that backend's determinism class:
-# thread vs process stays bitwise, every backend stays allclose to the
-# float64 direct oracle, and the engine's nested dispatch is bitwise
+# names -- so every backend stays allclose to the float64 direct
+# oracle, and on every backend the engine's nested dispatch is bitwise
 # identical to manually stacking the input/kernels and running the
-# plain Winograd path (the decomposition adds no arithmetic of its
-# own, only data movement).
+# plain Winograd path on that backend (the decomposition adds no
+# arithmetic of its own, only data movement).
 # ----------------------------------------------------------------------
 #: (id, batch, channels, spatial, padding, kernel) -- channels chosen
 #: so every stacked channel count G*C stays divisible by the blocked
@@ -622,26 +598,26 @@ def test_nested_executor_matrix(batch, channels, spatial, padding, kernel):
     from repro.nets.layers import ConvLayerSpec
 
     img, ker = _nested_data(batch, channels, spatial, kernel)
-    outs = {}
-    with ConvolutionEngine(n_workers=2) as engine:
+    layer = ConvLayerSpec(
+        network="diff", name="nested", batch=batch, c_in=channels,
+        c_out=channels, image=spatial, padding=padding, kernel=kernel,
+    )
+    ex = NestedWinogradExecutor(layer)
+    outs, manual = {}, {}
+    with ConvolutionEngine() as engine:
         for backend in ENGINE_BACKENDS:
             if backend == "compiled" and not compiled_available():
                 continue
             outs[backend] = engine.run(
                 img, ker, padding=padding, algorithm="nested", backend=backend
             )
-        # Manual decomposition: stack outside the engine, run the plain
-        # Winograd path on the stacked problem.  Must match the engine's
-        # nested dispatch bit for bit.
-        layer = ConvLayerSpec(
-            network="diff", name="nested", batch=batch, c_in=channels,
-            c_out=channels, image=spatial, padding=padding, kernel=kernel,
-        )
-        ex = NestedWinogradExecutor(layer)
-        manual = engine.run(
-            ex.stack_input(img), ex.prepare_kernels(ker),
-            padding=ex.inner_padding, algorithm="winograd", backend="fused",
-        )
+            # Manual decomposition: stack outside the engine, run the
+            # plain Winograd path on the stacked problem.  Must match
+            # the engine's nested dispatch bit for bit.
+            manual[backend] = engine.run(
+                ex.stack_input(img), ex.prepare_kernels(ker),
+                padding=ex.inner_padding, algorithm="winograd", backend=backend,
+            )
 
     ref = direct_convolution(
         img.astype(np.float64), ker.astype(np.float64), padding
@@ -653,15 +629,10 @@ def test_nested_executor_matrix(batch, channels, spatial, padding, kernel):
             y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0,
             err_msg=f"nested[{name}] vs direct oracle",
         )
-
-    np.testing.assert_array_equal(
-        outs["process"], outs["thread"],
-        err_msg="nested: process and thread backends must agree bitwise",
-    )
-    np.testing.assert_array_equal(
-        outs["fused"], manual,
-        err_msg="nested dispatch != manual stack + plain Winograd",
-    )
+        np.testing.assert_array_equal(
+            y, manual[name],
+            err_msg=f"nested[{name}] dispatch != manual stack + plain Winograd",
+        )
 
 
 def test_nested_repeatable():
@@ -669,8 +640,10 @@ def test_nested_repeatable():
     arena-leased stacking buffer) changes no bits on any backend."""
     batch, channels, spatial, padding, kernel = NESTED_DIFF_CASES[1][1:]
     img, ker = _nested_data(batch, channels, spatial, kernel, seed=5)
-    with ConvolutionEngine(n_workers=2) as engine:
-        for backend in ("fused", "thread", "process"):
+    with ConvolutionEngine() as engine:
+        for backend in ENGINE_BACKENDS:
+            if backend == "compiled" and not compiled_available():
+                continue
             first = engine.run(
                 img, ker, padding=padding, algorithm="nested", backend=backend
             )

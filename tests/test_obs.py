@@ -4,7 +4,7 @@ Covers the tentpole guarantees of the obs subsystem:
 
 * span nesting and timing monotonicity (children fit inside parents,
   ``end >= start`` under the monotonic clock);
-* counter/histogram correctness under thread *and* process concurrency;
+* counter/histogram correctness under thread concurrency;
 * plan-cache metric counters agreeing exactly with the cache's own
   :class:`~repro.core.engine.CacheStats` introspection.
 """
@@ -89,11 +89,11 @@ class TestTracer:
 
     def test_event_is_zero_duration(self):
         tr = Tracer()
-        tr.event("fallback", source="process", target="thread")
+        tr.event("fallback", source="compiled", target="fused")
         (rec,) = tr.spans()
         assert rec.duration == 0.0
         assert rec.attrs["kind"] == "event"
-        assert rec.attrs["source"] == "process"
+        assert rec.attrs["source"] == "compiled"
 
     def test_retention_bound_drops_oldest(self):
         tr = Tracer(max_spans=4)
@@ -237,6 +237,27 @@ def _layer(seed=0, c=16, hw=12):
     return images, kernels
 
 
+def _run_thread_executor(images, kernels):
+    """One run of the §4.5 thread executor with its own tracer and registry."""
+    from repro.core.blocking import BlockingConfig
+    from repro.core.convolution import WinogradPlan
+    from repro.core.fmr import FmrSpec
+    from repro.core.parallel_convolution import ParallelWinogradExecutor
+
+    plan = WinogradPlan(
+        spec=FmrSpec(m=(2, 2), r=(3, 3)), input_shape=images.shape,
+        c_out=kernels.shape[1], padding=(0, 0), dtype=np.float32,
+    )
+    tracer, metrics = Tracer(), MetricsRegistry()
+    with ParallelWinogradExecutor(
+        plan=plan,
+        blocking=BlockingConfig(n_blk=6, c_blk=16, cprime_blk=16, simd_width=8),
+        n_threads=2, simd_width=8, tracer=tracer, metrics=metrics,
+    ) as ex:
+        out = ex.execute(images, kernels)
+    return out, tracer, metrics
+
+
 class TestEngineObservability:
     def test_plan_cache_counters_agree_with_introspection(self):
         images, kernels = _layer()
@@ -282,40 +303,34 @@ class TestEngineObservability:
             assert h.count == 2
             assert eng.metrics.counter_value("engine.requests.fused") == 2
 
-    def test_metrics_under_process_backend(self):
+    def test_metrics_under_thread_executor(self):
         images, kernels = _layer()
-        with ConvolutionEngine(
-            backend="process", n_workers=2, worker_timeout=30.0
-        ) as eng:
-            out = eng.run(images, kernels)
+        out, tracer, metrics = _run_thread_executor(images, kernels)
+        with ConvolutionEngine() as eng:
             ref = eng.run(images, kernels, backend="blocked")
-            np.testing.assert_allclose(out, ref, atol=1e-4)
-            snap = eng.metrics.snapshot()
-            for stage in ("stage1", "stage1b", "stage2", "stage3"):
-                assert snap["histograms"][f"process.{stage}.seconds"]["count"] == 1
-            # The per-worker timing attr has one entry per worker.
-            sp = eng.tracer.spans("process.stage2")[0]
-            assert len(sp.attrs["worker_seconds"]) == 2
-            assert all(t >= 0.0 for t in sp.attrs["worker_seconds"])
-            assert snap["gauges"]["shm.live_segments"] > 0
-        # After close every segment is unlinked again.
-        assert eng.metrics.snapshot()["gauges"]["shm.live_segments"] == 0
+        np.testing.assert_allclose(out, ref, atol=1e-4)
+        snap = metrics.snapshot()
+        for stage in ("stage1", "stage1b", "stage2", "stage3"):
+            assert snap["histograms"][f"thread.{stage}.seconds"]["count"] == 1
+        # The per-worker timing attr has one entry per worker.
+        sp = tracer.spans("thread.stage2")[0]
+        assert len(sp.attrs["worker_seconds"]) == 2
+        assert all(t >= 0.0 for t in sp.attrs["worker_seconds"])
 
     def test_thread_backend_stage_spans(self):
         images, kernels = _layer()
-        with ConvolutionEngine(backend="thread", n_workers=2) as eng:
-            eng.run(images, kernels)
-            for stage in ("stage1", "stage1b", "stage2", "stage3"):
-                (sp,) = eng.tracer.spans(f"thread.{stage}")
-                assert len(sp.attrs["worker_seconds"]) == 2
+        _, tracer, _ = _run_thread_executor(images, kernels)
+        for stage in ("stage1", "stage1b", "stage2", "stage3"):
+            (sp,) = tracer.spans(f"thread.{stage}")
+            assert len(sp.attrs["worker_seconds"]) == 2
 
-    def test_stats_exposes_metrics_shm_and_fallbacks(self):
+    def test_stats_exposes_metrics_and_fallbacks(self):
         images, kernels = _layer()
         with ConvolutionEngine() as eng:
             eng.run(images, kernels)
             stats = eng.stats()
             assert stats["fallbacks"] == 0
-            assert stats["shm"]["segments_created"] >= 0
+            assert "shm" not in stats
             assert "counters" in stats["metrics"]
 
     def test_shared_registry_aggregates_across_engines(self):

@@ -24,6 +24,7 @@ from repro.baselines.base import UnsupportedLayer
 from repro.baselines.direct import DirectConvBaseline
 from repro.baselines.fft import FftConvBaseline
 from repro.baselines.im2col import Im2colBaseline
+from repro.core.compiled_backend import compiled_available
 from repro.core.engine import ConvolutionEngine, PlanKey
 from repro.core.nested import nested_supported
 from repro.core.portfolio import (
@@ -260,7 +261,7 @@ class TestEngineAlgorithmDispatch:
             with pytest.raises(ValueError, match="winograd path"):
                 eng.run(images, kernels, algorithm="fft", backend="blocked")
             with pytest.raises(ValueError, match="winograd path"):
-                eng.run(images, kernels, algorithm="fft", backend="thread")
+                eng.run(images, kernels, algorithm="fft", backend="compiled")
 
     def test_auto_with_backend_knob_stays_winograd(self):
         layer = _layer(r=1, c_in=16, c_out=16, img=16)
@@ -508,31 +509,29 @@ class TestNestedPortfolio:
 
 
 class TestProbeBackend:
-    def test_process_engine_probes_under_process_backend(self):
-        # Regression: an "auto" engine pinned to the process backend
+    @pytest.mark.skipif(not compiled_available(), reason="no C toolchain")
+    def test_compiled_engine_probes_under_compiled_backend(self):
+        # Regression: an "auto" engine pinned to the compiled backend
         # must probe the Winograd family under that backend -- a probe
         # measured on fused would misrank what serving actually pays.
         layer = _layer(r=7, c_in=16, c_out=16, img=16)
         images, kernels = _arrays(layer)
-        with ConvolutionEngine(
-            backend="process", algorithm="auto", n_workers=2
-        ) as eng:
-            assert eng.probe_backend == "process"
+        with ConvolutionEngine(backend="compiled", algorithm="auto") as eng:
+            assert eng.probe_backend == "compiled"
             eng.run(images, kernels, padding=layer.padding)
             (decision,) = eng.algorithm_decisions()
             assert decision["source"] == "probed"
-            assert eng.metrics.counter_value("engine.requests.process") >= 1
+            assert eng.metrics.counter_value("engine.requests.compiled") >= 1
+            assert eng.metrics.counter_value("engine.fallbacks") == 0
 
     def test_probe_backend_override(self):
         layer = _layer(r=5, c_in=16, c_out=16, img=16)
         images, kernels = _arrays(layer)
-        with ConvolutionEngine(
-            algorithm="auto", probe_backend="thread", n_workers=2
-        ) as eng:
-            assert eng.probe_backend == "thread"
+        with ConvolutionEngine(algorithm="auto", probe_backend="blocked") as eng:
+            assert eng.probe_backend == "blocked"
             eng.run(images, kernels, padding=layer.padding)
             # The family probes ran under the requested backend.
-            assert eng.metrics.counter_value("engine.requests.thread") >= 1
+            assert eng.metrics.counter_value("engine.requests.blocked") >= 1
 
     def test_probe_backend_validated(self):
         with pytest.raises(ValueError, match="probe_backend"):
