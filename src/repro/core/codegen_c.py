@@ -12,9 +12,10 @@ instantiation at compile time:
   across dimensions exactly like the mode-n product evaluation the
   Python paths use (dimension 0 first);
 * transform arithmetic is emitted on GNU vector-extension types, ``S``
-  channels wide -- the paper's "vectorize across the C/C' channel
-  dimension" strategy (Sec. 4.2), which the channel-last ``u``/``x``
-  layouts make unit-stride;
+  channels wide (``S`` a power of two) -- the paper's "vectorize across
+  the C/C' channel dimension" strategy (Sec. 4.2), which the
+  channel-blocked ``padded`` and channel-last ``u``/``x`` layouts make
+  unit-stride;
 * the blocked stage-2 GEMM loop nest (Fig. 3/4) is emitted with the
   plan's geometry and blocking baked in as literals around a
   multi-row register-tiled microkernel;
@@ -35,8 +36,9 @@ translation unit, and the per-output arithmetic order is fixed by the
 emitted source, not by the schedule.
 
 Buffer layouts match the parallel executor exactly:
-``padded (B, C, *padded_input)``, ``u (T, NB, C)``, ``v (T, C, C')``,
-``x (T, NB, C')``, ``out_tiles (B, C', *counts, *m)``.
+``padded (B, C/S, *padded_input, S)`` (the Table-1 image layout),
+``u (T, NB, C)``, ``v (T, C, C')``, ``x (T, NB, C')``,
+``out_tiles (B, C', *counts, *m)``.
 Stage 3 is emitted twice: ``wino_stage3`` scatters into ``out_tiles``
 (the parallel executor's layout), ``wino_stage3_direct`` writes the
 final cropped ``out (B, C', *output)`` tensor so the sequential path
@@ -220,6 +222,11 @@ class PlanGeometry:
     def from_plan(
         cls, plan: WinogradPlan, blocking: BlockingConfig, simd_width: int
     ) -> "PlanGeometry":
+        if simd_width < 1 or simd_width & (simd_width - 1):
+            raise ValueError(
+                f"S={simd_width} is not a power of two: stages 1 and 3 "
+                "run on S-wide GNU vector types"
+            )
         if plan.c_in % simd_width or plan.c_out % simd_width:
             raise ValueError(
                 f"channels ({plan.c_in}, {plan.c_out}) must be divisible "
@@ -262,7 +269,7 @@ class PlanGeometry:
         return tuple(prod(self.out[d + 1:]) for d in range(self.ndim))
 
     @property
-    def image_elems(self) -> int:  # one (b, c) spatial slab of `padded`
+    def image_elems(self) -> int:  # spatial elements of one padded channel
         return prod(self.pin)
 
     @property
@@ -286,10 +293,6 @@ def _ll(v: int) -> str:
     return f"{v}LL"
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def _multi_indices(shape: tuple[int, ...]):
     return product(*(range(n) for n in shape))
 
@@ -305,10 +308,19 @@ def _row_major_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 # Stage 1 -- input transform
 # ----------------------------------------------------------------------
-def _stage1_scaffold(em: _Emitter, g: PlanGeometry) -> str:
-    """Shared loop nest: batch x channel-block x tile grid.  Returns the
-    body indent; callers close ``ndim + 3`` braces."""
-    nd = g.ndim
+def _emit_stage1_vec(g: PlanGeometry, b_cods: list[Codelet], dtype) -> str:
+    """Input transform, vectorized across the channel dimension.
+
+    ``padded`` is stored in the Table-1 image layout ``(B, C/S,
+    *padded_input, S)``, so each element of a tile is one unit-stride
+    ``S``-wide vector load.  The whole N-D transform runs on those
+    vectors, and each of the ``T`` planes of ``u`` receives one
+    contiguous vector store.  Loop nest: batch x channel-block x tile
+    grid, walked sequentially, so loads and stores are streams the
+    hardware prefetcher tracks.
+    """
+    em = _Emitter(dtype, rtype="vchan")
+    nd, s = g.ndim, g.simd
     args = ["const real_t* restrict padded", "real_t* restrict u",
             "int64_t b0", "int64_t b1", "int64_t cb0", "int64_t cb1"]
     for d in range(nd):
@@ -328,83 +340,21 @@ def _stage1_scaffold(em: _Emitter, g: PlanGeometry) -> str:
     )
     em.stmt(ind, f"const int64_t row = b * {_ll(g.n)} + ({flat_tile});")
     base = " + ".join(
-        [f"b * {_ll(g.c_in * g.image_elems)}"]
-        + [f"i{d} * {_ll(g.m[d] * g.pin_strides[d])}" for d in range(nd)]
+        [f"b * {_ll(g.c_in * g.image_elems)}", f"cb * {_ll(s * g.image_elems)}"]
+        + [f"i{d} * {_ll(g.m[d] * g.pin_strides[d] * s)}" for d in range(nd)]
     )
     em.stmt(ind, f"const real_t* restrict tb = padded + {base};")
-    return ind
-
-
-def _emit_stage1_vec(g: PlanGeometry, b_cods: list[Codelet], dtype) -> str:
-    """Input transform, vectorized across the channel dimension.
-
-    The ``S`` channels of one tile are gathered element-wise into a
-    local channel-major buffer (the only strided accesses), the whole
-    N-D transform then runs on ``S``-wide vectors, and each of the
-    ``T`` planes of ``u`` receives one contiguous vector store.  With
-    the tile walk sequential every plane is a unit-stride store stream
-    the hardware prefetcher tracks, and the transform arithmetic -- the
-    bulk of stage 1 -- runs at vector width instead of scalar.
-    """
-    em = _Emitter(dtype, rtype="vchan")
-    s, t = g.simd, g.t
-    ind = _stage1_scaffold(em, g)
-    em.stmt(ind, f"real_t lin[{t}][{s}];")
-    em.stmt(ind, f"for (int cc = 0; cc < {s}; ++cc) {{")
-    ind2 = ind + "  "
-    em.stmt(ind2, f"const real_t* restrict p = tb + "
-                  f"(cb * {_ll(s)} + cc) * {_ll(g.image_elems)};")
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        em.stmt(ind2, f"lin[{flat}][cc] = p[{_ll(_flat(idx, g.pin_strides))}];")
-    em.stmt(ind, "}")
     names: dict[tuple[int, ...], str] = {}
     for flat, idx in enumerate(_multi_indices(g.tile_shape)):
         nm = f"a{flat}"
-        em.stmt(ind, f"const vchan {nm} = *(const vchan*)lin[{flat}];")
+        em.stmt(ind, f"const vchan {nm} = "
+                     f"*(const vchan*)(tb + {_ll(_flat(idx, g.pin_strides) * s)});")
         names[idx] = nm
     outs = emit_separable_transform(b_cods, g.tile_shape, names, em, ind)
     em.stmt(ind, f"real_t* restrict qrow = u + row * {_ll(g.c_in)} + cb * {_ll(s)};")
     for flat, idx in enumerate(_multi_indices(g.tile_shape)):
         em.stmt(ind, f"*(vchan*)(qrow + {_ll(flat * g.nb * g.c_in)}) = {outs[idx]};")
-    for _ in range(g.ndim + 3):
-        ind = ind[:-2]
-        em.stmt(ind, "}")
-    return "\n".join(em.lines)
-
-
-def _emit_stage1_scalar(g: PlanGeometry, b_cods: list[Codelet], dtype) -> str:
-    """Scalar fallback for non-power-of-two ``S`` (no legal vector type).
-
-    Still batches all ``S`` channels of a tile locally so each ``u``
-    plane gets one contiguous ``S``-element store instead of a
-    read-for-ownership-missing scatter.
-    """
-    em = _Emitter(dtype)
-    s, t = g.simd, g.t
-    ind = _stage1_scaffold(em, g)
-    em.stmt(ind, f"real_t lbuf[{t}][{s}];")
-    em.stmt(ind, f"for (int cc = 0; cc < {s}; ++cc) {{")
-    ind += "  "
-    em.stmt(ind, f"const real_t* restrict p = tb + "
-                 f"(cb * {_ll(s)} + cc) * {_ll(g.image_elems)};")
-    names: dict[tuple[int, ...], str] = {}
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        nm = f"a{flat}"
-        em.stmt(ind, f"const real_t {nm} = p[{_ll(_flat(idx, g.pin_strides))}];")
-        names[idx] = nm
-    outs = emit_separable_transform(b_cods, g.tile_shape, names, em, ind)
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        em.stmt(ind, f"lbuf[{flat}][cc] = {outs[idx]};")
-    ind = ind[:-2]
-    em.stmt(ind, "}")
-    em.stmt(ind, f"real_t* restrict qrow = u + row * {_ll(g.c_in)} + cb * {_ll(s)};")
-    em.stmt(ind, f"for (int tt = 0; tt < {t}; ++tt) {{")
-    ind += "  "
-    em.stmt(ind, f"real_t* restrict qt = qrow + (int64_t)tt * {_ll(g.nb * g.c_in)};")
-    em.stmt(ind, f"for (int jj = 0; jj < {s}; ++jj) qt[jj] = lbuf[tt][jj];")
-    ind = ind[:-2]
-    em.stmt(ind, "}")
-    for _ in range(g.ndim + 3):
+    for _ in range(nd + 3):
         ind = ind[:-2]
         em.stmt(ind, "}")
     return "\n".join(em.lines)
@@ -722,69 +672,6 @@ def _emit_stage3_vec(
     return "\n".join(em.lines)
 
 
-def _emit_stage3_scalar(
-    g: PlanGeometry, a_cods: list[Codelet], dtype, direct: bool
-) -> str:
-    """Scalar fallback for non-power-of-two ``S``.
-
-    Mirror image of the stage-1 fallback: one contiguous ``S``-element
-    line is read from each of the ``T`` planes of ``x`` into a local
-    buffer, and the codelets then run per channel out of L1.
-    """
-    em = _Emitter(dtype)
-    s, t = g.simd, g.t
-    fname = "wino_stage3_direct" if direct else "wino_stage3"
-    dest = "out" if direct else "out_tiles"
-    em.lines.append(
-        f"void {fname}(const real_t* restrict x, "
-        f"real_t* restrict {dest}, int64_t f0, int64_t f1) {{"
-    )
-    ind = "  "
-    em.stmt(ind, "for (int64_t f = f0; f < f1; ++f) {")
-    ind += "  "
-    _stage3_decode(em, g, ind)
-    em.stmt(ind, f"real_t lbuf[{t}][{s}];")
-    em.stmt(ind, f"const real_t* restrict xp0 = x + row * {_ll(g.c_out)} "
-                 f"+ qb * {_ll(s)};")
-    em.stmt(ind, f"for (int tt = 0; tt < {t}; ++tt) {{")
-    ind += "  "
-    em.stmt(ind, f"const real_t* restrict xt = xp0 + "
-                 f"(int64_t)tt * {_ll(g.nb * g.c_out)};")
-    em.stmt(ind, f"for (int jj = 0; jj < {s}; ++jj) lbuf[tt][jj] = xt[jj];")
-    ind = ind[:-2]
-    em.stmt(ind, "}")
-    if direct:
-        _stage3_direct_base(em, g, ind)
-    em.stmt(ind, f"for (int cc = 0; cc < {s}; ++cc) {{")
-    ind += "  "
-    names: dict[tuple[int, ...], str] = {}
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        nm = f"a{flat}"
-        em.stmt(ind, f"const real_t {nm} = lbuf[{flat}][cc];")
-        names[idx] = nm
-    outs = emit_separable_transform(a_cods, g.tile_shape, names, em, ind)
-    if direct:
-        os_ = g.out_strides
-        em.stmt(ind, f"real_t* restrict oc = ob + (int64_t)cc * {_ll(g.out_elems)};")
-        for idx in _multi_indices(g.m):
-            guard = _stage3_store_guard(g, idx)
-            store = f"oc[{_ll(_flat(idx, os_))}] = {outs[idx]};"
-            em.stmt(ind, f"if ({guard}) {store}" if guard else store)
-    else:
-        em.stmt(ind, "real_t* restrict op = out_tiles + "
-                     f"((b * {_ll(g.c_out)} + qb * {_ll(s)} + cc) * {_ll(g.n)} "
-                     f"+ tile) * {_ll(g.m_prod)};")
-        m_strides = _row_major_strides(g.m)
-        for idx in _multi_indices(g.m):
-            em.stmt(ind, f"op[{_ll(_flat(idx, m_strides))}] = {outs[idx]};")
-    ind = ind[:-2]
-    em.stmt(ind, "}")
-    ind = ind[:-2]
-    em.stmt(ind, "}")
-    em.lines.append("}")
-    return "\n".join(em.lines)
-
-
 # ----------------------------------------------------------------------
 # Whole-plan source
 # ----------------------------------------------------------------------
@@ -816,17 +703,14 @@ def render_plan_source(
     a_cods = [generate_codelet(t.a, name="a_codelet") for t in plan.transforms.dims]
 
     itemsize = np.dtype(dtype).itemsize
-    vec_chan = _is_pow2(g.simd)
     s2_vw = _stage2_vw(_stage2_jt(g, dtype))
-    typedefs = []
     # `may_alias` licenses the real_t* <-> vector* punning the emitters
     # use; `aligned(itemsize)` permits unaligned loads/stores (free on
     # the targets that matter).
-    if vec_chan:
-        typedefs.append(
-            f"typedef real_t vchan __attribute__((vector_size("
-            f"{g.simd * itemsize}), aligned({itemsize}), may_alias));"
-        )
+    typedefs = [
+        f"typedef real_t vchan __attribute__((vector_size("
+        f"{g.simd * itemsize}), aligned({itemsize}), may_alias));"
+    ]
     if s2_vw >= 2:
         typedefs.append(
             f"typedef real_t vacc __attribute__((vector_size("
@@ -859,16 +743,14 @@ def render_plan_source(
         f"   counts={g.counts} padded_input={g.pin} output={g.out} S={g.simd} "
         f"n_blk={g.n_blk} cprime_blk={g.cprime_blk} dtype={dtype.name} */",
     ])
-    emit1 = _emit_stage1_vec if vec_chan else _emit_stage1_scalar
-    emit3 = _emit_stage3_vec if vec_chan else _emit_stage3_scalar
     emit2 = _emit_stage2_vec if s2_vw >= 2 else _emit_stage2_scalar
     c_source = "\n\n".join([
         header,
-        emit1(g, b_cods, dtype),
+        _emit_stage1_vec(g, b_cods, dtype),
         _emit_stage1b(g, g_cods, dtype),
         emit2(g, dtype),
-        emit3(g, a_cods, dtype, direct=False),
-        emit3(g, a_cods, dtype, direct=True),
+        _emit_stage3_vec(g, a_cods, dtype, direct=False),
+        _emit_stage3_vec(g, a_cods, dtype, direct=True),
     ]) + "\n"
     return GeneratedPlanSource(
         c_source=c_source, cdef=cdef, real_type=real, ndim=g.ndim

@@ -46,6 +46,7 @@ import numpy as np
 from repro.core.blocking import BlockingConfig
 from repro.core.codegen_c import GeneratedPlanSource, render_plan_source
 from repro.core.convolution import TransformedKernels, WinogradPlan
+from repro.core.layout import ImageLayout, pack_padded
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -405,9 +406,13 @@ class CompiledWinogradExecutor:
 
     Owns persistent pipeline buffers in the executors' shared layouts
     (padded / U / V / X); :meth:`execute` is serialized internally, so
-    the one workspace serves one request at a time.  Stage 3 runs the
-    direct variant, writing a fresh output tensor in its final cropped
-    layout -- no ``out_tiles`` buffer and no numpy reassembly.
+    the one workspace serves one request at a time.  ``padded`` is the
+    Table-1 image layout ``(B, C/S, *padded_input, S)``: its zero halo
+    is written once, at allocation, and each call copies the images
+    into its interior (:func:`~repro.core.layout.pack_padded`), so
+    stage 1 reads every tile element as one ``S``-wide vector.  Stage 3
+    runs the direct variant, writing a fresh output tensor in its final
+    cropped layout -- no ``out_tiles`` buffer and no numpy reassembly.
     Passing :class:`TransformedKernels` uses the memoized ``(T, C, C')``
     data as V directly -- the FX path skips stage 1b.
     """
@@ -431,14 +436,14 @@ class CompiledWinogradExecutor:
         b, c, cp = plan.batch, plan.c_in, plan.c_out
         t, nb = plan.t_matrices, plan.gemm_rows
         dtype = plan.dtype
-        self._padded = np.zeros((b, c) + plan.grid.padded_input_shape, dtype)
+        self._padded = np.zeros(
+            ImageLayout(b, c, plan.grid.padded_input_shape, simd_width).stored_shape,
+            dtype,
+        )
         self._u = np.empty((t, nb, c), dtype)
         self._v = np.empty((t, c, cp), dtype)
         self._x = np.empty((t, nb, cp), dtype)
         self._out_shape = (b, cp) + plan.grid.output_shape
-        self._interior = (slice(None), slice(None)) + tuple(
-            slice(p, p + sz) for p, sz in zip(plan.padding, plan.input_shape[2:])
-        )
         self._lock = threading.Lock()
 
     @property
@@ -462,9 +467,11 @@ class CompiledWinogradExecutor:
         if tuple(images.shape) != plan.input_shape:
             raise ValueError(f"images shape {images.shape} != {plan.input_shape}")
         with self._lock:
-            # The halo was zeroed once at allocation and no stage writes
-            # `padded`, so only the interior needs refreshing per call.
-            self._padded[self._interior] = images
+            # No stage writes `padded`, so its halo is still zero.
+            pack_padded(
+                images, plan.padding, plan.grid.padded_input_shape,
+                self.simd_width, out=self._padded,
+            )
             if isinstance(kernels, TransformedKernels):
                 if kernels.spec != plan.spec or kernels.c != plan.c_in \
                         or kernels.cprime != plan.c_out:

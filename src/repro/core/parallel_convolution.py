@@ -33,12 +33,12 @@ import numpy as np
 
 from repro.core.blocking import BlockingConfig
 from repro.core.convolution import WinogradPlan
+from repro.core.layout import pack_padded
 from repro.core.parallel import ForkJoinPool
 from repro.core.stages import (
     STAGE_BUFFERS,
     buffer_shapes,
     check_inputs,
-    input_interior,
     make_stages,
     stage_schedules,
 )
@@ -106,10 +106,12 @@ class ParallelWinogradExecutor:
         images, kernels = check_inputs(plan, images, kernels)
         buffers = {
             name: np.zeros(shape, dtype=plan.dtype)
-            for name, shape in buffer_shapes(plan).items()
-            if name != "kernels"
+            for name, shape in buffer_shapes(plan, self.simd_width).items()
+            if name not in ("padded", "kernels")
         }
-        buffers["padded"][input_interior(plan)] = images
+        buffers["padded"] = pack_padded(
+            images, plan.padding, plan.grid.padded_input_shape, self.simd_width
+        )
         buffers["kernels"] = kernels
         for name in STAGE_BUFFERS:
             self._run_stage(name, buffers)

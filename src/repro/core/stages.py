@@ -14,8 +14,9 @@ slices of the same grids, the output does not depend on it.
 
 The shared buffers (all C-contiguous):
 
-* ``padded``    ``(B, C, *padded_input)`` -- images inside the zero halo
-  of conv padding plus the grid's zero extension,
+* ``padded``    ``(B, C/S, *padded_input, S)`` -- images inside the zero
+  halo of conv padding plus the grid's zero extension, in the Table-1
+  channel-blocked layout (:func:`~repro.core.layout.pack_padded`),
 * ``kernels``   ``(C, C', *r)``,
 * ``u``         ``(T, B*N, C)`` -- transformed input tiles,
 * ``v``         ``(T, C, C')`` -- transformed kernels,
@@ -38,6 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.core.blocking import BlockingConfig
 from repro.core.compiled_backend import CompiledStages, get_compiled_stages
 from repro.core.convolution import WinogradPlan
+from repro.core.layout import ImageLayout
 from repro.core.scheduling import (
     GridSlice,
     stage1_grid,
@@ -95,25 +97,21 @@ def stage_schedules(
     }
 
 
-def buffer_shapes(plan: WinogradPlan) -> dict[str, tuple[int, ...]]:
+def buffer_shapes(
+    plan: WinogradPlan, simd_width: int
+) -> dict[str, tuple[int, ...]]:
     """Shapes of the shared pipeline buffers (see the module docstring)."""
     b, c, cp = plan.batch, plan.c_in, plan.c_out
     t, nb = plan.t_matrices, plan.gemm_rows
+    pin = plan.grid.padded_input_shape
     return {
-        "padded": (b, c) + plan.grid.padded_input_shape,
+        "padded": ImageLayout(b, c, pin, simd_width).stored_shape,
         "kernels": (c, cp) + plan.spec.r,
         "u": (t, nb, c),
         "v": (t, c, cp),
         "x": (t, nb, cp),
         "out_tiles": (b, cp) + plan.grid.counts + plan.spec.m,
     }
-
-
-def input_interior(plan: WinogradPlan) -> tuple[slice, ...]:
-    """Where the raw images sit inside the ``padded`` buffer."""
-    return (slice(None), slice(None)) + tuple(
-        slice(p, p + sz) for p, sz in zip(plan.padding, plan.input_shape[2:])
-    )
 
 
 def check_inputs(
@@ -175,7 +173,7 @@ class NumpyStages:
         for b_idx in range(b0, b1):
             rows = b_idx * plan.tiles_per_image + flats
             for cb in range(cb0, cb1):
-                group = padded[b_idx, cb * s : (cb + 1) * s]
+                group = np.moveaxis(padded[b_idx, cb], -1, 0)  # (S, *pin)
                 view = sliding_window_view(
                     group, spec.tile_shape, axis=tuple(range(1, 1 + spec.ndim))
                 )

@@ -5,7 +5,9 @@ executors' *outputs* to every other executor; this module tests the
 machinery itself: source generation determinism, the disk/in-process
 build caches, the FX (pre-transformed kernels) path, bitwise
 reproducibility across executors that share the translation unit,
-engine plan-cache eviction, and the no-toolchain error surface.
+engine plan-cache eviction, the channel-blocked ``padded`` workspace
+(its packing and its reuse across calls), the narrow ``S`` that odd
+channel counts get, and the no-toolchain error surface.
 
 Everything except the error-surface tests is skipped on hosts without
 a C compiler -- where the engine's fallback behavior is exercised
@@ -33,9 +35,15 @@ from repro.core.compiled_backend import (
     source_digest,
 )
 from repro.core.convolution import WinogradPlan
-from repro.core.engine import ConvolutionEngine
+from repro.core.engine import (
+    ConvolutionEngine,
+    default_parallel_blocking,
+    parallel_simd_width,
+)
 from repro.core.fmr import FmrSpec
+from repro.core.layout import ImageLayout, pack_padded
 from repro.core.parallel_convolution import ParallelWinogradExecutor
+from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry
 
 needs_cc = pytest.mark.skipif(
@@ -87,6 +95,15 @@ def test_codegen_distinguishes_geometry():
     assert render_plan_source(_plan(np.float64), BLK, 8).c_source != base
     other_blk = BlockingConfig(n_blk=8, c_blk=8, cprime_blk=8, simd_width=8)
     assert render_plan_source(_plan(), other_blk, 8).c_source != base
+
+
+def test_codegen_rejects_non_power_of_two_simd():
+    """Stages 1 and 3 exist only on S-wide vector types, so an S with
+    no GNU vector type is refused up front, by name."""
+    plan = _plan(channels=12, c_out=12)
+    blk = BlockingConfig(n_blk=6, c_blk=12, cprime_blk=12, simd_width=6)
+    with pytest.raises(ValueError, match="S=6"):
+        render_plan_source(plan, blk, 6)
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +177,88 @@ def test_repeat_and_cross_executor_bitwise():
         ) as thread:
             yt = thread.execute(img, ker)
         np.testing.assert_array_equal(yt, y1)
+
+
+# ----------------------------------------------------------------------
+# Channel-blocked padded workspace
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("simd", [1, 4, 16])
+def test_pack_padded_matches_image_layout(simd):
+    """The copy both executors make is the Table-1 packing of the
+    zero-padded images, bit for bit."""
+    rng = np.random.default_rng(simd)
+    img = rng.standard_normal((2, 16, 5, 7)).astype(np.float32)
+    padding, pin = (1, 2), (9, 12)
+    pads = [(0, 0), (0, 0)] + [
+        (p, full - p - n) for p, full, n in zip(padding, pin, img.shape[2:])
+    ]
+    expected = ImageLayout(2, 16, pin, simd).pack(np.pad(img, pads))
+    got = pack_padded(img, padding, pin, simd)
+    assert got.shape == (2, 16 // simd) + pin + (simd,)
+    np.testing.assert_array_equal(got, expected)
+
+
+@needs_cc
+@pytest.mark.parametrize("spec,input_shape,padding", [
+    (FmrSpec(m=(4, 4), r=(3, 3)), (2, 16, 9, 11), (2, 1)),
+    (FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), (1, 16, 5, 6, 4), (1, 2, 3)),
+], ids=["2d", "3d"])
+def test_workspace_persists_across_calls(spec, input_shape, padding):
+    """The executor keeps ``padded`` and refreshes only its interior:
+    image B after image A gives bitwise what a fresh executor gives for
+    B, and the halo (padding plus the grid's extension) stays zero."""
+    plan = WinogradPlan(
+        spec=spec, input_shape=input_shape, c_out=16, padding=padding,
+        dtype=np.dtype(np.float32),
+    )
+    img_a, ker = _data(plan, seed=1)
+    img_b, _ = _data(plan, seed=2)
+    with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
+        ex.execute(img_a, ker)
+        y_b = ex.execute(img_b, ker)
+        halo = ex._padded.copy()
+    with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as fresh:
+        np.testing.assert_array_equal(y_b, fresh.execute(img_b, ker))
+    halo[(slice(None), slice(None)) + tuple(
+        slice(p, p + n) for p, n in zip(padding, input_shape[2:])
+    )] = 0
+    assert not halo.any(), "the workspace halo was written"
+
+
+@needs_cc
+@pytest.mark.parametrize("c_in,c_out", [(3, 5), (6, 10), (12, 20)])
+@pytest.mark.parametrize("ndim", [2, 3])
+def test_narrow_simd_widths(ndim, c_in, c_out):
+    """Odd channel counts make the engine pick S = 1, 2 or 4: the
+    compiled backend stays right against the oracle, and the thread
+    pool slicing the same stages agrees with the sequential executor
+    to the bit."""
+    simd = parallel_simd_width(c_in, c_out)
+    assert simd == {3: 1, 6: 2, 12: 4}[c_in]
+    spec = FmrSpec.uniform(ndim, 2, 3)
+    spatial = (9, 10) if ndim == 2 else (5, 6, 5)
+    padding = (1,) * ndim
+    plan = WinogradPlan(
+        spec=spec, input_shape=(2, c_in) + spatial, c_out=c_out,
+        padding=padding, dtype=np.dtype(np.float32),
+    )
+    img, ker = _data(plan, seed=c_in)
+
+    metrics = MetricsRegistry()
+    with ConvolutionEngine(metrics=metrics) as engine:
+        y = engine.run(img, ker, fmr=spec, padding=padding, backend="compiled")
+    assert metrics.counter_value("engine.fallbacks") == 0
+    ref = direct_convolution(img.astype(np.float64), ker.astype(np.float64), padding)
+    scale = float(np.abs(ref).max())
+    np.testing.assert_allclose(y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0)
+
+    blk = default_parallel_blocking(c_in, c_out, simd)
+    with CompiledWinogradExecutor(plan=plan, blocking=blk, simd_width=simd) as ex:
+        y_seq = ex.execute(img, ker)
+    with ParallelWinogradExecutor(
+        plan=plan, blocking=blk, n_threads=2, simd_width=simd, use_compiled=True,
+    ) as thread:
+        np.testing.assert_array_equal(thread.execute(img, ker), y_seq)
 
 
 @needs_cc
