@@ -9,7 +9,7 @@ What the curve shows on the numpy substrate: threads do not beat the
 sequential plan, because the GIL serializes the Python between numpy
 and BLAS calls, and each fork-join round adds barrier and scheduling
 cost.  The row is the reproduction of the paper's runtime, not a
-serving path -- the engine serves ``fused``/``blocked``/``compiled``.
+serving path -- the engine serves ``fused`` and ``compiled``.
 
 All timings are min-of-k (the only stable statistic on shared CPUs) and
 every output is checked against the direct-convolution oracle before it

@@ -59,19 +59,9 @@ class BlockedWinogradExecutor:
     blocking: BlockingConfig
 
     jit: JitGemm = field(default_factory=JitGemm)
-    #: Default stage-2 dispatch: ``"traced"`` walks every block through
-    #: the JIT kernel cache (the mode the machine simulator instruments);
-    #: ``"fast"`` batches the row-block loop into numpy matmuls.  The
-    #: engine overrides per call so simulator fidelity is never silently
-    #: lost.
-    stage2_mode: str = "traced"
 
     def __post_init__(self) -> None:
         plan, blk = self.plan, self.blocking
-        if self.stage2_mode not in ("traced", "fast"):
-            raise ValueError(
-                f"stage2_mode must be 'traced' or 'fast', got {self.stage2_mode!r}"
-            )
         s = blk.simd_width
         if plan.c_in % s or plan.c_out % s:
             raise ValueError(
@@ -152,32 +142,13 @@ class BlockedWinogradExecutor:
     # ------------------------------------------------------------------
     # Stage 2: blocked GEMM directly on the packed arrays
     # ------------------------------------------------------------------
-    def multiply_packed(
-        self,
-        u_packed: np.ndarray,
-        v_packed: np.ndarray,
-        *,
-        mode: str | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Stage-2 blocked GEMM on the packed arrays.
+    def multiply_packed(self, u_packed: np.ndarray, v_packed: np.ndarray) -> np.ndarray:
+        """Stage-2 blocked GEMM on the packed arrays: the Fig. 3 loop nest.
 
-        ``mode`` selects the dispatch (default: :attr:`stage2_mode`):
-
-        * ``"traced"`` -- the Fig. 3 loop nest: for each ``(t, j)`` the
-          stationary ``V_kj`` block is multiplied against every row block
-          ``i`` through the JIT kernel cache (``beta = 0`` on the first
-          ``k``, 1 after).  This is the mode the machine simulator
-          instruments.
-        * ``"fast"`` -- the same computation with the inner ``(i, t)``
-          loops collapsed into one batched matmul per ``(k, j)`` panel.
-          The per-``k`` accumulation order is identical (overwrite on
-          ``k = 0``, add per subsequent ``k``) and each block product is
-          the same-shape GEMM, so the result is bit-identical to the
-          traced mode (asserted in float64 by the test suite).
-
-        ``out``, when given, receives ``X`` in the packed output layout
-        (e.g. an arena view) instead of a fresh allocation.
+        For each ``(t, j)`` the stationary ``V_kj`` block is multiplied
+        against every row block ``i`` through the JIT kernel cache
+        (``beta = 0`` on the first ``k``, 1 after).  This is the loop the
+        machine simulator instruments.
         """
         if tuple(u_packed.shape) != self.u_layout.stored_shape:
             raise ValueError(
@@ -187,19 +158,7 @@ class BlockedWinogradExecutor:
             raise ValueError(
                 f"V has shape {v_packed.shape}, expected {self.v_layout.stored_shape}"
             )
-        mode = mode if mode is not None else self.stage2_mode
-        if mode not in ("traced", "fast"):
-            raise ValueError(f"mode must be 'traced' or 'fast', got {mode!r}")
-        if out is None:
-            x = np.empty(self.x_layout.stored_shape, dtype=u_packed.dtype)
-        else:
-            if tuple(out.shape) != self.x_layout.stored_shape:
-                raise ValueError(
-                    f"out has shape {out.shape}, expected {self.x_layout.stored_shape}"
-                )
-            x = out
-        if mode == "fast":
-            return self._multiply_packed_fast(u_packed, v_packed, x)
+        x = np.empty(self.x_layout.stored_shape, dtype=u_packed.dtype)
         blk = self.blocking
         rb = self.u_layout.row_blocks
         kb = self.plan.c_in // blk.c_blk
@@ -214,26 +173,6 @@ class BlockedWinogradExecutor:
                     kern = kern0 if k == 0 else kern1
                     for i in range(rb):
                         kern(x[i, j, ti], u_packed[i, k, ti], v_kj)
-        return x
-
-    def _multiply_packed_fast(
-        self, u_packed: np.ndarray, v_packed: np.ndarray, x: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized stage 2: one batched matmul per ``(k, j)`` panel.
-
-        ``u_packed[:, k]`` is ``(rb, T, n_blk, C_blk)`` and
-        ``v_packed[k, j]`` is ``(T, C_blk, C'_blk)``; broadcasting the
-        matmul over ``(rb, T)`` performs exactly the ``rb * T`` block
-        GEMMs of the traced inner loops in one call, eliminating the
-        Python dispatch that dominates the traced mode's runtime.
-        """
-        kb = self.plan.c_in // self.blocking.c_blk
-        jb = self.plan.c_out // self.blocking.cprime_blk
-        for j in range(jb):
-            xj = x[:, j]  # (rb, T, n_blk, C'_blk)
-            np.matmul(u_packed[:, 0], v_packed[0, j], out=xj)
-            for k in range(1, kb):
-                xj += np.matmul(u_packed[:, k], v_packed[k, j])
         return x
 
     # ------------------------------------------------------------------

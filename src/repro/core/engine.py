@@ -28,10 +28,10 @@ Three cooperating pieces:
   kernels)`` resolves a plan (selecting ``F(m, r)`` when not given),
   transforms kernels at most once per distinct kernel array, and
   executes through a fused fast path whose stage-1/stage-3 transforms
-  are single Kronecker-product GEMMs writing into arena views.  The
-  blocked Table-1 executor is available via ``backend="blocked"``, with
-  stage 2 in either the vectorized ``"fast"`` mode or the JIT-kernel
-  ``"traced"`` mode (the mode the machine simulator instruments).
+  are single Kronecker-product GEMMs writing into arena views, or
+  through generated C codelets with ``backend="compiled"``.  The
+  Table-1 reproduction (``BlockedWinogradExecutor`` with its traced
+  JIT stage 2) is library-only.
 
 The cache and arena are an explicit *extension beyond the paper* (which
 restarts its binary per layer benchmark); see DESIGN.md.
@@ -52,8 +52,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.autotune import autotune_layer, blocking_from_wisdom, layer_key
-from repro.core.blocked_pipeline import BlockedWinogradExecutor
+from repro.core.autotune import blocking_from_wisdom, layer_key
 from repro.core.blocking import BlockingConfig
 from repro.core.compiled_backend import (
     CodeletBuildError,
@@ -150,7 +149,7 @@ def kernel_fingerprint(kernels: np.ndarray) -> str:
 
 
 #: Execution backends selectable per engine (or per call).
-BACKENDS = ("fused", "blocked", "compiled")
+BACKENDS = ("fused", "compiled")
 
 #: Fallback chain: where a request reroutes when its backend fails.
 #: The compiled backend degrades to ``fused`` -- the terminal station,
@@ -221,7 +220,7 @@ class PlanKey:
     padding: tuple[int, ...]
     dtype: str
     blocking: BlockingConfig | None = None  # None: fused numpy fast path
-    backend: str = "fused"  # fused | blocked | compiled
+    backend: str = "fused"  # fused | compiled
     algorithm: str = "winograd"  # winograd | fft | direct | im2col
     kernel: tuple[int, ...] | None = None  # baseline plans only
 
@@ -258,33 +257,19 @@ class PlanEntry:
     """One cached plan plus everything derived from it.
 
     Holds the :class:`WinogradPlan`, the fused fast-path constants (the
-    Kronecker transform matrices), the lazily built blocked and compiled
-    executors (whose construction generates the transform codelets),
-    and the kernel transforms seen so far, keyed by kernel fingerprint.
+    Kronecker transform matrices), the lazily built compiled executor
+    (whose construction generates the transform codelets), and the
+    kernel transforms seen so far, keyed by kernel fingerprint.
     """
 
     def __init__(self, key: PlanKey, plan: WinogradPlan):
         self.key = key
         self.plan = plan
         self.fast = _FusedPlan(plan)
-        self._executor: BlockedWinogradExecutor | None = None
         self._compiled: CompiledWinogradExecutor | None = None
         self._build_error: str | None = None
         self.kernels: dict[str, TransformedKernels] = {}
-        self.packed_kernels: dict[str, np.ndarray] = {}
         self.lock = threading.Lock()
-
-    @property
-    def executor(self) -> BlockedWinogradExecutor:
-        if self.key.blocking is None:
-            raise ValueError("plan was cached for the fused path, not the blocked one")
-        with self.lock:
-            if self._executor is None:
-                # Generates the B/G/A codelets once ("compile time").
-                self._executor = BlockedWinogradExecutor(
-                    plan=self.plan, blocking=self.key.blocking
-                )
-            return self._executor
 
     def compiled_executor(
         self,
@@ -337,7 +322,6 @@ class PlanEntry:
     def nbytes(self) -> int:
         n = self.fast.const_bytes
         n += sum(w.data.nbytes for w in self.kernels.values())
-        n += sum(v.nbytes for v in self.packed_kernels.values())
         if self._compiled is not None:
             n += self._compiled.workspace_nbytes
         return n
@@ -480,25 +464,6 @@ class PlanCache:
             self._recount()
             self._evict()
         return w
-
-    def packed_kernel_transform(self, entry: PlanEntry, kernels: np.ndarray) -> np.ndarray:
-        """Memoized packed-V transform for the blocked executor."""
-        fp = kernel_fingerprint(kernels)
-        with self._lock:
-            v = entry.packed_kernels.get(fp)
-            if v is not None:
-                self.stats.kernel_hits += 1
-                self._bump("kernel_hits")
-                return v
-        execu = entry.executor
-        v = execu.transform_kernels_packed(execu.kernel_layout.pack(kernels))
-        with self._lock:
-            v = entry.packed_kernels.setdefault(fp, v)
-            self.stats.kernel_misses += 1
-            self._bump("kernel_misses")
-            self._recount()
-            self._evict()
-        return v
 
     def baseline_prepared(self, entry: BaselinePlanEntry, kernels: np.ndarray):
         """Memoized kernel-side precomputation for a baseline plan.
@@ -889,8 +854,8 @@ def _result_buffer(out, shape, dtype) -> np.ndarray:
 def _apply_epilogue(result: np.ndarray, epilogue) -> np.ndarray:
     """Apply a graph epilogue in place on a finished backend result.
 
-    Backends without an in-place output path (blocked/compiled) return
-    a private heap array, so mutating it is safe; the fused path instead
+    The compiled backend has no in-place output path and returns a
+    private heap array, so mutating it is safe; the fused path instead
     applies the epilogue inside :meth:`_FusedPlan.run` while the result
     buffer is cache-hot.  Either
     way the epilogue runs exactly once per *successful* attempt -- a
@@ -905,12 +870,13 @@ def _apply_epilogue(result: np.ndarray, epilogue) -> np.ndarray:
 # The engine facade
 # ----------------------------------------------------------------------
 class ConvolutionEngine:
-    """Serving facade wiring plan cache, arena, autotuning and wisdom.
+    """Serving facade wiring plan cache, arena, portfolio and wisdom.
 
     Parameters
     ----------
     machine:
-        Machine model used for blocking autotuning and tile selection.
+        Machine model used for tile selection, portfolio predictions
+        and wisdom keys.
         Defaults to the ``manycore-knl`` profile's spec.
     profile:
         Named machine profile (:mod:`repro.machine.profiles`) resolved
@@ -921,14 +887,9 @@ class ConvolutionEngine:
     max_plans, max_cache_bytes:
         LRU budget of the plan cache.
     wisdom, wisdom_path:
-        Tuned-blocking persistence (paper Sec. 4.3.2).  When
-        ``wisdom_path`` names an existing file it is loaded; call
-        :meth:`save_wisdom` to persist newly tuned entries.
-    stage2_mode:
-        ``"fast"`` (vectorized batched GEMM) or ``"traced"`` (the
-        per-block JIT-kernel loop the machine simulator instruments).
-        Selected explicitly so simulator fidelity is never silently
-        lost.
+        Tuned-blocking and portfolio-decision persistence (paper Sec.
+        4.3.2).  When ``wisdom_path`` names an existing file it is
+        loaded; call :meth:`save_wisdom` to persist new entries.
     tile_policy:
         How ``F(m, r)`` is chosen when a call does not pin it:
         ``"fixed"`` (the paper's workhorse sizes, no model evaluation)
@@ -936,28 +897,19 @@ class ConvolutionEngine:
         :func:`repro.core.tile_selection.select_tile_size`).
     backend:
         Default execution backend for :meth:`run`: ``"fused"`` (the
-        Kronecker fast path), ``"blocked"`` (the Table-1 pipeline) or
-        ``"compiled"`` (generated C codelets; needs a C toolchain).
-        Cached compiled plans own workspace buffers; call :meth:`close`
-        (or use the engine as a context manager) to release them.
+        Kronecker fast path) or ``"compiled"`` (generated C codelets;
+        needs a C toolchain).  Cached compiled plans own workspace
+        buffers; call :meth:`close` (or use the engine as a context
+        manager) to release them.
     algorithm:
         Default convolution *algorithm* for :meth:`run`:
         ``"winograd"`` (every backend above), one of the portfolio
         baselines (``"fft"``/``"direct"``/``"im2col"``), or ``"auto"``
         -- the portfolio planner picks per layer shape (cost-model
-        ranking, optional measured probes, wisdom persistence; see
-        :mod:`repro.core.portfolio`).
-    portfolio_probe, probe_budget_seconds:
-        Whether ``"auto"`` decisions confirm the model ranking with
-        measured probes of the top candidates (plus Winograd), and the
-        soft wall-clock budget for one decision's probes.  Probes run
-        on the first request for a new shape -- an explicit, bounded
-        warm-up cost amortized over every later request.
-    probe_backend:
-        Backend the Winograd-family probes (``winograd``/``nested``)
-        run under; defaults to the engine's own ``backend``, so e.g. a
-        compiled-backend engine's probes measure the compiled executor,
-        not the fused one.
+        ranking, measured probes, wisdom persistence; see
+        :mod:`repro.core.portfolio`).  Probes run on the first request
+        for a new shape, and the Winograd-family probes run under
+        ``backend``, so they measure what serving will pay.
     tracer, metrics:
         Observability hooks (:mod:`repro.obs`): a span tracer recording
         per-request / per-stage timings and a metrics registry
@@ -980,19 +932,13 @@ class ConvolutionEngine:
         max_cache_bytes: int = 512 << 20,
         wisdom: Wisdom | None = None,
         wisdom_path: str | Path | None = None,
-        stage2_mode: str = "fast",
         tile_policy: str = "fixed",
         backend: str = "fused",
         algorithm: str = "winograd",
-        portfolio_probe: bool = True,
-        probe_budget_seconds: float = 0.5,
-        probe_backend: str | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
         fallback: bool = True,
     ):
-        if stage2_mode not in ("fast", "traced"):
-            raise ValueError(f"stage2_mode must be 'fast' or 'traced', got {stage2_mode!r}")
         if tile_policy not in ("fixed", "model"):
             raise ValueError(f"tile_policy must be 'fixed' or 'model', got {tile_policy!r}")
         if backend not in BACKENDS:
@@ -1000,10 +946,6 @@ class ConvolutionEngine:
         if algorithm not in ("auto",) + ALGORITHMS:
             raise ValueError(
                 f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algorithm!r}"
-            )
-        if probe_backend is not None and probe_backend not in BACKENDS:
-            raise ValueError(
-                f"probe_backend must be one of {BACKENDS}, got {probe_backend!r}"
             )
         if machine is None:
             from repro.machine.profiles import DEFAULT_PROFILE, get_profile
@@ -1014,10 +956,6 @@ class ConvolutionEngine:
         self.backend = backend
         self.algorithm = algorithm
         self.profile = profile
-        # Backend the portfolio's Winograd-family probes run under
-        # (default: the engine's own backend, so probes measure exactly
-        # what serving will pay -- including compiled).
-        self.probe_backend = probe_backend if probe_backend is not None else backend
         self.machine = machine
         # Observability: tracer + metrics are engine-scoped (pass shared
         # instances to aggregate across engines).
@@ -1028,7 +966,6 @@ class ConvolutionEngine:
             max_plans=max_plans, max_bytes=max_cache_bytes, metrics=self.metrics
         )
         self.arena = WorkspaceArena(metrics=self.metrics)
-        self.stage2_mode = stage2_mode
         self.tile_policy = tile_policy
         self.wisdom_path = Path(wisdom_path) if wisdom_path is not None else None
         if wisdom is not None:
@@ -1038,9 +975,7 @@ class ConvolutionEngine:
         else:
             self.wisdom = Wisdom()
         self.portfolio = PortfolioPlanner(
-            machine, self.wisdom,
-            tracer=self.tracer, metrics=self.metrics,
-            probe=portfolio_probe, probe_budget_seconds=probe_budget_seconds,
+            machine, self.wisdom, tracer=self.tracer, metrics=self.metrics
         )
         self._spec_cache: dict[tuple, FmrSpec] = {}
         self._blocking_cache: dict[tuple, BlockingConfig] = {}
@@ -1056,7 +991,6 @@ class ConvolutionEngine:
         fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
-        blocking: BlockingConfig | None = None,
         backend: str | None = None,
         algorithm: str | None = None,
         tenant: str | None = None,
@@ -1072,7 +1006,10 @@ class ConvolutionEngine:
         transform entirely (the "FX" path).  ``backend`` overrides the
         engine default per call.  ``algorithm`` overrides the engine's
         algorithm default per call (``"auto"`` engages the portfolio
-        planner); the backend knobs apply to the Winograd family only.
+        planner).  ``backend`` and ``fmr`` apply to the Winograd family
+        only: either one pins ``"auto"`` to Winograd, and a baseline
+        algorithm rejects both (``"nested"`` takes ``backend`` but picks
+        its own inner ``F(m, 3)``, so it rejects ``fmr``).
         ``tenant`` attributes plans built for this request to a serving
         tenant for quota accounting (see :meth:`PlanCache.evict_tenant`).
         ``epilogue`` is an in-place post-pass (``epilogue(result) ->
@@ -1085,7 +1022,6 @@ class ConvolutionEngine:
         if images.ndim < 3:
             raise ValueError(f"images must be (B, C, *spatial), got shape {images.shape}")
         ndim = images.ndim - 2
-        r = tuple(kernels.shape[2:])
         if padding is None:
             padding = (0,) * ndim
         padding = tuple(padding)
@@ -1095,29 +1031,28 @@ class ConvolutionEngine:
                 f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algo!r}"
             )
         if algo != "winograd":
-            # A backend knob pins the request to the Winograd family;
-            # "auto" then has nothing to decide, while an explicit
-            # baseline algorithm would contradict it.  "nested" IS the
-            # Winograd family (its inner r = 3 problem runs the normal
-            # pipeline), so backend knobs pass through to it.
-            wino_forced = blocking is not None or backend is not None
+            # A backend or tile knob pins the request to the Winograd
+            # family; "auto" then has nothing to decide, while an
+            # explicit baseline algorithm would contradict it.  "nested"
+            # IS the Winograd family (its inner r = 3 problem runs the
+            # normal pipeline), so a backend passes through to it; a
+            # pinned fmr does not, since nested picks its own F(m, 3).
             if algo == "auto":
-                if wino_forced:
+                if backend is not None or fmr is not None:
                     algo = "winograd"
                 else:
                     algo = self._decide_algorithm(
                         images, kernels, padding, np.dtype(dtype)
                     ).algorithm
-            elif wino_forced and algo != "nested":
+            elif fmr is not None or (backend is not None and algo != "nested"):
+                knob = "fmr" if fmr is not None else "backend"
                 raise ValueError(
-                    f"backend/blocking apply to the winograd path, "
-                    f"not algorithm={algo!r}"
+                    f"{knob} applies to the winograd path, not algorithm={algo!r}"
                 )
             if algo == "nested":
                 return self._run_nested(
                     images, kernels, padding, np.dtype(dtype), out,
-                    blocking=blocking, backend=backend, tenant=tenant,
-                    epilogue=epilogue,
+                    backend=backend, tenant=tenant, epilogue=epilogue,
                 )
             if algo != "winograd":
                 return self._run_baseline(
@@ -1130,10 +1065,6 @@ class ConvolutionEngine:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         spec = self._resolve_spec(fmr, images.shape, kernels.shape, padding)
         dtype = np.dtype(dtype)
-        if backend == "fused" and blocking is not None:
-            raise ValueError(
-                f"blocking is not meaningful with backend={backend!r}"
-            )
 
         self.metrics.counter(f"engine.requests.{backend}").inc()
         if backend == "compiled" and not compiled_available():
@@ -1147,7 +1078,6 @@ class ConvolutionEngine:
                 error="CompilerUnavailableError",
             )
             backend = "fused"
-            blocking = None
         t0 = time.perf_counter()
         with self.tracer.span("request", backend=backend) as req:
             try:
@@ -1156,7 +1086,7 @@ class ConvolutionEngine:
                     try:
                         return self._dispatch(
                             current, spec, images, kernels, padding, dtype,
-                            blocking, out, tenant=tenant, epilogue=epilogue,
+                            out, tenant=tenant, epilogue=epilogue,
                         )
                     except FALLBACK_ERRORS as exc:
                         nxt = FALLBACK_NEXT.get(current)
@@ -1172,7 +1102,6 @@ class ConvolutionEngine:
                         )
                         req.attrs["fallback"] = f"{current}->{nxt}"
                         current = nxt
-                        blocking = None  # re-resolve for the new backend
             finally:
                 self.metrics.histogram("engine.request_seconds").observe(
                     time.perf_counter() - t0
@@ -1187,7 +1116,6 @@ class ConvolutionEngine:
         fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
-        blocking: BlockingConfig | None = None,
         backend: str | None = None,
         algorithm: str | None = None,
         tenant: str | None = None,
@@ -1248,8 +1176,7 @@ class ConvolutionEngine:
             )
         out = self.run(
             stacked, kernels, fmr=fmr, padding=padding, dtype=dtype,
-            blocking=blocking, backend=backend, algorithm=algorithm,
-            tenant=tenant,
+            backend=backend, algorithm=algorithm, tenant=tenant,
         )
         results: list[np.ndarray] = []
         off = 0
@@ -1294,15 +1221,15 @@ class ConvolutionEngine:
     def workspace_bytes(
         self,
         input_shape: tuple[int, ...],
-        c_out: int,
+        kernel_shape: tuple[int, ...],
         *,
-        fmr: FmrSpec | str | None = None,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
     ) -> int:
         """Transient workspace demand of one execution at this signature.
 
-        The fused path's exact arena lease size, used by the serving
+        The fused path's exact arena lease size for the ``F(m, r)``
+        :meth:`run` picks for these shapes, used by the serving
         front-end's per-tenant arena quotas as the admission estimate
         for every backend (the compiled executor's workspace holds the
         same pipeline tensors).  Resolving the plan
@@ -1310,21 +1237,14 @@ class ConvolutionEngine:
         control does not duplicate planning work.
         """
         input_shape = tuple(input_shape)
-        ndim = len(input_shape) - 2
+        kernel_shape = tuple(kernel_shape)
         if padding is None:
-            padding = (0,) * ndim
+            padding = (0,) * (len(input_shape) - 2)
         padding = tuple(padding)
-        kernel_shape = (input_shape[1], c_out)
-        spec = self._resolve_spec(
-            fmr, input_shape,
-            kernel_shape + (FmrSpec.parse(fmr).r if isinstance(fmr, str)
-                            else fmr.r if fmr is not None else (3,) * ndim),
-            padding,
-        )
         key = PlanKey(
-            spec=spec,
+            spec=self._resolve_spec(None, input_shape, kernel_shape, padding),
             input_shape=input_shape,
-            c_out=c_out,
+            c_out=kernel_shape[1],
             padding=padding,
             dtype=np.dtype(dtype).name,
         )
@@ -1333,16 +1253,13 @@ class ConvolutionEngine:
 
     # ------------------------------------------------------------------
     def _dispatch(
-        self, backend, spec, images, kernels, padding, dtype, blocking, out,
+        self, backend, spec, images, kernels, padding, dtype, out,
         tenant: str | None = None, epilogue=None,
     ) -> np.ndarray:
         """Resolve the plan for ``backend`` and execute one attempt."""
-        if backend == "blocked":
-            blocking = blocking if blocking is not None else self._resolve_blocking(
-                spec, images.shape, kernels.shape[1], padding
-            )
-        elif backend == "compiled":
-            blocking = blocking if blocking is not None else self._parallel_blocking(
+        blocking = None
+        if backend == "compiled":
+            blocking = self._parallel_blocking(
                 spec, images.shape, kernels.shape[1], padding
             )
         key = PlanKey(
@@ -1355,8 +1272,6 @@ class ConvolutionEngine:
             backend=backend,
         )
         entry = self.plans.get_or_create(key, tenant=tenant)
-        if backend == "blocked":
-            return _apply_epilogue(self._run_blocked(entry, images, kernels), epilogue)
         if backend == "compiled":
             execu = entry.compiled_executor(tracer=self.tracer, metrics=self.metrics)
             # Same FX memoization as the fused path: the (T, C, C')
@@ -1377,25 +1292,6 @@ class ConvolutionEngine:
                     images.astype(dtype, copy=False), w, lease, out=out,
                     tracer=self.tracer, epilogue=epilogue,
                 )
-
-    # ------------------------------------------------------------------
-    def _run_blocked(self, entry: PlanEntry, images, kernels) -> np.ndarray:
-        with self.tracer.span("execute.blocked"):
-            execu = entry.executor
-            with self.tracer.span("blocked.stage1"):
-                v = self.plans.packed_kernel_transform(entry, kernels)
-                packed = execu.image_layout.pack(
-                    np.asarray(images, dtype=entry.plan.dtype)
-                )
-                u = execu.transform_input_packed(packed)
-            x_bytes = prod(execu.x_layout.stored_shape) * entry.plan.dtype.itemsize
-            with self.arena.lease(x_bytes) as lease:
-                x = lease.take(execu.x_layout.stored_shape, entry.plan.dtype)
-                with self.tracer.span("blocked.stage2"):
-                    execu.multiply_packed(u, v, mode=self.stage2_mode, out=x)
-                with self.tracer.span("blocked.stage3"):
-                    packed_out = execu.inverse_transform_packed(x)
-            return execu.output_layout.unpack(packed_out)
 
     # ------------------------------------------------------------------
     def _layer_spec(self, input_shape, kernel_shape, padding) -> ConvLayerSpec:
@@ -1426,13 +1322,12 @@ class ConvolutionEngine:
             # Re-enter run() with the algorithm forced: probes time the
             # exact dispatch path serving will use (plan cache, arena,
             # memoized kernel prep) rather than a synthetic harness.
-            # Winograd-family probes additionally pin the probe backend
-            # (engine default: its own), so a compiled engine's decisions
-            # are measured under that executor, never a silently-fused
-            # stand-in.
+            # Winograd-family probes additionally pin the engine's own
+            # backend, so a compiled engine's decisions are measured
+            # under that executor, never a silently-fused stand-in.
             kwargs = {}
             if algo in ENGINE_EXECUTED:
-                kwargs["backend"] = self.probe_backend
+                kwargs["backend"] = self.backend
             t0 = time.perf_counter()
             self.run(
                 images, kernels, padding=padding, dtype=dtype,
@@ -1486,7 +1381,7 @@ class ConvolutionEngine:
 
     def _run_nested(
         self, images, kernels, padding, dtype, out,
-        blocking=None, backend: str | None = None,
+        backend: str | None = None,
         tenant: str | None = None, epilogue=None,
     ) -> np.ndarray:
         """One request through the nested-Winograd decomposition.
@@ -1534,8 +1429,7 @@ class ConvolutionEngine:
                         result = self.run(
                             buf, stacked_kernels,
                             padding=executor.inner_padding, dtype=dtype,
-                            blocking=blocking, backend=backend,
-                            algorithm="winograd",
+                            backend=backend, algorithm="winograd",
                             tenant=tenant, out=out, epilogue=epilogue,
                         )
                 if out is not None and result is not out:
@@ -1596,34 +1490,6 @@ class ConvolutionEngine:
             self._spec_cache[key] = spec
         return spec
 
-    def _resolve_blocking(self, spec, input_shape, c_out, padding) -> BlockingConfig:
-        """Wisdom-backed blocking for the blocked executor (memoized)."""
-        key = (spec, tuple(input_shape), c_out, padding)
-        with self._lock:
-            cached = self._blocking_cache.get(key)
-        if cached is not None:
-            return cached
-        layer = ConvLayerSpec(
-            network="engine", name="auto", batch=input_shape[0],
-            c_in=input_shape[1], c_out=c_out,
-            image=tuple(input_shape[2:]), padding=padding, kernel=spec.r,
-        )
-        simd = self.machine.vector_width
-        stored = self.wisdom.get(layer_key(layer, spec, self.machine))
-        if stored is not None:
-            blocking = blocking_from_wisdom(stored, simd)
-        else:
-            # Records the tuned entry in self.wisdom as a side effect, so
-            # save_wisdom() persists it (the paper's FFTW strategy).
-            tune = autotune_layer(
-                layer, spec, self.machine, wisdom=self.wisdom,
-                transform_kernels=False,
-            )
-            blocking = tune.blocking
-        with self._lock:
-            self._blocking_cache[key] = blocking
-        return blocking
-
     def _parallel_blocking(self, spec, input_shape, c_out, padding) -> BlockingConfig:
         """Blocking for the compiled backend (memoized).
 
@@ -1635,7 +1501,7 @@ class ConvolutionEngine:
         """
         c_in = input_shape[1]
         simd = parallel_simd_width(c_in, c_out)
-        key = ("parallel", spec, tuple(input_shape), c_out, padding)
+        key = (spec, tuple(input_shape), c_out, padding)
         with self._lock:
             cached = self._blocking_cache.get(key)
         if cached is not None:
@@ -1680,7 +1546,7 @@ class ConvolutionEngine:
 
     # ------------------------------------------------------------------
     def save_wisdom(self, path: str | Path | None = None) -> None:
-        """Persist tuned blockings (no-op without a path)."""
+        """Persist the wisdom store: tuned blockings and portfolio decisions."""
         path = Path(path) if path is not None else self.wisdom_path
         if path is None:
             raise ValueError("no wisdom path configured")

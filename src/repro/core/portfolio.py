@@ -86,7 +86,7 @@ def make_baseline(algorithm: str, machine: MachineSpec) -> ConvImplementation:
     """Executable implementation for a non-Winograd portfolio member.
 
     Winograd itself is not constructed here -- the engine *is* the
-    Winograd implementation (plan cache, fused/blocked/parallel
+    Winograd implementation (plan cache, fused and compiled
     backends), and the planner probes it through the engine.
     """
     if algorithm == "fft":

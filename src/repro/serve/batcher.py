@@ -285,7 +285,7 @@ class DynamicBatcher:
         # executing; rejected batches never touch the arena.
         lease_bytes = self.engine.workspace_bytes(
             (stacked_b,) + key.signature,
-            model.kernels.shape[1],
+            model.kernels.shape,
             padding=model.padding,
             dtype=key.dtype,
         )

@@ -98,6 +98,18 @@ class TestPackedContract:
         x = execu.multiply_packed(u, v)
         assert tuple(x.shape) == execu.x_layout.stored_shape
 
+    def test_multiply_goes_through_jit_cache(self):
+        """Stage 2 is the traced Fig. 3 loop: its block products come
+        from the executor's JIT kernel cache (one kernel per beta)."""
+        plan, execu, images, kernels = make_setup()
+        u = execu.transform_input_packed(execu.image_layout.pack(images))
+        v = execu.transform_kernels_packed(execu.kernel_layout.pack(kernels))
+        assert execu.jit.compile_count == 0
+        execu.multiply_packed(u, v)
+        assert execu.jit.compile_count == 2
+        execu.multiply_packed(u, v)
+        assert execu.jit.compile_count == 2
+
     def test_multiply_shape_validation(self):
         plan, execu, *_ = make_setup()
         with pytest.raises(ValueError, match="expected"):

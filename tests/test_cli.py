@@ -139,7 +139,7 @@ class TestCliRun:
         "--channels-divisor", "16", "--image-divisor", "4",
     ]
 
-    @pytest.mark.parametrize("backend", ["fused", "blocked", "compiled"])
+    @pytest.mark.parametrize("backend", ["fused", "compiled"])
     def test_run_all_backends_check_against_oracle(self, capsys, backend):
         assert main(self.RUN_ARGS + ["--backend", backend, "--check"]) == 0
         out = capsys.readouterr().out
@@ -147,8 +147,11 @@ class TestCliRun:
         assert "max |err| vs direct reference" in out
 
     def test_run_rejects_unknown_backend(self):
-        with pytest.raises(SystemExit):
-            main(self.RUN_ARGS + ["--backend", "nope"])
+        # "blocked" names the Table-1 executor, which is library-only.
+        for backend in ("nope", "blocked"):
+            with pytest.raises(SystemExit) as exc:
+                main(self.RUN_ARGS + ["--backend", backend])
+            assert exc.value.code == 2
 
     def test_run_always_emits_stats_block(self, capsys):
         assert main(self.RUN_ARGS + ["--backend", "fused"]) == 0
@@ -179,18 +182,18 @@ class TestCliRun:
 
         trace = tmp_path / "trace.json"
         assert main(self.RUN_ARGS + [
-            "--backend", "blocked", "--stats", "--trace-json", str(trace),
+            "--backend", "fused", "--stats", "--trace-json", str(trace),
         ]) == 0
         out = capsys.readouterr().out
         snap = json.loads(out.split("--- metrics ---", 1)[1])
-        assert snap["counters"]["engine.requests.blocked"] == 1
+        assert snap["counters"]["engine.requests.fused"] == 1
         doc = json.loads(trace.read_text())
         assert doc["version"] == 1
         by_name = {s["name"]: s for s in doc["spans"]}
         request = by_name["request"]
-        assert request["attrs"]["backend"] == "blocked"
-        stage2 = by_name["blocked.stage2"]
-        assert stage2["parent"] == by_name["execute.blocked"]["id"]
+        assert request["attrs"]["backend"] == "fused"
+        stage2 = by_name["fused.stage2"]
+        assert stage2["parent"] == by_name["execute.fused"]["id"]
 
     def test_run_unknown_layer(self, capsys):
         assert main(["run", "--network", "VGG", "--layer", "9.9"]) == 2

@@ -5,7 +5,8 @@ executors' *outputs* to every other executor; this module tests the
 machinery itself: source generation determinism, the disk/in-process
 build caches, the FX (pre-transformed kernels) path, bitwise
 reproducibility across executors that share the translation unit,
-engine plan-cache eviction, the channel-blocked ``padded`` workspace
+engine plan-cache eviction, the engine's wisdom-tuned blocking, the
+channel-blocked ``padded`` workspace
 (its packing and its reuse across calls), the narrow ``S`` that odd
 channel counts get, and the no-toolchain error surface.
 
@@ -22,6 +23,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.core.autotune import layer_key
 from repro.core.blocking import BlockingConfig
 from repro.core.codegen_c import render_plan_source
 from repro.core.compiled_backend import (
@@ -43,8 +45,10 @@ from repro.core.engine import (
 from repro.core.fmr import FmrSpec
 from repro.core.layout import ImageLayout, pack_padded
 from repro.core.parallel_convolution import ParallelWinogradExecutor
+from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry
+from repro.util.wisdom import Wisdom, WisdomEntry
 
 needs_cc = pytest.mark.skipif(
     not compiled_available(), reason="no C toolchain/cffi on this host"
@@ -287,6 +291,44 @@ def test_engine_backend_and_eviction():
         # The rebuilt entry found the dlopen'd library in the memo (or
         # at worst the disk cache) -- never a second compile.
         assert metrics.counter_value("codelet_compile.builds") <= 1
+
+
+@needs_cc
+@pytest.mark.parametrize("c_blk,cprime_blk,honoured", [
+    (16, 32, True),    # divides C = C' = 32: the tuned blocking is used
+    (64, 32, False),   # C_blk = 64 does not divide C: defaults instead
+    (32, 64, False),   # C'_blk = 64 does not divide C': defaults instead
+], ids=["divides", "c-does-not-divide", "cprime-does-not-divide"])
+def test_engine_takes_blocking_from_wisdom(c_blk, cprime_blk, honoured):
+    """A tuned wisdom entry (``repro tune --wisdom``) reaches the
+    compiled backend when its channel blocks divide the layer; one that
+    does not divide falls back to the default parallel blocking."""
+    plan = _plan(channels=32, c_out=32)
+    img, ker = _data(plan, seed=4)
+    wisdom = Wisdom()
+    with ConvolutionEngine(wisdom=wisdom) as engine:
+        layer = ConvLayerSpec(
+            network="engine", name="auto", batch=2, c_in=32, c_out=32,
+            image=(10, 10), padding=(1, 1), kernel=(3, 3),
+        )
+        wisdom.put(
+            layer_key(layer, SPEC, engine.machine),
+            WisdomEntry(n_blk=8, c_blk=c_blk, cprime_blk=cprime_blk,
+                        threads_per_core=1, predicted_time=1.0),
+        )
+        y = engine.run(img, ker, fmr=SPEC, padding=(1, 1), backend="compiled")
+        assert engine.metrics.counter_value("engine.fallbacks") == 0
+        (key,) = engine.plans.keys()
+    simd = engine.machine.vector_width
+    want = (
+        BlockingConfig(n_blk=8, c_blk=c_blk, cprime_blk=cprime_blk, simd_width=simd)
+        if honoured
+        else default_parallel_blocking(32, 32, parallel_simd_width(32, 32))
+    )
+    assert key.backend == "compiled" and key.blocking == want
+    ref = direct_convolution(img.astype(np.float64), ker.astype(np.float64), (1, 1))
+    scale = float(np.abs(ref).max())
+    np.testing.assert_allclose(y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0)
 
 
 @needs_cc

@@ -4,7 +4,9 @@ The repo has six ways to evaluate the same convolution:
 
 1. the sequential :class:`WinogradPlan` pipeline (the reference
    implementation of the paper's Table-1 algorithm),
-2. the blocked pipeline (packed layouts, block-K stage 2),
+2. the blocked Table-1 pipeline (packed layouts, traced JIT block-K
+   stage 2), called directly -- it is a library executor, not an
+   engine backend,
 3. the engine's fused Kronecker fast path,
 4. the thread-parallel executor (static GCD schedule on a fork-join
    thread pool -- the paper's Sec. 4.5 runtime),
@@ -44,6 +46,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.blocked_pipeline import BlockedWinogradExecutor
 from repro.core.blocking import BlockingConfig
 from repro.core.compiled_backend import (
     CompiledWinogradExecutor,
@@ -118,10 +121,7 @@ def _all_executors(spec, img, ker, padding, dtype):
     outs = {"sequential": plan.execute(img, plan.transform_kernels(ker))}
     with ConvolutionEngine() as engine:
         outs["fused"] = engine.run(img, ker, fmr=spec, padding=padding, dtype=dtype)
-        outs["blocked"] = engine.run(
-            img, ker, fmr=spec, padding=padding, dtype=dtype,
-            backend="blocked", blocking=BLK,
-        )
+    outs["blocked"] = BlockedWinogradExecutor(plan=plan, blocking=BLK).execute(img, ker)
     outs["thread"] = _thread(plan, img, ker, 2)
     outs["thread@1"] = _thread(plan, img, ker, 1)
     if compiled_available():
@@ -333,8 +333,6 @@ def test_run_many_bitwise_equals_run(backend, spec, spatial):
     ]
     padding = (1,) * spec.ndim
     kwargs = dict(fmr=spec, padding=padding, dtype=np.float32, backend=backend)
-    if backend != "fused":
-        kwargs["blocking"] = BLK
     with ConvolutionEngine() as engine:
         batched = engine.run_many(reqs, ker, pad_to=8, **kwargs)
         singles = [engine.run(im, ker, **kwargs) for im in reqs]
@@ -570,8 +568,8 @@ def test_graph_fuzz_topologies_vs_oracle(seed):
 # arithmetic of its own, only data movement).
 # ----------------------------------------------------------------------
 #: (id, batch, channels, spatial, padding, kernel) -- channels chosen
-#: so every stacked channel count G*C stays divisible by the blocked
-#: backend's S = 16.
+#: so every stacked channel count G*C is a multiple of 16, the compiled
+#: backend's widest SIMD group.
 NESTED_DIFF_CASES = [
     ("2d-r5", 2, 16, (12, 12), (2, 2), (5, 5)),
     ("2d-r7", 1, 16, (14, 14), (3, 3), (7, 7)),

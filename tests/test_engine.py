@@ -3,16 +3,13 @@
 Covers the cache's hit/miss/eviction semantics (count and byte budgets),
 arena reuse and alignment, correctness of the fused fast path against
 the reference pipeline and direct convolution (2D/3D, crop and no-crop),
-the blocked mode, wisdom persistence, and the bit-compatibility of the
-vectorized stage 2 against the traced JIT-kernel loop in float64.
+and wisdom persistence.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.blocked_pipeline import BlockedWinogradExecutor
-from repro.core.blocking import BlockingConfig
-from repro.core.convolution import WinogradPlan, winograd_convolution
+from repro.core.convolution import winograd_convolution
 from repro.core.engine import (
     ConvolutionEngine,
     PlanCache,
@@ -25,7 +22,6 @@ from repro.nets.reference import direct_convolution
 from repro.util.wisdom import Wisdom
 
 RNG = np.random.default_rng(42)
-BLK = BlockingConfig(n_blk=6, c_blk=32, cprime_blk=32)
 
 
 def _key(size=10, c=16, cp=16, spec=None, dtype="float32", blocking=None):
@@ -246,28 +242,6 @@ class TestEngineCorrectness:
         y2 = engine.run(img, ker, padding=(1, 1))
         np.testing.assert_array_equal(y1, y2)  # arena recycling is clean
 
-    def test_blocked_mode(self):
-        engine = ConvolutionEngine()
-        img = RNG.standard_normal((1, 32, 12, 12)).astype(np.float32)
-        ker = RNG.standard_normal((32, 32, 3, 3)).astype(np.float32)
-        y = self._compare(
-            engine, img, ker, (1, 1), fmr="F(2x2,3x3)", backend="blocked",
-            blocking=BLK,
-        )
-        y2 = engine.run(
-            img, ker, fmr="F(2x2,3x3)", padding=(1, 1), backend="blocked",
-            blocking=BLK,
-        )
-        np.testing.assert_array_equal(y, y2)  # second run hits the cache
-        assert engine.plans.stats.hits >= 1
-
-    def test_blocking_without_blocked_rejected(self):
-        engine = ConvolutionEngine()
-        img = RNG.standard_normal((1, 16, 8, 8)).astype(np.float32)
-        ker = RNG.standard_normal((16, 16, 3, 3)).astype(np.float32)
-        with pytest.raises(ValueError):
-            engine.run(img, ker, padding=(1, 1), blocking=BLK)
-
 
 class TestEngineCaching:
     def test_plan_cache_hit_on_repeat(self):
@@ -298,15 +272,21 @@ class TestEngineCaching:
 
     def test_wisdom_round_trip(self, tmp_path):
         path = tmp_path / "wisdom.json"
-        engine = ConvolutionEngine(wisdom_path=path)
+        engine = ConvolutionEngine(wisdom_path=path, algorithm="auto")
         img = RNG.standard_normal((1, 32, 12, 12)).astype(np.float32)
         ker = RNG.standard_normal((32, 32, 3, 3)).astype(np.float32)
-        engine.run(img, ker, fmr="F(2x2,3x3)", padding=(1, 1), backend="blocked")
-        assert len(engine.wisdom) == 1
+        engine.run(img, ker, padding=(1, 1))
+        assert engine.wisdom.algo_count == 1
         engine.save_wisdom()
         engine2 = ConvolutionEngine(wisdom_path=path)
-        assert len(engine2.wisdom) == 1
-        assert engine2.wisdom.keys() == engine.wisdom.keys()
+        assert engine2.wisdom.algo_count == 1
+        fp = engine.machine.fingerprint()
+        (key,) = engine.wisdom.algo_keys(fp)
+        assert engine2.wisdom.algo_keys(fp) == [key]
+        assert (
+            engine2.wisdom.algo_get(fp, key).algorithm
+            == engine.wisdom.algo_get(fp, key).algorithm
+        )
 
     def test_save_wisdom_without_path_raises(self):
         with pytest.raises(ValueError):
@@ -314,9 +294,15 @@ class TestEngineCaching:
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(ValueError):
-            ConvolutionEngine(stage2_mode="warp")
-        with pytest.raises(ValueError):
             ConvolutionEngine(tile_policy="vibes")
+        # The Table-1 executor is library-only, not an engine backend.
+        both = r"\('fused', 'compiled'\), got 'blocked'"
+        with pytest.raises(ValueError, match=both):
+            ConvolutionEngine(backend="blocked")
+        img = np.zeros((1, 4, 6, 6), np.float32)
+        ker = np.zeros((4, 4, 3, 3), np.float32)
+        with pytest.raises(ValueError, match=both):
+            ConvolutionEngine().run(img, ker, backend="blocked")
 
 
 class TestWisdomMerge:
@@ -343,78 +329,6 @@ class TestWisdomMerge:
         b.put("k", self._entry(1.0))
         assert a.merge(b, prefer="ours") == 0
         assert a.get("k").predicted_time == 2.0
-
-
-class TestVectorizedStage2:
-    def _setup(self, dtype):
-        plan = WinogradPlan(
-            spec=FmrSpec(m=(2, 2), r=(3, 3)),
-            input_shape=(2, 64, 12, 12),
-            c_out=64,
-            padding=(1, 1),
-            dtype=np.dtype(dtype),
-        )
-        ex = BlockedWinogradExecutor(plan=plan, blocking=BLK)
-        img = RNG.standard_normal((2, 64, 12, 12)).astype(dtype)
-        ker = RNG.standard_normal((64, 64, 3, 3)).astype(dtype)
-        u = ex.transform_input_packed(ex.image_layout.pack(img))
-        v = ex.transform_kernels_packed(ex.kernel_layout.pack(ker))
-        return ex, u, v
-
-    def test_bit_compatible_float64(self):
-        """The acceptance criterion: vectorized == looped, bit for bit."""
-        ex, u, v = self._setup(np.float64)
-        x_traced = ex.multiply_packed(u, v, mode="traced")
-        x_fast = ex.multiply_packed(u, v, mode="fast")
-        assert np.array_equal(x_traced, x_fast)
-
-    def test_bit_compatible_float32(self):
-        ex, u, v = self._setup(np.float32)
-        assert np.array_equal(
-            ex.multiply_packed(u, v, mode="traced"),
-            ex.multiply_packed(u, v, mode="fast"),
-        )
-
-    def test_out_parameter(self):
-        ex, u, v = self._setup(np.float64)
-        out = np.empty(ex.x_layout.stored_shape, np.float64)
-        x = ex.multiply_packed(u, v, mode="fast", out=out)
-        assert x is out
-        assert np.array_equal(out, ex.multiply_packed(u, v, mode="traced"))
-        with pytest.raises(ValueError):
-            ex.multiply_packed(u, v, out=np.empty((3,), np.float64))
-
-    def test_default_mode_is_traced(self):
-        """The simulator-instrumented path stays the default; fast mode
-        must be an explicit opt-in (executor field or per-call)."""
-        ex, u, v = self._setup(np.float64)
-        assert ex.stage2_mode == "traced"
-        before = ex.jit.compile_count
-        ex.multiply_packed(u, v)
-        assert ex.jit.compile_count >= before  # went through the JIT cache
-
-    def test_invalid_mode_rejected(self):
-        ex, u, v = self._setup(np.float64)
-        with pytest.raises(ValueError):
-            ex.multiply_packed(u, v, mode="warp")
-        with pytest.raises(ValueError):
-            BlockedWinogradExecutor(plan=ex.plan, blocking=BLK, stage2_mode="warp")
-
-    def test_fast_mode_executor_field(self):
-        plan = WinogradPlan(
-            spec=FmrSpec(m=(2, 2), r=(3, 3)),
-            input_shape=(1, 32, 10, 10),
-            c_out=32,
-            padding=(1, 1),
-            dtype=np.dtype(np.float32),
-        )
-        ex_fast = BlockedWinogradExecutor(plan=plan, blocking=BLK, stage2_mode="fast")
-        ex_traced = BlockedWinogradExecutor(plan=plan, blocking=BLK)
-        img = RNG.standard_normal((1, 32, 10, 10)).astype(np.float32)
-        ker = RNG.standard_normal((32, 32, 3, 3)).astype(np.float32)
-        np.testing.assert_array_equal(
-            ex_fast.execute(img, ker), ex_traced.execute(img, ker)
-        )
 
 
 class TestTransformMemoization:

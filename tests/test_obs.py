@@ -307,7 +307,7 @@ class TestEngineObservability:
         images, kernels = _layer()
         out, tracer, metrics = _run_thread_executor(images, kernels)
         with ConvolutionEngine() as eng:
-            ref = eng.run(images, kernels, backend="blocked")
+            ref = eng.run(images, kernels)
         np.testing.assert_allclose(out, ref, atol=1e-4)
         snap = metrics.snapshot()
         for stage in ("stage1", "stage1b", "stage2", "stage3"):

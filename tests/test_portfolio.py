@@ -26,6 +26,7 @@ from repro.baselines.fft import FftConvBaseline
 from repro.baselines.im2col import Im2colBaseline
 from repro.core.compiled_backend import compiled_available
 from repro.core.engine import ConvolutionEngine, PlanKey
+from repro.core.fmr import FmrSpec
 from repro.core.nested import nested_supported
 from repro.core.portfolio import (
     ALGORITHMS,
@@ -259,17 +260,33 @@ class TestEngineAlgorithmDispatch:
         images, kernels = _arrays(_layer(c_in=16, c_out=16))
         with ConvolutionEngine() as eng:
             with pytest.raises(ValueError, match="winograd path"):
-                eng.run(images, kernels, algorithm="fft", backend="blocked")
+                eng.run(images, kernels, algorithm="fft", backend="fused")
             with pytest.raises(ValueError, match="winograd path"):
                 eng.run(images, kernels, algorithm="fft", backend="compiled")
+            # A pinned tile is a Winograd knob too; nested picks its own
+            # inner F(m, 3), so it refuses one as well.
+            for algo in ("fft", "direct", "im2col", "nested"):
+                with pytest.raises(ValueError, match="fmr applies to the winograd path"):
+                    eng.run(images, kernels, algorithm=algo, fmr="F(2x2,3x3)")
+            assert eng.plans.keys() == []
 
     def test_auto_with_backend_knob_stays_winograd(self):
         layer = _layer(r=1, c_in=16, c_out=16, img=16)
         images, kernels = _arrays(layer)
         with ConvolutionEngine(algorithm="auto") as eng:
-            eng.run(images, kernels, padding=layer.padding, backend="blocked")
+            eng.run(images, kernels, padding=layer.padding, backend="fused")
             # No decision was made: the backend knob pinned winograd.
             assert eng.algorithm_decisions() == []
+        spec = FmrSpec(m=(2, 2), r=(1, 1))
+        with ConvolutionEngine(algorithm="auto") as eng:
+            out = eng.run(images, kernels, padding=layer.padding, fmr=spec)
+            # A pinned tile pins winograd too, and runs that very tile.
+            assert eng.algorithm_decisions() == []
+            assert [k.spec for k in eng.plans.keys()] == [spec]
+            assert eng.metrics.counter_value("engine.requests.fused") == 1
+        ref = direct_convolution(images, kernels, padding=layer.padding,
+                                 dtype=np.float32)
+        np.testing.assert_allclose(out, ref, atol=1e-4)
 
     def test_baseline_kernel_prep_is_memoized(self):
         layer = _layer(r=3, c_in=8, c_out=8, img=12)
@@ -517,25 +534,11 @@ class TestProbeBackend:
         layer = _layer(r=7, c_in=16, c_out=16, img=16)
         images, kernels = _arrays(layer)
         with ConvolutionEngine(backend="compiled", algorithm="auto") as eng:
-            assert eng.probe_backend == "compiled"
             eng.run(images, kernels, padding=layer.padding)
             (decision,) = eng.algorithm_decisions()
             assert decision["source"] == "probed"
             assert eng.metrics.counter_value("engine.requests.compiled") >= 1
             assert eng.metrics.counter_value("engine.fallbacks") == 0
-
-    def test_probe_backend_override(self):
-        layer = _layer(r=5, c_in=16, c_out=16, img=16)
-        images, kernels = _arrays(layer)
-        with ConvolutionEngine(algorithm="auto", probe_backend="blocked") as eng:
-            assert eng.probe_backend == "blocked"
-            eng.run(images, kernels, padding=layer.padding)
-            # The family probes ran under the requested backend.
-            assert eng.metrics.counter_value("engine.requests.blocked") >= 1
-
-    def test_probe_backend_validated(self):
-        with pytest.raises(ValueError, match="probe_backend"):
-            ConvolutionEngine(probe_backend="bogus")
 
 
 class TestProfileWisdomIsolation:

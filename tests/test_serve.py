@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import ConvolutionEngine
+from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry, labeled
 from repro.serve import (
     ConvServer,
@@ -322,6 +323,34 @@ class TestServer:
 
         st = _serve(scenario, max_batch=2, window_ms=500.0, max_pending=2)
         assert "serve.batch_size" in st["metrics"]["histograms"]
+
+    def test_admission_sizes_the_models_own_kernel(self):
+        """Arena admission plans the served model's real kernel size:
+        a 1x1 model is served on an image smaller than 3x3, a 5x5 model
+        is served too, and no plan for a 3x3 kernel is left cached."""
+        k1 = RNG.standard_normal((4, 4, 1, 1)).astype(np.float32)
+        k5 = (RNG.standard_normal((4, 4, 5, 5)) * 0.2).astype(np.float32)
+        img1 = RNG.standard_normal((1, 4, 2, 2)).astype(np.float32)
+        img5 = RNG.standard_normal((1, 4, 16, 16)).astype(np.float32)
+
+        async def scenario(server):
+            async with ServeClient("127.0.0.1", server.port) as cli:
+                await cli.register("one", k1, [0, 0])
+                await cli.register("five", k5, [2, 2])
+                r1 = await cli.infer("one", img1)
+                r5 = await cli.infer("five", img5)
+            return r1, r5, server.engine.plans.keys()
+
+        r1, r5, keys = _serve(scenario)
+        for rep, img, ker, pad in ((r1, img1, k1, (0, 0)), (r5, img5, k5, (2, 2))):
+            ref = direct_convolution(
+                img.astype(np.float64), ker.astype(np.float64), pad
+            )
+            scale = float(np.abs(ref).max())
+            np.testing.assert_allclose(
+                rep["output"].astype(np.float64), ref, atol=1e-3 * scale, rtol=0
+            )
+        assert {k.spec.r for k in keys} == {(1, 1), (5, 5)}
 
     def test_stats_reports_queue_and_tenants(self):
         async def scenario(server):
