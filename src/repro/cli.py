@@ -465,7 +465,10 @@ def cmd_run_graph(args) -> int:
         print(f"plan time: {plan_ms:.2f} ms   run time: {run_ms:.2f} ms")
         snap = engine.metrics.snapshot()["counters"]
         print(f"metrics  : interlayer_copies={snap.get('graph.interlayer_copies', 0)} "
-              f"fused_epilogues={snap.get('graph.fused_epilogues', 0)}")
+              f"fused_epilogues={snap.get('graph.fused_epilogues', 0)} "
+              f"codelet_builds={snap.get('codelet_compile.builds', 0)} "
+              f"memo_hits={snap.get('codelet_compile.memo_hits', 0)} "
+              f"disk_hits={snap.get('codelet_compile.disk_hits', 0)}")
 
         if args.check:
             naive = execute_plan_naive(executor.plan, engine, feeds)

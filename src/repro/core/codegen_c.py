@@ -3,8 +3,11 @@
 The Python executors interpret one numpy call per vector op, so the
 paper's minimal-op codelets buy nothing: interpreter and allocator
 overheads dominate.  This module lowers the whole hot path to C once per
-plan -- the reproduction's analog of the paper's templated C++
-instantiation at compile time:
+:class:`CodeletKey` -- the ``F(m, r)``, the channel group ``S``, the
+dtype, the input channel count ``C`` and the stage-2 register tile.  The
+paper generates its transform codelets per ``F(m, r)`` and its GEMM per
+blocking (Sec. 4.2-4.3); likewise, layers that share a key share one
+library here:
 
 * the per-dimension transform :class:`~repro.core.codelets.Codelet` op
   lists (sparsity-elided, even/odd-paired -- the paper's Fig. 2 output)
@@ -16,9 +19,13 @@ instantiation at compile time:
   the C/C' channel dimension" strategy (Sec. 4.2), which the
   channel-blocked ``padded`` and channel-last ``u``/``x`` layouts make
   unit-stride;
-* the blocked stage-2 GEMM loop nest (Fig. 3/4) is emitted with the
-  plan's geometry and blocking baked in as literals around a
-  multi-row register-tiled microkernel;
+* the blocked stage-2 GEMM loop nest (Fig. 3/4) is emitted around a
+  multi-row register-tiled microkernel whose reduction length ``K = C``
+  and register tile are compile-time constants;
+* every other plan quantity -- C', tile counts, padded and output
+  extents and their strides, GEMM rows, the blocking, the crop edges --
+  is a :class:`PlanGeometry` value each entry point reads at call time
+  from its leading ``const int64_t* geo`` argument;
 * every stage function takes ``[start, stop)`` range arguments matching
   the :class:`~repro.core.scheduling.GridSlice` grids, so the very same
   entry points serve the sequential executor (full ranges) and the
@@ -56,6 +63,8 @@ import numpy as np
 from repro.core.blocking import BlockingConfig
 from repro.core.codelets import Codelet, generate_codelet
 from repro.core.convolution import WinogradPlan
+from repro.core.fmr import FmrSpec
+from repro.core.transforms import winograd_nd
 
 #: Rows per stage-2 register tile.  10 accumulator vectors plus the
 #: shared ``vr`` line fit the 32-register AVX-512 file with room to
@@ -195,38 +204,106 @@ def emit_separable_transform(
 
 
 # ----------------------------------------------------------------------
-# Plan geometry -- every constant the emitted C bakes in
+# The codelet key (compile time) and the plan geometry (call time)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PlanGeometry:
-    """Integer constants shared by the four stage functions."""
+def _stage2_jt(cprime_blk: int, dtype) -> int:
+    """Width of the stage-2 register tile over output columns.
 
-    ndim: int
-    batch: int
-    c_in: int
-    c_out: int
-    t: int            # T  = prod(tile_shape): independent GEMMs
-    n: int            # N  = tiles per image
-    nb: int           # NB = B*N GEMM rows
-    counts: tuple[int, ...]
-    m: tuple[int, ...]
-    tile_shape: tuple[int, ...]
-    r: tuple[int, ...]
-    pin: tuple[int, ...]          # padded input spatial extent
-    out: tuple[int, ...]          # cropped output spatial extent
+    One cache line of values (16 floats / 8 doubles) when it divides
+    ``C'_blk``, else the largest divisor below that -- acc tiles must
+    divide the block exactly so the jt loop needs no remainder.
+    """
+    target = 16 if np.dtype(dtype) == np.float32 else 8
+    jt = min(cprime_blk, target)
+    while cprime_blk % jt:
+        jt -= 1
+    return jt
+
+
+@dataclass(frozen=True)
+class CodeletKey:
+    """Everything the rendered C depends on.
+
+    The tile spec fixes the transform codelets; ``S`` the vector type
+    stages 1 and 3 run on; the input channel count ``C`` is stage 2's
+    reduction length, kept a compile-time constant so the microkernel's
+    ``k`` loop has a fixed trip count and its U rows sit at constant
+    offsets from one pointer; ``s2_tile`` is the stage-2 register tile.
+    Every other plan quantity is a :class:`PlanGeometry` value passed
+    at call time, so plans that differ only in shape share one library.
+    """
+
+    spec: FmrSpec
     simd: int
-    n_blk: int
-    cprime_blk: int
+    dtype: str
+    c_in: int
+    s2_tile: int
 
     @classmethod
     def from_plan(
         cls, plan: WinogradPlan, blocking: BlockingConfig, simd_width: int
-    ) -> "PlanGeometry":
+    ) -> "CodeletKey":
         if simd_width < 1 or simd_width & (simd_width - 1):
             raise ValueError(
                 f"S={simd_width} is not a power of two: stages 1 and 3 "
                 "run on S-wide GNU vector types"
             )
+        if plan.dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
+            raise ValueError(
+                f"compiled backend supports float32/float64, not {plan.dtype}"
+            )
+        return cls(
+            spec=plan.spec,
+            simd=simd_width,
+            dtype=plan.dtype.name,
+            c_in=plan.c_in,
+            s2_tile=_stage2_jt(blocking.cprime_blk, plan.dtype),
+        )
+
+    @property
+    def ndim(self) -> int:
+        return self.spec.ndim
+
+
+#: Slots of the ``geo`` array every entry point takes first: the scalar
+#: fields, then each per-dimension field once per spatial dimension.
+_GEO_SCALARS = (
+    "n_tiles", "nb", "cp", "cp_blocks", "n_blk", "cp_blk", "pin_elems", "out_elems",
+)
+_GEO_PER_DIM = ("count", "count_stride", "pin_stride", "out_ext", "out_stride")
+
+
+def geo_fields(ndim: int) -> tuple[str, ...]:
+    """Names of the ``geo`` slots, in order, for ``ndim`` spatial dims."""
+    return _GEO_SCALARS + tuple(f"{f}{d}" for f in _GEO_PER_DIM for d in range(ndim))
+
+
+@dataclass(frozen=True)
+class PlanGeometry:
+    """One plan's call-time quantities: what a library reads from ``geo``.
+
+    Everything about a plan that its :class:`CodeletKey` leaves open --
+    C', tile counts, padded and output extents and their strides, the
+    GEMM rows, the stage-2 blocking, and through the output extents the
+    crop edges.  :meth:`pack` lays them out once per plan as the
+    ``int64`` array the entry points read (slot names:
+    :func:`geo_fields`).
+    """
+
+    simd: int
+    c_out: int
+    n: int            # N  = tiles per image
+    nb: int           # NB = B*N GEMM rows
+    n_blk: int
+    cprime_blk: int
+    counts: tuple[int, ...]
+    pin: tuple[int, ...]          # padded input spatial extent
+    out: tuple[int, ...]          # cropped output spatial extent
+
+    @classmethod
+    def from_plan(
+        cls, plan: WinogradPlan, blocking: BlockingConfig, simd_width: int
+    ) -> "PlanGeometry":
         if plan.c_in % simd_width or plan.c_out % simd_width:
             raise ValueError(
                 f"channels ({plan.c_in}, {plan.c_out}) must be divisible "
@@ -237,56 +314,38 @@ class PlanGeometry:
                 f"C'={plan.c_out} not divisible by C'_blk={blocking.cprime_blk}"
             )
         return cls(
-            ndim=plan.spec.ndim,
-            batch=plan.batch,
-            c_in=plan.c_in,
+            simd=simd_width,
             c_out=plan.c_out,
-            t=plan.t_matrices,
             n=plan.tiles_per_image,
             nb=plan.gemm_rows,
-            counts=plan.grid.counts,
-            m=plan.spec.m,
-            tile_shape=plan.spec.tile_shape,
-            r=plan.spec.r,
-            pin=plan.grid.padded_input_shape,
-            out=plan.grid.output_shape,
-            simd=simd_width,
             n_blk=blocking.n_blk,
             cprime_blk=blocking.cprime_blk,
+            counts=plan.grid.counts,
+            pin=plan.grid.padded_input_shape,
+            out=plan.grid.output_shape,
         )
 
-    # -- derived strides (elements) ------------------------------------
-    @property
-    def pin_strides(self) -> tuple[int, ...]:
-        return tuple(prod(self.pin[d + 1:]) for d in range(self.ndim))
-
-    @property
-    def count_strides(self) -> tuple[int, ...]:
-        return tuple(prod(self.counts[d + 1:]) for d in range(self.ndim))
-
-    @property
-    def out_strides(self) -> tuple[int, ...]:
-        return tuple(prod(self.out[d + 1:]) for d in range(self.ndim))
-
-    @property
-    def image_elems(self) -> int:  # spatial elements of one padded channel
-        return prod(self.pin)
-
-    @property
-    def out_elems(self) -> int:  # one (b, c') spatial slab of `out`
-        return prod(self.out)
-
-    @property
-    def m_prod(self) -> int:
-        return prod(self.m)
-
-    @property
-    def r_prod(self) -> int:
-        return prod(self.r)
-
-    @property
-    def cp_blocks(self) -> int:  # stage-3 grid: C'/S lanes
-        return self.c_out // self.simd
+    def pack(self) -> np.ndarray:
+        s = self.simd
+        vals = {
+            "n_tiles": self.n,
+            "nb": self.nb,
+            "cp": self.c_out,
+            "cp_blocks": self.c_out // s,
+            "n_blk": self.n_blk,
+            "cp_blk": self.cprime_blk,
+            "pin_elems": prod(self.pin),
+            "out_elems": prod(self.out),
+        }
+        ndim = len(self.counts)
+        for d in range(ndim):
+            vals[f"count{d}"] = self.counts[d]
+            vals[f"count_stride{d}"] = prod(self.counts[d + 1:])
+            # The padded buffer is channel-blocked: one spatial step is S values.
+            vals[f"pin_stride{d}"] = prod(self.pin[d + 1:]) * s
+            vals[f"out_ext{d}"] = self.out[d]
+            vals[f"out_stride{d}"] = prod(self.out[d + 1:])
+        return np.array([vals[f] for f in geo_fields(ndim)], dtype=np.int64)
 
 
 def _ll(v: int) -> str:
@@ -305,28 +364,53 @@ def _row_major_strides(shape: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(prod(shape[d + 1:]) for d in range(len(shape)))
 
 
+def _geo_locals(ndim: int, names: list[str]) -> list[str]:
+    """Declarations reading the named ``geo`` slots into locals."""
+    slot = {f: i for i, f in enumerate(geo_fields(ndim))}
+    return [f"  const int64_t {name} = geo[{slot[name]}];" for name in names]
+
+
+def _plane_stores(
+    em: _Emitter, ind: str, ptr: str, values: list[str], cast: str
+) -> None:
+    """Store one value per ``T`` plane, advancing ``ptr`` by ``plane``."""
+    for i, val in enumerate(values):
+        step = f" STEP({ptr}, plane);" if i + 1 < len(values) else ""
+        em.stmt(ind, f"*{cast}{ptr} = {val};{step}")
+
+
 # ----------------------------------------------------------------------
 # Stage 1 -- input transform
 # ----------------------------------------------------------------------
-def _emit_stage1_vec(g: PlanGeometry, b_cods: list[Codelet], dtype) -> str:
+def _emit_stage1(key: CodeletKey, b_cods: list[Codelet]) -> str:
     """Input transform, vectorized across the channel dimension.
 
     ``padded`` is stored in the Table-1 image layout ``(B, C/S,
     *padded_input, S)``, so each element of a tile is one unit-stride
-    ``S``-wide vector load.  The whole N-D transform runs on those
-    vectors, and each of the ``T`` planes of ``u`` receives one
+    ``S``-wide vector load: through a row pointer stepped along the
+    leading tile dimensions, plus a constant offset along the last.  The
+    loads are the same for every plan of the key; only the run-time
+    strides the pointers step by differ.  The whole N-D transform runs
+    on those vectors, and each of the ``T`` planes of ``u`` receives one
     contiguous vector store.  Loop nest: batch x channel-block x tile
     grid, walked sequentially, so loads and stores are streams the
     hardware prefetcher tracks.
     """
-    em = _Emitter(dtype, rtype="vchan")
-    nd, s = g.ndim, g.simd
-    args = ["const real_t* restrict padded", "real_t* restrict u",
-            "int64_t b0", "int64_t b1", "int64_t cb0", "int64_t cb1"]
+    em = _Emitter(key.dtype, rtype="vchan")
+    nd, s, c = key.ndim, key.simd, key.c_in
+    m, tile = key.spec.m, key.spec.tile_shape
+    lead = range(nd - 1)
+    args = ["const int64_t* restrict geo", "const real_t* restrict padded",
+            "real_t* restrict u", "int64_t b0", "int64_t b1", "int64_t cb0",
+            "int64_t cb1"]
     for d in range(nd):
         args += [f"int64_t i{d}_lo", f"int64_t i{d}_hi"]
     em.lines.append(f"void wino_stage1({', '.join(args)}) {{")
+    em.lines += _geo_locals(nd, ["n_tiles", "nb", "pin_elems"]
+                            + [f"count_stride{d}" for d in lead]
+                            + [f"pin_stride{d}" for d in lead])
     ind = "  "
+    em.stmt(ind, f"const int64_t plane = nb * {_ll(c)};")
     em.stmt(ind, "for (int64_t b = b0; b < b1; ++b) {")
     ind += "  "
     em.stmt(ind, "for (int64_t cb = cb0; cb < cb1; ++cb) {")
@@ -334,26 +418,36 @@ def _emit_stage1_vec(g: PlanGeometry, b_cods: list[Codelet], dtype) -> str:
     for d in range(nd):
         em.stmt(ind, f"for (int64_t i{d} = i{d}_lo; i{d} < i{d}_hi; ++i{d}) {{")
         ind += "  "
-    flat_tile = " + ".join(
-        f"i{d} * {_ll(g.count_strides[d])}" if g.count_strides[d] != 1 else f"i{d}"
-        for d in range(nd)
-    )
-    em.stmt(ind, f"const int64_t row = b * {_ll(g.n)} + ({flat_tile});")
+    flat_tile = " + ".join([f"i{d} * count_stride{d}" for d in lead] + [f"i{nd - 1}"])
+    em.stmt(ind, f"const int64_t row = b * n_tiles + {flat_tile};")
     base = " + ".join(
-        [f"b * {_ll(g.c_in * g.image_elems)}", f"cb * {_ll(s * g.image_elems)}"]
-        + [f"i{d} * {_ll(g.m[d] * g.pin_strides[d] * s)}" for d in range(nd)]
+        [f"b * ({_ll(c)} * pin_elems)", f"cb * ({_ll(s)} * pin_elems)"]
+        + [f"i{d} * ({_ll(m[d])} * pin_stride{d})" for d in lead]
+        + [f"i{nd - 1} * {_ll(m[-1] * s)}"]
     )
-    em.stmt(ind, f"const real_t* restrict tb = padded + {base};")
+    em.stmt(ind, f"const real_t* tb = padded + {base};")
+    # One row pointer per leading dimension, stepped odometer-style:
+    # `r{d}` is the start of the current row along dimension d, and the
+    # last dimension is a constant offset from the innermost one.
+    rows = [f"r{d}" for d in lead]
+    for r in rows:
+        em.stmt(ind, f"const real_t* {r} = tb;")
     names: dict[tuple[int, ...], str] = {}
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        nm = f"a{flat}"
-        em.stmt(ind, f"const vchan {nm} = "
-                     f"*(const vchan*)(tb + {_ll(_flat(idx, g.pin_strides) * s)});")
-        names[idx] = nm
-    outs = emit_separable_transform(b_cods, g.tile_shape, names, em, ind)
-    em.stmt(ind, f"real_t* restrict qrow = u + row * {_ll(g.c_in)} + cb * {_ll(s)};")
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        em.stmt(ind, f"*(vchan*)(qrow + {_ll(flat * g.nb * g.c_in)}) = {outs[idx]};")
+    prev: tuple[int, ...] | None = None
+    for lidx in _multi_indices(tile[:-1]):
+        if prev is not None:
+            d = min(e for e in lead if lidx[e] != prev[e])
+            em.stmt(ind, f"STEP(r{d}, pin_stride{d});"
+                    + "".join(f" r{e} = r{d};" for e in lead if e > d))
+        prev = lidx
+        ptr = rows[-1] if rows else "tb"
+        for k in range(tile[-1]):
+            nm = f"a{len(names)}"
+            em.stmt(ind, f"const vchan {nm} = *(const vchan*)({ptr} + {_ll(k * s)});")
+            names[lidx + (k,)] = nm
+    outs = emit_separable_transform(b_cods, tile, names, em, ind)
+    em.stmt(ind, f"real_t* qp = u + row * {_ll(c)} + cb * {_ll(s)};")
+    _plane_stores(em, ind, "qp", [outs[i] for i in _multi_indices(tile)], "(vchan*)")
     for _ in range(nd + 3):
         ind = ind[:-2]
         em.stmt(ind, "}")
@@ -363,32 +457,32 @@ def _emit_stage1_vec(g: PlanGeometry, b_cods: list[Codelet], dtype) -> str:
 # ----------------------------------------------------------------------
 # Stage 1b -- kernel transform
 # ----------------------------------------------------------------------
-def _emit_stage1b(g: PlanGeometry, g_cods: list[Codelet], dtype) -> str:
-    em = _Emitter(dtype)
+def _emit_stage1b(key: CodeletKey, g_cods: list[Codelet]) -> str:
+    em = _Emitter(key.dtype)
+    r = key.spec.r
     em.lines.append(
-        "void wino_stage1b(const real_t* restrict kernels, "
-        "real_t* restrict v, int64_t c0, int64_t c1, "
-        "int64_t p0, int64_t p1) {"
+        "void wino_stage1b(const int64_t* restrict geo, "
+        "const real_t* restrict kernels, real_t* restrict v, "
+        "int64_t c0, int64_t c1, int64_t p0, int64_t p1) {"
     )
+    em.lines += _geo_locals(key.ndim, ["cp"])
     ind = "  "
+    em.stmt(ind, f"const int64_t plane = {_ll(key.c_in)} * cp;")
     em.stmt(ind, "for (int64_t c = c0; c < c1; ++c) {")
     ind += "  "
-    em.stmt(ind, f"for (int64_t q = p0 * {_ll(g.simd)}; "
-                 f"q < p1 * {_ll(g.simd)}; ++q) {{")
+    em.stmt(ind, f"for (int64_t q = p0 * {_ll(key.simd)}; "
+                 f"q < p1 * {_ll(key.simd)}; ++q) {{")
     ind += "  "
-    em.stmt(ind, f"const real_t* restrict kp = kernels + "
-                 f"(c * {_ll(g.c_out)} + q) * {_ll(g.r_prod)};")
-    r_strides = _row_major_strides(g.r)
+    em.stmt(ind, f"const real_t* restrict kp = kernels + (c * cp + q) * {_ll(prod(r))};")
+    r_strides = _row_major_strides(r)
     names: dict[tuple[int, ...], str] = {}
-    for flat, idx in enumerate(_multi_indices(g.r)):
+    for flat, idx in enumerate(_multi_indices(r)):
         nm = f"a{flat}"
         em.stmt(ind, f"const real_t {nm} = kp[{_ll(_flat(idx, r_strides))}];")
         names[idx] = nm
-    outs = emit_separable_transform(g_cods, g.r, names, em, ind)
-    em.stmt(ind, f"real_t* restrict vp = v + c * {_ll(g.c_out)} + q;")
-    vt = g.c_in * g.c_out
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        em.stmt(ind, f"vp[{_ll(flat * vt)}] = {outs[idx]};")
+    outs = emit_separable_transform(g_cods, r, names, em, ind)
+    em.stmt(ind, "real_t* vp = v + c * cp + q;")
+    _plane_stores(em, ind, "vp", [outs[i] for i in _multi_indices(key.spec.tile_shape)], "")
     for _ in range(2):
         ind = ind[:-2]
         em.stmt(ind, "}")
@@ -399,20 +493,6 @@ def _emit_stage1b(g: PlanGeometry, g_cods: list[Codelet], dtype) -> str:
 # ----------------------------------------------------------------------
 # Stage 2 -- blocked batched GEMM
 # ----------------------------------------------------------------------
-def _stage2_jt(g: PlanGeometry, dtype) -> int:
-    """Width of the stage-2 register tile over output columns.
-
-    One cache line of values (16 floats / 8 doubles) when it divides
-    ``C'_blk``, else the largest divisor below that -- acc tiles must
-    divide the block exactly so the jt loop has a constant trip count.
-    """
-    target = 16 if np.dtype(dtype) == np.float32 else 8
-    jt = min(g.cprime_blk, target)
-    while g.cprime_blk % jt:
-        jt -= 1
-    return jt
-
-
 def _stage2_vw(jt: int) -> int:
     """Vector lane count for stage 2: largest power-of-two divisor of
     the register-tile width (GNU ``vector_size`` must be a power of
@@ -423,24 +503,25 @@ def _stage2_vw(jt: int) -> int:
     return vw
 
 
-def _stage2_scaffold(body: str, g: PlanGeometry, jt: int) -> str:
-    c, cp, nb = g.c_in, g.c_out, g.nb
-    nblk, cpblk = g.n_blk, g.cprime_blk
-    return f"""void wino_stage2(const real_t* restrict u, const real_t* restrict v,
-                 real_t* restrict x, int64_t t0, int64_t t1,
+def _stage2_scaffold(body: str, key: CodeletKey) -> str:
+    c, jt = key.c_in, key.s2_tile
+    geo = "\n".join(_geo_locals(key.ndim, ["nb", "cp", "n_blk", "cp_blk"]))
+    return f"""void wino_stage2(const int64_t* restrict geo, const real_t* restrict u,
+                 const real_t* restrict v, real_t* restrict x, int64_t t0, int64_t t1,
                  int64_t j0, int64_t j1, int64_t i0, int64_t i1) {{
+{geo}
   for (int64_t t = t0; t < t1; ++t) {{
-    const real_t* restrict ut = u + t * {_ll(nb * c)};
-    const real_t* restrict vt = v + t * {_ll(c * cp)};
-    real_t* restrict xt = x + t * {_ll(nb * cp)};
+    const real_t* restrict ut = u + t * (nb * {_ll(c)});
+    const real_t* restrict vt = v + t * ({_ll(c)} * cp);
+    real_t* restrict xt = x + t * (nb * cp);
     for (int64_t j = j0; j < j1; ++j) {{
       for (int64_t i = i0; i < i1; ++i) {{
-        const int64_t rlo = i * {_ll(nblk)};
-        int64_t rhi = rlo + {_ll(nblk)};
-        if (rhi > {_ll(nb)}) rhi = {_ll(nb)};
-        for (int64_t jt = 0; jt < {_ll(cpblk)}; jt += {_ll(jt)}) {{
-          const real_t* restrict vjt = vt + j * {_ll(cpblk)} + jt;
-          real_t* restrict xjt = xt + j * {_ll(cpblk)} + jt;
+        const int64_t rlo = i * n_blk;
+        int64_t rhi = rlo + n_blk;
+        if (rhi > nb) rhi = nb;
+        for (int64_t jt = 0; jt < cp_blk; jt += {_ll(jt)}) {{
+          const real_t* restrict vjt = vt + j * cp_blk + jt;
+          real_t* restrict xjt = xt + j * cp_blk + jt;
           int64_t rr = rlo;
 {body}
         }}
@@ -450,7 +531,7 @@ def _stage2_scaffold(body: str, g: PlanGeometry, jt: int) -> str:
 }}"""
 
 
-def _emit_stage2_vec(g: PlanGeometry, dtype) -> str:
+def _emit_stage2_vec(key: CodeletKey) -> str:
     """Register-tiled GEMM microkernel on GNU vector types.
 
     ``_S2_ROWS`` rows x ``jt`` columns of C are held in explicit vector
@@ -460,10 +541,10 @@ def _emit_stage2_vec(g: PlanGeometry, dtype) -> str:
     latency-bound, and the leftover rows run a single-row variant of
     the same vector kernel -- a scalar tail would be an order of
     magnitude slower per row and dominate whenever ``_S2_ROWS`` does
-    not divide the row block.
+    not divide the row block.  ``K = C`` is a compile-time constant;
+    C' (the row pitch of V and X) is read at call time.
     """
-    c, cp = g.c_in, g.c_out
-    jt = _stage2_jt(g, dtype)
+    c, jt = key.c_in, key.s2_tile
     vw = _stage2_vw(jt)
     nv = jt // vw
     rows = _S2_ROWS
@@ -475,7 +556,7 @@ def _emit_stage2_vec(g: PlanGeometry, dtype) -> str:
         f"vacc a{q}_{mv} = {{(real_t)0}};"
         for q in range(rows) for mv in range(nv)))
     lines.append(f"            for (int64_t k = 0; k < {_ll(c)}; ++k) {{")
-    lines.append(f"              const real_t* restrict vr = vjt + k * {_ll(cp)};")
+    lines.append("              const real_t* restrict vr = vjt + k * cp;")
     for mv in range(nv):
         lines.append(f"              const vacc vv{mv} = "
                      f"*(const vacc*)(vr + {mv * vw});")
@@ -483,11 +564,11 @@ def _emit_stage2_vec(g: PlanGeometry, dtype) -> str:
         lines.append(f"              {{ const real_t s = ur{q}[k]; " + " ".join(
             f"a{q}_{mv} += s * vv{mv};" for mv in range(nv)) + " }")
     lines.append("            }")
-    lines.append(f"            real_t* restrict xr = xjt + rr * {_ll(cp)};")
+    lines.append("            real_t* restrict xr = xjt + rr * cp;")
     for q in range(rows):
-        for mv in range(nv):
-            lines.append(f"            *(vacc*)(xr + {_ll(q * cp + mv * vw)}) "
-                         f"= a{q}_{mv};")
+        stores = " ".join(f"*(vacc*)(xr + {mv * vw}) = a{q}_{mv};" for mv in range(nv))
+        step = " xr += cp;" if q + 1 < rows else ""
+        lines.append(f"            {stores}{step}")
     lines.append("          }")
     # vector tail: one row at a time, same accumulator layout
     lines.append("          for (; rr < rhi; ++rr) {")
@@ -495,32 +576,31 @@ def _emit_stage2_vec(g: PlanGeometry, dtype) -> str:
     lines.append("            " + " ".join(
         f"vacc b{mv} = {{(real_t)0}};" for mv in range(nv)))
     lines.append(f"            for (int64_t k = 0; k < {_ll(c)}; ++k) {{")
-    lines.append(f"              const real_t* restrict vr = vjt + k * {_ll(cp)};")
+    lines.append("              const real_t* restrict vr = vjt + k * cp;")
     lines.append("              const real_t s = ur[k]; " + " ".join(
         f"b{mv} += s * *(const vacc*)(vr + {mv * vw});" for mv in range(nv)))
     lines.append("            }")
-    lines.append(f"            real_t* restrict xr = xjt + rr * {_ll(cp)};")
+    lines.append("            real_t* restrict xr = xjt + rr * cp;")
     for mv in range(nv):
-        lines.append(f"            *(vacc*)(xr + {_ll(mv * vw)}) = b{mv};")
+        lines.append(f"            *(vacc*)(xr + {mv * vw}) = b{mv};")
     lines.append("          }")
-    return _stage2_scaffold("\n".join(lines), g, jt)
+    return _stage2_scaffold("\n".join(lines), key)
 
 
-def _emit_stage2_scalar(g: PlanGeometry, dtype) -> str:
+def _emit_stage2_scalar(key: CodeletKey) -> str:
     """Scalar fallback (no power-of-two register tile): four explicit
     row accumulators keep the k chains parallel, which is as much
     instruction-level parallelism as scalar code reliably gets."""
-    c, cp = g.c_in, g.c_out
-    jt = _stage2_jt(g, dtype)
+    c, jt = key.c_in, key.s2_tile
     quad = "\n".join(
-        [f"          for (; rr + 4 <= rhi; rr += 4) {{"]
+        ["          for (; rr + 4 <= rhi; rr += 4) {"]
         + [f"          const real_t* restrict ur{q} = ut + (rr + {q}) * {_ll(c)};"
            for q in range(4)]
         + [f"          real_t a0[{jt}], a1[{jt}], a2[{jt}], a3[{jt}];",
            f"          for (int jj = 0; jj < {jt}; ++jj) "
            "{ a0[jj] = a1[jj] = a2[jj] = a3[jj] = (real_t)0; }",
            f"          for (int64_t k = 0; k < {_ll(c)}; ++k) {{",
-           f"            const real_t* restrict vr = vjt + k * {_ll(cp)};",
+           "            const real_t* restrict vr = vjt + k * cp;",
            "            const real_t s0 = ur0[k], s1 = ur1[k], "
            "s2 = ur2[k], s3 = ur3[k];",
            f"            for (int jj = 0; jj < {jt}; ++jj) {{",
@@ -528,9 +608,9 @@ def _emit_stage2_scalar(g: PlanGeometry, dtype) -> str:
            "              a2[jj] += s2 * vr[jj]; a3[jj] += s3 * vr[jj];",
            "            }",
            "          }",
-           f"          real_t* restrict xr = xjt + rr * {_ll(cp)};"]
+           "          real_t* restrict xr = xjt + rr * cp;"]
         + [f"          for (int jj = 0; jj < {jt}; ++jj) "
-           f"xr[{_ll(q * cp)} + jj] = a{q}[jj];"
+           f"xr[{q} * cp + jj] = a{q}[jj];"
            for q in range(4)]
         + ["          }",
            "          for (; rr < rhi; ++rr) {",
@@ -539,133 +619,160 @@ def _emit_stage2_scalar(g: PlanGeometry, dtype) -> str:
            f"            for (int jj = 0; jj < {jt}; ++jj) acc[jj] = (real_t)0;",
            f"            for (int64_t k = 0; k < {_ll(c)}; ++k) {{",
            "              const real_t us = ur[k];",
-           f"              const real_t* restrict vr = vjt + k * {_ll(cp)};",
+           "              const real_t* restrict vr = vjt + k * cp;",
            f"              for (int jj = 0; jj < {jt}; ++jj) acc[jj] += us * vr[jj];",
            "            }",
-           f"            real_t* restrict xr = xjt + rr * {_ll(cp)};",
+           "            real_t* restrict xr = xjt + rr * cp;",
            f"            for (int jj = 0; jj < {jt}; ++jj) xr[jj] = acc[jj];",
            "          }"]
     )
-    return _stage2_scaffold(quad, g, jt)
+    return _stage2_scaffold(quad, key)
 
 
 # ----------------------------------------------------------------------
 # Stage 3 -- inverse transform
 # ----------------------------------------------------------------------
-def _stage3_decode(em: _Emitter, g: PlanGeometry, ind: str) -> None:
-    ncpb = g.n * g.cp_blocks
-    em.stmt(ind, f"const int64_t b = f / {_ll(ncpb)};")
-    em.stmt(ind, f"const int64_t rem = f - b * {_ll(ncpb)};")
-    em.stmt(ind, f"const int64_t tile = rem / {_ll(g.cp_blocks)};")
-    em.stmt(ind, f"const int64_t qb = rem - tile * {_ll(g.cp_blocks)};")
-    em.stmt(ind, f"const int64_t row = b * {_ll(g.n)} + tile;")
+def _stage3_direct_store(em: _Emitter, key: CodeletKey, ind: str) -> None:
+    """Store the parked tile into the final cropped ``out`` tensor.
 
-
-def _stage3_direct_base(em: _Emitter, g: PlanGeometry, ind: str) -> None:
-    """Per-tile output base pointer for the direct (final-layout) store.
-
-    Unflattens the tile index, folds the per-dimension output offsets
-    into ``ob`` (lane 0 of the channel block), and defines one
-    ``last{d}`` flag per *cropped* dimension -- the edge tiles whose
-    trailing elements fall outside the output extent.
+    Each dimension's valid extent is computed per tile at run time: ``m``
+    inside the output, less on a trailing edge tile.  A whole tile
+    stores every element through one row pointer per leading index plus
+    a constant offset; an edge tile runs loops to its extents.
     """
-    cs = g.count_strides
-    if g.ndim == 1:
-        em.stmt(ind, "const int64_t td0 = tile;")
-    else:
-        em.stmt(ind, "int64_t trem = tile;")
-        for d in range(g.ndim - 1):
-            em.stmt(ind, f"const int64_t td{d} = trem / {_ll(cs[d])};")
-            em.stmt(ind, f"trem -= td{d} * {_ll(cs[d])};")
-        em.stmt(ind, f"const int64_t td{g.ndim - 1} = trem;")
-    os_ = g.out_strides
+    nd, s, m = key.ndim, key.simd, key.spec.m
     base = " + ".join(
-        [f"(b * {_ll(g.c_out)} + qb * {_ll(g.simd)}) * {_ll(g.out_elems)}"]
-        + [f"td{d} * {_ll(g.m[d] * os_[d])}" for d in range(g.ndim)]
+        [f"(b * cp + qb * {_ll(s)}) * out_elems"]
+        + [f"td{d} * ({_ll(m[d])} * out_stride{d})" for d in range(nd - 1)]
+        + [f"td{nd - 1} * {_ll(m[-1])}"]
     )
-    em.stmt(ind, f"real_t* restrict ob = out + {base};")
-    for d in range(g.ndim):
-        if g.counts[d] * g.m[d] > g.out[d]:
-            em.stmt(ind, f"const int last{d} = (td{d} == {_ll(g.counts[d] - 1)});")
+    em.stmt(ind, f"real_t* ob = out + {base};")
+    for d in range(nd):
+        em.stmt(ind, f"int64_t v{d} = out_ext{d} - td{d} * {_ll(m[d])}; "
+                     f"if (v{d} > {_ll(m[d])}) v{d} = {_ll(m[d])};")
+    whole = " && ".join(f"v{d} == {_ll(m[d])}" for d in range(nd))
+    em.stmt(ind, f"if ({whole}) {{")
+    inner = ind + "  "
+    em.stmt(inner, f"for (int cc = 0; cc < {s}; ++cc) {{")
+    em.stmt(inner + "  ", "real_t* oc = ob + (int64_t)cc * out_elems;")
+    for lflat, lidx in enumerate(_multi_indices(m[:-1])):
+        terms = ["oc"] + [
+            f"{j} * out_stride{d}" if j > 1 else f"out_stride{d}"
+            for d, j in enumerate(lidx) if j
+        ]
+        stores = " ".join(
+            f"o[{k}] = sbuf[{lflat * m[-1] + k}][cc];" for k in range(m[-1])
+        )
+        em.stmt(inner + "  ", f"{{ real_t* o = {' + '.join(terms)}; {stores} }}")
+    em.stmt(inner, "}")
+    em.stmt(ind, "} else {")
+    em.stmt(inner, f"for (int cc = 0; cc < {s}; ++cc) {{")
+    loop = inner + "  "
+    em.stmt(loop, "real_t* oc = ob + (int64_t)cc * out_elems;")
+    for d in range(nd):
+        em.stmt(loop, f"for (int64_t j{d} = 0; j{d} < v{d}; ++j{d}) {{")
+        loop += "  "
+    dst = " + ".join([f"j{d} * out_stride{d}" for d in range(nd - 1)] + [f"j{nd - 1}"])
+    src = "j0"
+    for d in range(1, nd):
+        src = f"({src}) * {m[d]} + j{d}"
+    em.stmt(loop, f"oc[{dst}] = sbuf[{src}][cc];")
+    for _ in range(nd + 1):
+        loop = loop[:-2]
+        em.stmt(loop, "}")
+    em.stmt(ind, "}")
 
 
-def _stage3_store_guard(g: PlanGeometry, idx: tuple[int, ...]) -> str:
-    """Guard expression for one output element of the direct store: the
-    element exists unless it is in the cropped trailing part of an edge
-    tile.  Constant-folded per element -- interior elements (the vast
-    majority) store unconditionally."""
-    conds = []
-    for d in range(g.ndim):
-        if g.counts[d] * g.m[d] <= g.out[d]:
-            continue  # dimension not cropped at all
-        edge_rem = g.out[d] - (g.counts[d] - 1) * g.m[d]
-        if idx[d] >= edge_rem:
-            conds.append(f"!last{d}")
-    return " && ".join(conds)
-
-
-def _emit_stage3_vec(
-    g: PlanGeometry, a_cods: list[Codelet], dtype, direct: bool
-) -> str:
+def _emit_stage3(key: CodeletKey, a_cods: list[Codelet], direct: bool) -> str:
     """Inverse transform, vectorized across the output-channel lanes.
 
     The ``T`` planes of ``x`` hold the channel block contiguously, so
     the inputs are plain vector loads; the transform runs ``S`` wide;
     the ``m``-tile of output vectors is parked in a local buffer and
     scattered per channel with contiguous scalar stores.  ``direct``
-    selects the final-tensor layout (``wino_stage3_direct``, with
-    constant-folded crop guards) over the ``out_tiles`` arena layout
+    selects the final-tensor layout (``wino_stage3_direct``, cropped by
+    a per-tile valid extent) over the ``out_tiles`` arena layout
     (``wino_stage3``) -- same arithmetic, so the two variants are
-    bit-identical where both store.
+    bit-identical where both store.  The range start is decoded once;
+    the loop then advances the (b, tile, channel-block) indices -- and
+    for the direct store the tile's grid coordinates -- with carries,
+    so no iteration divides by a run-time value.
     """
-    em = _Emitter(dtype, rtype="vchan")
-    s = g.simd
+    em = _Emitter(key.dtype, rtype="vchan")
+    nd, s = key.ndim, key.simd
+    m, tile = key.spec.m, key.spec.tile_shape
     fname = "wino_stage3_direct" if direct else "wino_stage3"
     dest = "out" if direct else "out_tiles"
     em.lines.append(
-        f"void {fname}(const real_t* restrict x, "
+        f"void {fname}(const int64_t* restrict geo, const real_t* restrict x, "
         f"real_t* restrict {dest}, int64_t f0, int64_t f1) {{"
     )
+    fields = ["n_tiles", "nb", "cp", "cp_blocks"]
+    if direct:
+        fields += (["out_elems"] + [f"count{d}" for d in range(nd)]
+                   + [f"out_ext{d}" for d in range(nd)]
+                   + [f"out_stride{d}" for d in range(nd - 1)])
+    em.lines += _geo_locals(nd, fields)
     ind = "  "
+    # The inputs are loaded in the order the first codelet pass consumes
+    # them, dimension-0 fibers one after another, so one pointer steps
+    # by two run-time strides: along a fiber, and to the next one.
+    fiber = prod(tile[1:])
+    em.stmt(ind, f"const int64_t along = nb * cp * {_ll(fiber)};")
+    if nd > 1:
+        em.stmt(ind, f"const int64_t next = nb * cp * {_ll(1 - (tile[0] - 1) * fiber)};")
+    em.stmt(ind, "int64_t qb = f0 % cp_blocks;")
+    em.stmt(ind, "int64_t tile = f0 / cp_blocks;")
+    em.stmt(ind, "int64_t b = tile / n_tiles;")
+    em.stmt(ind, "tile -= b * n_tiles;")
+    if direct:
+        em.stmt(ind, "int64_t trem = tile;")
+        for d in range(nd - 1, 0, -1):
+            em.stmt(ind, f"int64_t td{d} = trem % count{d}; trem /= count{d};")
+        em.stmt(ind, "int64_t td0 = trem;")
     em.stmt(ind, "for (int64_t f = f0; f < f1; ++f) {")
     ind += "  "
-    _stage3_decode(em, g, ind)
-    em.stmt(ind, f"const real_t* restrict xp0 = x + row * {_ll(g.c_out)} "
-                 f"+ qb * {_ll(s)};")
+    em.stmt(ind, f"const real_t* xp = x + (b * n_tiles + tile) * cp + qb * {_ll(s)};")
     names: dict[tuple[int, ...], str] = {}
-    for flat, idx in enumerate(_multi_indices(g.tile_shape)):
-        nm = f"a{flat}"
-        em.stmt(ind, f"const vchan {nm} = "
-                     f"*(const vchan*)(xp0 + {_ll(flat * g.nb * g.c_out)});")
+    order = sorted(_multi_indices(tile), key=lambda idx: (idx[1:], idx[0]))
+    strides = _row_major_strides(tile)
+    for n, idx in enumerate(order):
+        nm = f"a{_flat(idx, strides)}"
+        step = ""
+        if n + 1 < len(order):
+            step = f" STEP(xp, {'along' if order[n + 1][0] else 'next'});"
+        em.stmt(ind, f"const vchan {nm} = *(const vchan*)xp;{step}")
         names[idx] = nm
-    outs = emit_separable_transform(a_cods, g.tile_shape, names, em, ind)
-    em.stmt(ind, f"real_t sbuf[{g.m_prod}][{s}];")
-    for mflat, idx in enumerate(_multi_indices(g.m)):
+    outs = emit_separable_transform(a_cods, tile, names, em, ind)
+    mp = prod(m)
+    em.stmt(ind, f"real_t sbuf[{mp}][{s}];")
+    for mflat, idx in enumerate(_multi_indices(m)):
         em.stmt(ind, f"*(vchan*)sbuf[{mflat}] = {outs[idx]};")
+    em.stmt(ind, "IN_MEMORY(sbuf);")
     if direct:
-        _stage3_direct_base(em, g, ind)
-        os_ = g.out_strides
-        em.stmt(ind, f"for (int cc = 0; cc < {s}; ++cc) {{")
-        ind += "  "
-        em.stmt(ind, f"real_t* restrict oc = ob + (int64_t)cc * {_ll(g.out_elems)};")
-        for mflat, idx in enumerate(_multi_indices(g.m)):
-            guard = _stage3_store_guard(g, idx)
-            store = f"oc[{_ll(_flat(idx, os_))}] = sbuf[{mflat}][cc];"
-            em.stmt(ind, f"if ({guard}) {store}" if guard else store)
-        ind = ind[:-2]
-        em.stmt(ind, "}")
+        _stage3_direct_store(em, key, ind)
     else:
-        em.stmt(ind, "real_t* restrict ob = out_tiles + "
-                     f"((b * {_ll(g.c_out)} + qb * {_ll(s)}) * {_ll(g.n)} "
-                     f"+ tile) * {_ll(g.m_prod)};")
+        em.stmt(ind, f"real_t* restrict ob = out_tiles + "
+                     f"((b * cp + qb * {_ll(s)}) * n_tiles + tile) * {_ll(mp)};")
         em.stmt(ind, f"for (int cc = 0; cc < {s}; ++cc) {{")
-        ind += "  "
-        em.stmt(ind, f"real_t* restrict oc = ob + (int64_t)cc * "
-                     f"{_ll(g.n * g.m_prod)};")
-        for mflat in range(g.m_prod):
-            em.stmt(ind, f"oc[{mflat}] = sbuf[{mflat}][cc];")
-        ind = ind[:-2]
+        em.stmt(ind + "  ", "real_t* restrict oc = ob + "
+                            f"(int64_t)cc * (n_tiles * {_ll(mp)});")
+        for mflat in range(mp):
+            em.stmt(ind + "  ", f"oc[{mflat}] = sbuf[{mflat}][cc];")
         em.stmt(ind, "}")
+    em.stmt(ind, "if (++qb == cp_blocks) {")
+    inner = ind + "  "
+    em.stmt(inner, "qb = 0;")
+    if direct:
+        for d in range(nd - 1, -1, -1):
+            em.stmt(inner, f"if (++td{d} == count{d}) {{")
+            inner += "  "
+            em.stmt(inner, f"td{d} = 0;")
+        for _ in range(nd):
+            inner = inner[:-2]
+            em.stmt(inner, "}")
+    em.stmt(inner, "if (++tile == n_tiles) { tile = 0; ++b; }")
+    em.stmt(ind, "}")
     ind = ind[:-2]
     em.stmt(ind, "}")
     em.lines.append("}")
@@ -673,43 +780,36 @@ def _emit_stage3_vec(
 
 
 # ----------------------------------------------------------------------
-# Whole-plan source
+# Whole-library source
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class GeneratedPlanSource:
-    """Rendered C for one (plan geometry, blocking, dtype) triple."""
+class GeneratedSource:
+    """Rendered C for one :class:`CodeletKey`."""
 
     c_source: str
     cdef: str
     real_type: str  # "float" | "double"
-    ndim: int
 
 
-def render_plan_source(
-    plan: WinogradPlan, blocking: BlockingConfig, simd_width: int
-) -> GeneratedPlanSource:
-    """Render the five stage functions for ``plan`` as one C translation
-    unit (deterministic: same plan geometry -> identical source)."""
-    dtype = plan.dtype
-    if dtype == np.dtype(np.float32):
-        real = "float"
-    elif dtype == np.dtype(np.float64):
-        real = "double"
-    else:
-        raise ValueError(f"compiled backend supports float32/float64, not {dtype}")
-    g = PlanGeometry.from_plan(plan, blocking, simd_width)
-    b_cods = [generate_codelet(t.b, name="b_codelet") for t in plan.transforms.dims]
-    g_cods = [generate_codelet(t.g, name="g_codelet") for t in plan.transforms.dims]
-    a_cods = [generate_codelet(t.a, name="a_codelet") for t in plan.transforms.dims]
+def render_source(key: CodeletKey) -> GeneratedSource:
+    """Render the five stage functions for ``key`` as one C translation
+    unit.  Deterministic and a function of the key alone: every plan
+    with this key gets byte-identical source, hence one build."""
+    dtype = np.dtype(key.dtype)
+    real = "float" if dtype == np.float32 else "double"
+    dims = winograd_nd(key.spec).dims
+    b_cods = [generate_codelet(t.b, name="b_codelet") for t in dims]
+    g_cods = [generate_codelet(t.g, name="g_codelet") for t in dims]
+    a_cods = [generate_codelet(t.a, name="a_codelet") for t in dims]
 
-    itemsize = np.dtype(dtype).itemsize
-    s2_vw = _stage2_vw(_stage2_jt(g, dtype))
+    itemsize = dtype.itemsize
+    s2_vw = _stage2_vw(key.s2_tile)
     # `may_alias` licenses the real_t* <-> vector* punning the emitters
     # use; `aligned(itemsize)` permits unaligned loads/stores (free on
     # the targets that matter).
     typedefs = [
         f"typedef real_t vchan __attribute__((vector_size("
-        f"{g.simd * itemsize}), aligned({itemsize}), may_alias));"
+        f"{key.simd * itemsize}), aligned({itemsize}), may_alias));"
     ]
     if s2_vw >= 2:
         typedefs.append(
@@ -719,39 +819,46 @@ def render_plan_source(
 
     range_args = ", ".join(
         ["int64_t b0", "int64_t b1", "int64_t cb0", "int64_t cb1"]
-        + [f"int64_t i{d}_lo, int64_t i{d}_hi" for d in range(g.ndim)]
+        + [f"int64_t i{d}_lo, int64_t i{d}_hi" for d in range(key.ndim)]
     )
+    geo = "const int64_t* geo"
     cdef = "\n".join([
-        f"void wino_stage1(const {real}* padded, {real}* u, {range_args});",
-        f"void wino_stage1b(const {real}* kernels, {real}* v, "
+        f"void wino_stage1({geo}, const {real}* padded, {real}* u, {range_args});",
+        f"void wino_stage1b({geo}, const {real}* kernels, {real}* v, "
         "int64_t c0, int64_t c1, int64_t p0, int64_t p1);",
-        f"void wino_stage2(const {real}* u, const {real}* v, {real}* x, "
+        f"void wino_stage2({geo}, const {real}* u, const {real}* v, {real}* x, "
         "int64_t t0, int64_t t1, int64_t j0, int64_t j1, "
         "int64_t i0, int64_t i1);",
-        f"void wino_stage3(const {real}* x, {real}* out_tiles, "
+        f"void wino_stage3({geo}, const {real}* x, {real}* out_tiles, "
         "int64_t f0, int64_t f1);",
-        f"void wino_stage3_direct(const {real}* x, {real}* out, "
+        f"void wino_stage3_direct({geo}, const {real}* x, {real}* out, "
         "int64_t f0, int64_t f1);",
     ])
+    spec = key.spec
     header = "\n".join([
         "/* Generated by repro.core.codegen_c -- do not edit. */",
         "#include <stdint.h>",
         f"typedef {real} real_t;",
         *typedefs,
-        f"/* spec=F({'x'.join(map(str, g.m))},{'x'.join(map(str, g.r))}) "
-        f"B={g.batch} C={g.c_in} C'={g.c_out} N={g.n} T={g.t} NB={g.nb}",
-        f"   counts={g.counts} padded_input={g.pin} output={g.out} S={g.simd} "
-        f"n_blk={g.n_blk} cprime_blk={g.cprime_blk} dtype={dtype.name} */",
+        "/* Advance a pointer by a run-time stride.  The empty asm keeps the",
+        "   address in the one register: without it the compiler hoists every",
+        "   multiple of the stride as a loop invariant of its own, and spills. */",
+        "#define STEP(p, n) do { (p) += (n); __asm__(\"\" : \"+r\"(p)); } while (0)",
+        "/* Keep a parked tile in memory, so the stores that scatter it read one",
+        "   scalar each instead of extracting lanes from vector registers. */",
+        "#define IN_MEMORY(buf) __asm__(\"\" : : \"r\"(buf) : \"memory\")",
+        f"/* F({'x'.join(map(str, spec.m))},{'x'.join(map(str, spec.r))}) "
+        f"S={key.simd} C={key.c_in} stage-2 tile={key.s2_tile} "
+        f"dtype={dtype.name}; plan geometry is read from geo: "
+        f"{', '.join(geo_fields(key.ndim))} */",
     ])
     emit2 = _emit_stage2_vec if s2_vw >= 2 else _emit_stage2_scalar
     c_source = "\n\n".join([
         header,
-        _emit_stage1_vec(g, b_cods, dtype),
-        _emit_stage1b(g, g_cods, dtype),
-        emit2(g, dtype),
-        _emit_stage3_vec(g, a_cods, dtype, direct=False),
-        _emit_stage3_vec(g, a_cods, dtype, direct=True),
+        _emit_stage1(key, b_cods),
+        _emit_stage1b(key, g_cods),
+        emit2(key),
+        _emit_stage3(key, a_cods, direct=False),
+        _emit_stage3(key, a_cods, direct=True),
     ]) + "\n"
-    return GeneratedPlanSource(
-        c_source=c_source, cdef=cdef, real_type=real, ndim=g.ndim
-    )
+    return GeneratedSource(c_source=c_source, cdef=cdef, real_type=real)

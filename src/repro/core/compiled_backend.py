@@ -1,7 +1,9 @@
 """Compiled execution backend: cffi-built C codelets for the hot path.
 
-:mod:`repro.core.codegen_c` renders a plan's four stage functions into
-one C translation unit; this module owns everything around that source:
+:mod:`repro.core.codegen_c` renders the stage functions of one codelet
+key -- ``F(m, r)``, ``S``, dtype, ``C`` and the stage-2 register tile --
+into one C translation unit; this module owns everything around that
+source:
 
 * **capability probe** -- find a working C compiler (``$CC`` wins when
   set, otherwise ``cc``/``gcc``/``clang`` from PATH) and a flag set that
@@ -14,11 +16,14 @@ one C translation unit; this module owns everything around that source:
   ``$XDG_CACHE_HOME/repro/codelets``) keyed by a digest of the source,
   compiler and flags; the write is atomic (temp + rename) so concurrent
   builders -- threads or separate processes -- race benignly.  dlopen
-  handles are memoized per digest in-process.
-* **entry points** -- the stage wrappers pass numpy buffers through
-  ``ffi.from_buffer`` with zero copies, and cffi ABI-mode calls release
-  the GIL, so the thread executor achieves real parallelism when its
-  stage bodies run compiled.
+  handles are memoized per digest in-process.  The source depends only
+  on the key, so plans that differ only in shape share one compile,
+  one dlopen and one disk-cache entry.
+* **entry points** -- :class:`CompiledStages` binds one plan's packed
+  geometry to the shared library; its wrappers pass numpy buffers
+  through ``ffi.from_buffer`` with zero copies, and cffi ABI-mode calls
+  release the GIL, so the thread executor achieves real parallelism
+  when its stage bodies run compiled.
 * :class:`CompiledWinogradExecutor` -- the sequential all-compiled
   pipeline used by ``backend="compiled"``: full-range calls into the
   same stage functions the parallel executors slice.
@@ -44,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.blocking import BlockingConfig
-from repro.core.codegen_c import GeneratedPlanSource, render_plan_source
+from repro.core.codegen_c import CodeletKey, PlanGeometry, render_source
 from repro.core.convolution import TransformedKernels, WinogradPlan
 from repro.core.layout import ImageLayout, pack_padded
 from repro.obs.metrics import MetricsRegistry
@@ -259,28 +264,32 @@ def build_shared_library(
 # Loaded stage entry points
 # ----------------------------------------------------------------------
 class CompiledStages:
-    """dlopen'd stage functions + typed wrappers for one plan geometry.
+    """Typed wrappers over a shared stage library, bound to one plan.
 
-    Stateless after construction (wrappers only read geometry), so one
-    instance is shared by every executor with the same source digest --
-    including across the thread pool, where the cffi calls release the
-    GIL for the duration of the C stage body.
+    The dlopen'd ``(ffi, lib)`` pair belongs to a :class:`CodeletKey`
+    and is shared by every plan with that key; this object adds the
+    plan's own :class:`PlanGeometry`, packed once into the ``geo``
+    array each entry point takes first, and the full-range arguments.
+    Stateless after construction, so one instance serves the whole
+    thread pool, where the cffi calls release the GIL for the duration
+    of the C stage body.
     """
 
     def __init__(
         self,
         plan: WinogradPlan,
         blocking: BlockingConfig,
-        simd_width: int,
-        gen: GeneratedPlanSource,
+        geometry: PlanGeometry,
+        real_type: str,
         ffi,
         lib,
     ):
         self.ffi = ffi
         self.lib = lib
         self.dtype = plan.dtype
-        self._ctype = gen.real_type + "[]"
-        s = simd_width
+        self._ctype = real_type + "[]"
+        self._geo = ffi.new("int64_t[]", geometry.pack().tolist())
+        s = geometry.simd
         counts = plan.grid.counts
         row_blocks = -(-plan.gemm_rows // blocking.n_blk)
         self.full_ranges = {
@@ -311,26 +320,29 @@ class CompiledStages:
     def stage1(self, padded: np.ndarray, u: np.ndarray, ranges=None) -> None:
         ranges = ranges if ranges is not None else self.full_ranges["stage1"]
         self.lib.wino_stage1(
-            self._ptr(padded, False), self._ptr(u, True), *self._flat(ranges)
+            self._geo, self._ptr(padded, False), self._ptr(u, True),
+            *self._flat(ranges),
         )
 
     def stage1b(self, kernels: np.ndarray, v: np.ndarray, ranges=None) -> None:
         ranges = ranges if ranges is not None else self.full_ranges["stage1b"]
         self.lib.wino_stage1b(
-            self._ptr(kernels, False), self._ptr(v, True), *self._flat(ranges)
+            self._geo, self._ptr(kernels, False), self._ptr(v, True),
+            *self._flat(ranges),
         )
 
     def stage2(self, u: np.ndarray, v: np.ndarray, x: np.ndarray, ranges=None) -> None:
         ranges = ranges if ranges is not None else self.full_ranges["stage2"]
         self.lib.wino_stage2(
-            self._ptr(u, False), self._ptr(v, False), self._ptr(x, True),
+            self._geo, self._ptr(u, False), self._ptr(v, False), self._ptr(x, True),
             *self._flat(ranges),
         )
 
     def stage3(self, x: np.ndarray, out_tiles: np.ndarray, ranges=None) -> None:
         ranges = ranges if ranges is not None else self.full_ranges["stage3"]
         self.lib.wino_stage3(
-            self._ptr(x, False), self._ptr(out_tiles, True), *self._flat(ranges)
+            self._geo, self._ptr(x, False), self._ptr(out_tiles, True),
+            *self._flat(ranges),
         )
 
     def stage3_direct(self, x: np.ndarray, out: np.ndarray, ranges=None) -> None:
@@ -339,12 +351,15 @@ class CompiledStages:
         :func:`~repro.core.tiling.assemble_output`."""
         ranges = ranges if ranges is not None else self.full_ranges["stage3_direct"]
         self.lib.wino_stage3_direct(
-            self._ptr(x, False), self._ptr(out, True), *self._flat(ranges)
+            self._geo, self._ptr(x, False), self._ptr(out, True),
+            *self._flat(ranges),
         )
 
 
-_STAGES_CACHE: dict[str, CompiledStages] = {}
-_STAGES_LOCK = threading.Lock()
+#: dlopen'd ``(ffi, lib)`` per source digest -- one per codelet key
+#: and toolchain, shared by every plan with that key.
+_LIBRARIES: dict[str, tuple] = {}
+_LIBRARIES_LOCK = threading.Lock()
 
 
 def get_compiled_stages(
@@ -354,38 +369,44 @@ def get_compiled_stages(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> CompiledStages:
-    """Render, build (or reuse) and dlopen the stage library for a plan.
+    """Stage entry points for a plan: render its key's source, then
+    reuse the loaded library, load it from the disk cache, or build it.
 
     Raises :class:`CompilerUnavailableError` without a toolchain and
     :class:`CodeletBuildError` when the compile itself fails; both are
-    absorbed by the engine's fallback chain.
+    absorbed by the engine's fallback chain.  A failure is not
+    remembered here, so the next plan with the same key runs the
+    compiler again.
     """
     tc = probe_toolchain()
     if tc is None:
         raise CompilerUnavailableError(
             "no working C compiler / cffi; compiled backend unavailable"
         )
-    gen = render_plan_source(plan, blocking, simd_width)
+    geometry = PlanGeometry.from_plan(plan, blocking, simd_width)
+    gen = render_source(CodeletKey.from_plan(plan, blocking, simd_width))
     digest = source_digest(gen.c_source, tc)
-    with _STAGES_LOCK:
-        cached = _STAGES_CACHE.get(digest)
-    if cached is not None:
+    with _LIBRARIES_LOCK:
+        loaded = _LIBRARIES.get(digest)
+    if loaded is not None:
         if metrics is not None:
             metrics.counter("codelet_compile.memo_hits").inc()
-        return cached
-    so_path = build_shared_library(gen.c_source, tc, tracer=tracer, metrics=metrics)
-    import cffi
+    else:
+        so_path = build_shared_library(
+            gen.c_source, tc, tracer=tracer, metrics=metrics
+        )
+        import cffi
 
-    ffi = cffi.FFI()
-    ffi.cdef(gen.cdef)
-    try:
-        lib = ffi.dlopen(str(so_path))
-    except OSError as exc:
-        raise CodeletBuildError(f"failed to load {so_path}: {exc}") from exc
-    stages = CompiledStages(plan, blocking, simd_width, gen, ffi, lib)
-    with _STAGES_LOCK:
-        stages = _STAGES_CACHE.setdefault(digest, stages)
-    return stages
+        ffi = cffi.FFI()
+        ffi.cdef(gen.cdef)
+        try:
+            lib = ffi.dlopen(str(so_path))
+        except OSError as exc:
+            raise CodeletBuildError(f"failed to load {so_path}: {exc}") from exc
+        with _LIBRARIES_LOCK:
+            loaded = _LIBRARIES.setdefault(digest, (ffi, lib))
+    ffi, lib = loaded
+    return CompiledStages(plan, blocking, geometry, gen.real_type, ffi, lib)
 
 
 def clear_compiled_caches() -> None:
@@ -394,8 +415,8 @@ def clear_compiled_caches() -> None:
     is the persistence layer, not a memoization detail."""
     with _PROBE_LOCK:
         _PROBE_CACHE.clear()
-    with _STAGES_LOCK:
-        _STAGES_CACHE.clear()
+    with _LIBRARIES_LOCK:
+        _LIBRARIES.clear()
 
 
 # ----------------------------------------------------------------------

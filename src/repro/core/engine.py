@@ -278,14 +278,16 @@ class PlanEntry:
     ) -> CompiledWinogradExecutor:
         """Lazily built compiled-C executor for this plan.
 
-        First build renders the C source, compiles it (or hits the disk
-        build cache) and dlopens the stage library; raises
+        First build binds the plan to its codelet key's stage library:
+        already loaded by another plan with the same key, found in the
+        disk build cache, or compiled now; raises
         :class:`CompilerUnavailableError` / :class:`CodeletBuildError`
         on hosts without a toolchain, which the engine's fallback chain
-        absorbs.  A failed build is remembered: later calls raise a
-        fresh :class:`CodeletBuildError` without rerunning the compiler,
-        so their requests go straight down the chain.  The build is
-        retried only once the entry has been evicted and rebuilt.
+        absorbs.  A failed build is remembered on this entry: later
+        calls raise a fresh :class:`CodeletBuildError` without rerunning
+        the compiler, so their requests go straight down the chain.  The
+        build is retried once the entry has been evicted and rebuilt, or
+        by another plan entry with the same key.
         """
         if self.key.backend != "compiled" or self.key.blocking is None:
             raise ValueError(
@@ -488,6 +490,22 @@ class PlanCache:
             self._recount()
             self._evict()
         return p
+
+    def discard(self, key: PlanKey) -> bool:
+        """Drop ``key``'s entry, if cached, with its tenant attribution.
+
+        For entries nothing will use -- an ``auto`` decision's losing
+        probes -- so it is not an eviction and no counter moves.  Returns
+        whether an entry was dropped.
+        """
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            self._owners.pop(key, None)
+            if entry is None:
+                return False
+            self._recount()
+        entry.release()
+        return True
 
     def clear(self) -> None:
         with self._lock:
@@ -1307,7 +1325,11 @@ class ConvolutionEngine:
 
         The in-engine memo makes the warm ``"auto"`` path one dict
         lookup; the planner underneath additionally consults/records the
-        persistent wisdom so decisions survive the process.
+        persistent wisdom so decisions survive the process.  Plan
+        entries the losing candidates' probes built are discarded once
+        the decision is made: no request will use them.  (An entry a
+        concurrent request built while a probe ran may go with them; it
+        is only rebuilt.)
         """
         cache_key = (
             tuple(images.shape), tuple(kernels.shape), tuple(padding), dtype.name
@@ -1317,6 +1339,7 @@ class ConvolutionEngine:
         if cached is not None:
             return cached
         layer = self._layer_spec(images.shape, kernels.shape, padding)
+        built: dict[str, set[PlanKey]] = {}
 
         def probe_once(algo: str) -> float:
             # Re-enter run() with the algorithm forced: probes time the
@@ -1328,14 +1351,21 @@ class ConvolutionEngine:
             kwargs = {}
             if algo in ENGINE_EXECUTED:
                 kwargs["backend"] = self.backend
+            before = set(self.plans.keys())
             t0 = time.perf_counter()
             self.run(
                 images, kernels, padding=padding, dtype=dtype,
                 algorithm=algo, **kwargs,
             )
-            return time.perf_counter() - t0
+            elapsed = time.perf_counter() - t0
+            built.setdefault(algo, set()).update(set(self.plans.keys()) - before)
+            return elapsed
 
         choice = self.portfolio.decide(layer, dtype.name, probe_once)
+        for algo, keys in built.items():
+            if algo != choice.algorithm:
+                for key in keys:
+                    self.plans.discard(key)
         with self._lock:
             self._algo_cache[cache_key] = choice
         return choice

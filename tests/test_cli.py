@@ -5,7 +5,11 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.compiled_backend import clear_compiled_caches
+from repro.core.compiled_backend import clear_compiled_caches, compiled_available
+
+needs_cc = pytest.mark.skipif(
+    not compiled_available(), reason="no C toolchain/cffi on this host"
+)
 
 
 class TestCli:
@@ -248,6 +252,21 @@ class TestCliRunGraph:
         assert main(["run-graph", "--network", "classifier", "--backend",
                      "compiled", "--check"]) == 0
         out = capsys.readouterr().out
+        assert "bitwise-vs-naive=True" in out
+
+    @needs_cc
+    def test_run_graph_reports_codelet_builds(self, capsys, tmp_path, monkeypatch):
+        """Both C3D-s convs share one codelet library: on an empty cache
+        the first conv builds it and the second finds it loaded."""
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
+        clear_compiled_caches()
+        try:
+            assert main(["run-graph", "--network", "c3d", "--backend",
+                         "compiled", "--check"]) == 0
+        finally:
+            clear_compiled_caches()
+        out = capsys.readouterr().out
+        assert "codelet_builds=1 memo_hits=1 disk_hits=0" in out
         assert "bitwise-vs-naive=True" in out
 
     def test_run_graph_rejects_unknown_network(self):

@@ -2,8 +2,9 @@
 
 The differential harness (``test_differential.py``) pins the compiled
 executors' *outputs* to every other executor; this module tests the
-machinery itself: source generation determinism, the disk/in-process
-build caches, the FX (pre-transformed kernels) path, bitwise
+machinery itself: source generation determinism and its dependence on
+the codelet key alone, the disk/in-process build caches and the one
+library plans of a key share, the FX (pre-transformed kernels) path, bitwise
 reproducibility across executors that share the translation unit,
 engine plan-cache eviction, the engine's wisdom-tuned blocking, the
 channel-blocked ``padded`` workspace
@@ -25,7 +26,7 @@ import pytest
 
 from repro.core.autotune import layer_key
 from repro.core.blocking import BlockingConfig
-from repro.core.codegen_c import render_plan_source
+from repro.core.codegen_c import CodeletKey, render_source
 from repro.core.compiled_backend import (
     CompiledWinogradExecutor,
     CompilerUnavailableError,
@@ -45,6 +46,7 @@ from repro.core.engine import (
 from repro.core.fmr import FmrSpec
 from repro.core.layout import ImageLayout, pack_padded
 from repro.core.parallel_convolution import ParallelWinogradExecutor
+from repro.graph import GraphExecutor, graph_scaled_c3d
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry
@@ -68,6 +70,10 @@ def _plan(dtype=np.float32, spatial=(10, 10), channels=16, c_out=16):
     )
 
 
+def _source(plan, blocking=BLK, simd=8):
+    return render_source(CodeletKey.from_plan(plan, blocking, simd))
+
+
 def _data(plan, seed=0):
     rng = np.random.default_rng(seed)
     img = rng.standard_normal(plan.input_shape).astype(plan.dtype)
@@ -83,22 +89,40 @@ def _data(plan, seed=0):
 def test_codegen_is_deterministic():
     """Same plan + blocking -> byte-identical C source and cdef (the
     content-addressed build cache depends on this)."""
-    a = render_plan_source(_plan(), BLK, 8)
-    b = render_plan_source(_plan(), BLK, 8)
+    a = _source(_plan())
+    b = _source(_plan())
     assert a.c_source == b.c_source
     assert a.cdef == b.cdef
     assert a.real_type == "float"
-    assert render_plan_source(_plan(np.float64), BLK, 8).real_type == "double"
+    assert _source(_plan(np.float64)).real_type == "double"
 
 
-def test_codegen_distinguishes_geometry():
-    """Different geometry must produce different source (else the build
-    cache would alias two plans onto one library)."""
-    base = render_plan_source(_plan(), BLK, 8).c_source
-    assert render_plan_source(_plan(spatial=(12, 12)), BLK, 8).c_source != base
-    assert render_plan_source(_plan(np.float64), BLK, 8).c_source != base
-    other_blk = BlockingConfig(n_blk=8, c_blk=8, cprime_blk=8, simd_width=8)
-    assert render_plan_source(_plan(), other_blk, 8).c_source != base
+def test_codegen_source_depends_only_on_key():
+    """Plans that differ only in shape share one source (so one build
+    and one dlopen); each part of the codelet key changes it."""
+    base = _source(_plan()).c_source
+    same_key = [
+        WinogradPlan(spec=SPEC, input_shape=(7, 16, 10, 10), c_out=16,
+                     padding=(1, 1), dtype=np.dtype(np.float32)),   # batch
+        _plan(spatial=(12, 9)),                                      # extent
+        WinogradPlan(spec=SPEC, input_shape=(2, 16, 10, 10), c_out=16,
+                     padding=(0, 2), dtype=np.dtype(np.float32)),   # padding
+        _plan(c_out=32),                                             # C'
+    ]
+    for plan in same_key:
+        assert _source(plan).c_source == base
+    other_blk = BlockingConfig(n_blk=8, c_blk=16, cprime_blk=8, simd_width=8)
+    other_key = [
+        _source(WinogradPlan(spec=FmrSpec(m=(2, 2), r=(3, 3)),
+                             input_shape=(2, 16, 10, 10), c_out=16,
+                             padding=(1, 1), dtype=np.dtype(np.float32))),
+        _source(_plan(), simd=16),
+        _source(_plan(np.float64)),
+        _source(_plan(channels=32)),
+        _source(_plan(), blocking=other_blk),   # register tile 8, not 16
+    ]
+    sources = {base} | {gen.c_source for gen in other_key}
+    assert len(sources) == 1 + len(other_key)
 
 
 def test_codegen_rejects_non_power_of_two_simd():
@@ -107,7 +131,7 @@ def test_codegen_rejects_non_power_of_two_simd():
     plan = _plan(channels=12, c_out=12)
     blk = BlockingConfig(n_blk=6, c_blk=12, cprime_blk=12, simd_width=6)
     with pytest.raises(ValueError, match="S=6"):
-        render_plan_source(plan, blk, 6)
+        _source(plan, blocking=blk, simd=6)
 
 
 # ----------------------------------------------------------------------
@@ -125,20 +149,124 @@ def test_build_caches(tmp_path, monkeypatch):
         s1 = get_compiled_stages(plan, BLK, 8, metrics=metrics)
         assert metrics.counter_value("codelet_compile.builds") == 1
         assert build_cache_dir() == tmp_path / "codelets"
-        gen = render_plan_source(plan, BLK, 8)
-        digest = source_digest(gen.c_source, probe_toolchain())
+        digest = source_digest(_source(plan).c_source, probe_toolchain())
         assert (tmp_path / "codelets" / f"wino_{digest}.so").exists()
         assert (tmp_path / "codelets" / f"wino_{digest}.c").exists()
 
         s2 = get_compiled_stages(plan, BLK, 8, metrics=metrics)
-        assert s2 is s1
+        assert s2.lib is s1.lib
         assert metrics.counter_value("codelet_compile.memo_hits") == 1
 
         clear_compiled_caches()  # drop dlopen memo, keep the disk cache
         s3 = get_compiled_stages(plan, BLK, 8, metrics=metrics)
-        assert s3 is not s1
+        assert s3.lib is not s1.lib
         assert metrics.counter_value("codelet_compile.disk_hits") == 1
         assert metrics.counter_value("codelet_compile.builds") == 1
+    finally:
+        clear_compiled_caches()
+
+
+#: Plans that share one library per spec: the C3D-s conv1 and conv2
+#: layers, a 3-D layer cropped to 7^3, and a 2-D pair with outputs 32^2
+#: and (cropped) 30^2.  Every plan has C = 16 and S = 16, and its
+#: default blocking gives the same stage-2 register tile.
+SHARED_KEY_PLANS = {
+    FmrSpec.uniform(3, 2, 3): [((2, 16, 12, 12, 12), 16), ((2, 16, 6, 6, 6), 32),
+                               ((2, 16, 7, 7, 7), 16)],
+    FmrSpec.uniform(2, 4, 3): [((2, 16, 32, 32), 32), ((2, 16, 30, 30), 16)],
+}
+
+
+@needs_cc
+def test_plans_sharing_a_key_build_once(tmp_path, monkeypatch):
+    """The first plan of a key compiles, every later one loads nothing;
+    each plan's geometry still gives oracle-correct output, and the
+    thread pool slicing the shared stages agrees with the sequential
+    executor to the bit."""
+    monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
+    clear_compiled_caches()
+    metrics = MetricsRegistry()
+    try:
+        for n_key, (spec, shapes) in enumerate(SHARED_KEY_PLANS.items(), start=1):
+            for n_plan, (input_shape, c_out) in enumerate(shapes):
+                padding = (1,) * spec.ndim
+                plan = WinogradPlan(
+                    spec=spec, input_shape=input_shape, c_out=c_out,
+                    padding=padding, dtype=np.dtype(np.float32),
+                )
+                simd = parallel_simd_width(input_shape[1], c_out)
+                blk = default_parallel_blocking(input_shape[1], c_out, simd)
+                img, ker = _data(plan, seed=n_plan)
+                with CompiledWinogradExecutor(
+                    plan=plan, blocking=blk, simd_width=simd, metrics=metrics,
+                ) as ex:
+                    y = ex.execute(img, ker)
+                assert metrics.counter_value("codelet_compile.builds") == n_key
+                ref = direct_convolution(
+                    img.astype(np.float64), ker.astype(np.float64), padding
+                )
+                scale = float(np.abs(ref).max())
+                np.testing.assert_allclose(
+                    y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0
+                )
+                for n_threads in (2, 3):
+                    with ParallelWinogradExecutor(
+                        plan=plan, blocking=blk, n_threads=n_threads,
+                        simd_width=simd, use_compiled=True,
+                    ) as thread:
+                        np.testing.assert_array_equal(thread.execute(img, ker), y)
+        n_plans = sum(len(shapes) for shapes in SHARED_KEY_PLANS.values())
+        assert metrics.counter_value("codelet_compile.memo_hits") == (
+            n_plans - len(SHARED_KEY_PLANS)
+        )
+        assert metrics.counter_value("codelet_compile.disk_hits") == 0
+    finally:
+        clear_compiled_caches()
+
+
+@needs_cc
+def test_shared_library_is_a_disk_hit_for_another_shape(tmp_path, monkeypatch):
+    """A new process (simulated by clearing the memo) finds the library
+    another shape with the same key built: a disk hit, no compile."""
+    monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
+    clear_compiled_caches()
+    try:
+        get_compiled_stages(_plan(), BLK, 8)
+        clear_compiled_caches()
+        metrics = MetricsRegistry()
+        plan = _plan(spatial=(14, 11), c_out=32)
+        img, ker = _data(plan, seed=3)
+        with CompiledWinogradExecutor(
+            plan=plan, blocking=BLK, simd_width=8, metrics=metrics,
+        ) as ex:
+            y = ex.execute(img, ker)
+        assert metrics.counter_value("codelet_compile.disk_hits") == 1
+        assert metrics.counter_value("codelet_compile.builds") == 0
+        ref = direct_convolution(img.astype(np.float64), ker.astype(np.float64), (1, 1))
+        scale = float(np.abs(ref).max())
+        np.testing.assert_allclose(y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0)
+    finally:
+        clear_compiled_caches()
+
+
+@needs_cc
+def test_c3d_graph_builds_one_library(tmp_path, monkeypatch):
+    """Both C3D-s convs use F(2x2x2,3x3x3) with C = 16 and S = 16, so a
+    cold compiled graph pass compiles once."""
+    monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
+    clear_compiled_caches()
+    try:
+        graph = graph_scaled_c3d(batch=8)
+        rng = np.random.default_rng(0)
+        feeds = {
+            name: rng.standard_normal(shape).astype(np.float32)
+            for name, shape in graph.inputs.items()
+        }
+        with ConvolutionEngine(backend="compiled") as engine:
+            GraphExecutor(graph, engine).run(feeds)
+            assert engine.metrics.counter_value("engine.fallbacks") == 0
+            assert engine.metrics.counter_value("codelet_compile.builds") == 1
+            assert engine.metrics.counter_value("codelet_compile.memo_hits") == 1
     finally:
         clear_compiled_caches()
 

@@ -101,6 +101,22 @@ class TestPlanCache:
         assert len(cache) == 0
         assert cache.stats.bytes_cached == 0
 
+    def test_discard_is_not_an_eviction(self):
+        """``discard`` drops the entry and its tenant attribution; the
+        LRU counters stay as they are, and a second discard is a no-op."""
+        cache = PlanCache()
+        kept, dropped = _key(size=8), _key(size=10)
+        cache.get_or_create(kept, tenant="a")
+        cache.get_or_create(dropped, tenant="a")
+        before = cache.tenant_bytes("a")
+        assert cache.discard(dropped)
+        assert dropped not in cache and kept in cache
+        assert cache.tenant_of(dropped) is None
+        assert 0 < cache.tenant_bytes("a") < before
+        assert cache.stats.bytes_cached == cache.tenant_bytes("a")
+        assert cache.stats.evictions == 0
+        assert not cache.discard(dropped)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PlanCache(max_plans=0)

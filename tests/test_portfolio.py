@@ -339,6 +339,43 @@ class TestEngineAlgorithmDispatch:
             assert stats["algo_wisdom_entries"] == 1
             assert len(stats["algorithm_decisions"]) == 1
 
+    def test_auto_keeps_only_the_decided_entry(self):
+        """A 1x1 layer's ``auto`` decision probes several algorithms; the
+        losers' plan entries are dropped, so the signature holds one
+        entry -- the decided algorithm's -- and the next request hits it."""
+        layer = _layer(r=1, c_in=16, c_out=16, img=16)
+        images, kernels = _arrays(layer)
+        with ConvolutionEngine(algorithm="auto") as eng:
+            eng.run(images, kernels, padding=layer.padding)
+            (decision,) = eng.algorithm_decisions()
+            assert len(decision["measured"]) >= 2, "the decision probed"
+            (key,) = eng.plans.keys()
+            assert key.algorithm == decision["algorithm"]
+            misses, hits = eng.plans.stats.misses, eng.plans.stats.hits
+            eng.run(images, kernels, padding=layer.padding)
+            assert eng.plans.stats.misses == misses
+            assert eng.plans.stats.hits == hits + 1
+
+    def test_auto_keeps_the_winners_probe_entries(self):
+        """A 5x5 layer also probes nested Winograd, whose request builds
+        two entries (its own and the inner r = 3 plan).  Only the
+        winner's entries survive, and the next request builds nothing."""
+        layer = _layer(r=5, c_in=8, c_out=8, img=20)
+        images, kernels = _arrays(layer, seed=5)
+        with ConvolutionEngine(algorithm="auto") as eng:
+            eng.run(images, kernels, padding=layer.padding)
+            (decision,) = eng.algorithm_decisions()
+            assert len(decision["measured"]) >= 2, "the decision probed"
+            winner = decision["algorithm"]
+            algorithms = sorted(k.algorithm for k in eng.plans.keys())
+            if winner == "nested":
+                assert algorithms == ["nested", "winograd"]
+            else:
+                assert algorithms == [winner]
+            misses = eng.plans.stats.misses
+            eng.run(images, kernels, padding=layer.padding)
+            assert eng.plans.stats.misses == misses
+
     def test_auto_decision_output_matches_oracle(self):
         for r in (1, 3, 7):
             layer = _layer(r=r, c_in=8, c_out=8, img=20)
