@@ -439,7 +439,11 @@ def cmd_run_graph(args) -> int:
         backend=args.backend, algorithm=args.algorithm, profile=args.profile,
     ) as engine:
         t0 = time.perf_counter()
-        executor = GraphExecutor(graph, engine, fuse=not args.no_fuse)
+        try:
+            executor = GraphExecutor(graph, engine, fuse=not args.no_fuse)
+        except ValueError as exc:  # e.g. a baseline algorithm on pinned convs
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         plan_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
         outputs = executor.run(feeds)

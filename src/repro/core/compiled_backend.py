@@ -454,18 +454,28 @@ class CompiledWinogradExecutor:
         self.stages = get_compiled_stages(
             plan, blocking, simd_width, tracer=self.tracer, metrics=metrics
         )
+        shapes = self.workspace_shapes(plan, simd_width)
+        dtype = plan.dtype
+        self._padded = np.zeros(shapes["padded"], dtype)
+        self._u = np.empty(shapes["u"], dtype)
+        self._v = np.empty(shapes["v"], dtype)
+        self._x = np.empty(shapes["x"], dtype)
+        self._out_shape = (plan.batch, plan.c_out) + plan.grid.output_shape
+        self._lock = threading.Lock()
+
+    @staticmethod
+    def workspace_shapes(plan: WinogradPlan, simd_width: int) -> dict[str, tuple[int, ...]]:
+        """Shapes of the persistent buffers, known before any build."""
         b, c, cp = plan.batch, plan.c_in, plan.c_out
         t, nb = plan.t_matrices, plan.gemm_rows
-        dtype = plan.dtype
-        self._padded = np.zeros(
-            ImageLayout(b, c, plan.grid.padded_input_shape, simd_width).stored_shape,
-            dtype,
-        )
-        self._u = np.empty((t, nb, c), dtype)
-        self._v = np.empty((t, c, cp), dtype)
-        self._x = np.empty((t, nb, cp), dtype)
-        self._out_shape = (b, cp) + plan.grid.output_shape
-        self._lock = threading.Lock()
+        return {
+            "padded": ImageLayout(
+                b, c, plan.grid.padded_input_shape, simd_width
+            ).stored_shape,
+            "u": (t, nb, c),
+            "v": (t, c, cp),
+            "x": (t, nb, cp),
+        }
 
     @property
     def workspace_nbytes(self) -> int:

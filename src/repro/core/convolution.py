@@ -61,6 +61,10 @@ class TransformedKernels:
     def cprime(self) -> int:
         return self.data.shape[2]
 
+    @property
+    def nbytes(self) -> int:
+        return self.data.nbytes
+
 
 @dataclass
 class WinogradPlan:

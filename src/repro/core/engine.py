@@ -12,11 +12,14 @@ counterpart that pays them once.
 Three cooperating pieces:
 
 * :class:`PlanCache` -- an LRU keyed by the full layer signature
-  ``(F(m,r), input_shape, C', padding, dtype, blocking)`` memoizing
-  :class:`~repro.core.convolution.WinogradPlan` objects, the generated
-  codelets/executors, and kernel transforms keyed by a fingerprint of
-  the kernel array.  Statistics (hits, misses, evictions, bytes) are
-  exposed for reporting.
+  (:class:`PlanKey`) memoizing one :class:`PlanEntry` per plan: fused or
+  compiled Winograd, an FFT/direct/im2col baseline, or nested Winograd.
+  Every entry kind answers the same three questions -- how to prepare a
+  kernel tensor (memoized per kernel fingerprint: Winograd kernel
+  transforms, FFT spectra, im2col operands, stacked nested banks), how
+  many workspace bytes one execution needs, and ``execute(images,
+  prepared, out=, epilogue=)``.  Statistics (hits, misses, evictions,
+  bytes) are exposed for reporting.
 
 * :class:`WorkspaceArena` -- one reusable aligned byte buffer sized by
   the maximum workspace the arena has seen (the paper's "same buffer
@@ -24,14 +27,17 @@ Three cooperating pieces:
   single execution.  Concurrent executions lease independent buffers
   from a small pool, so the engine is thread-safe.
 
-* :class:`ConvolutionEngine` -- the facade: ``engine.run(images,
-  kernels)`` resolves a plan (selecting ``F(m, r)`` when not given),
-  transforms kernels at most once per distinct kernel array, and
-  executes through a fused fast path whose stage-1/stage-3 transforms
-  are single Kronecker-product GEMMs writing into arena views, or
-  through generated C codelets with ``backend="compiled"``.  The
-  Table-1 reproduction (``BlockedWinogradExecutor`` with its traced
-  JIT stage 2) is library-only.
+* :class:`ConvolutionEngine` -- the facade.  :meth:`~ConvolutionEngine.
+  resolve` is the one place the request rules live: the ``auto``
+  decision, the ``fmr``/``backend`` pins and their contradictions, the
+  default backend and ``F(m, r)``, and the compiled blocking; it maps a
+  request to a :class:`PlanKey`, memoized per signature.  ``engine.run``
+  is one sequence for every algorithm -- resolve, plan entry, prepared
+  kernels, an ``execute.<name>`` span -- inside the ``compiled -> fused``
+  fallback loop; ``workspace_bytes`` and the graph planner resolve
+  through the same method.  The Table-1 reproduction
+  (``BlockedWinogradExecutor`` with its traced JIT stage 2) is
+  library-only.
 
 The cache and arena are an explicit *extension beyond the paper* (which
 restarts its binary per layer benchmark); see DESIGN.md.
@@ -44,7 +50,7 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import prod
 from pathlib import Path
@@ -163,6 +169,12 @@ FALLBACK_NEXT = {"compiled": "fused"}
 FALLBACK_ERRORS = (CompilerUnavailableError, CodeletBuildError)
 
 
+def _fallback_key(key: PlanKey) -> PlanKey:
+    """The plan ``key`` reroutes to: same F(m, r), next backend, no
+    blocking."""
+    return replace(key, backend=FALLBACK_NEXT[key.name], blocking=None)
+
+
 def parallel_simd_width(c_in: int, c_out: int) -> int:
     """Largest power-of-two SIMD group dividing both channel counts.
 
@@ -208,10 +220,13 @@ def default_parallel_blocking(c_in: int, c_out: int, simd: int) -> BlockingConfi
 class PlanKey:
     """Full signature of a planned convolution (the LRU key).
 
-    Winograd plans carry their ``FmrSpec``; baseline-algorithm plans
-    (``algorithm != "winograd"``) have no tile spec, so ``spec`` is
-    ``None`` and the kernel's spatial extent -- which the spec would
-    otherwise encode -- is keyed explicitly via ``kernel``.
+    Winograd plans carry their ``FmrSpec`` (and, on the compiled
+    backend, their blocking); the other algorithms have no tile spec, so
+    ``spec`` is ``None`` and the kernel's spatial extent -- which the
+    spec would otherwise encode -- is keyed explicitly via ``kernel``.
+    ``backend`` is the Winograd backend that executes the plan: the
+    plan's own for ``winograd``, the inner r = 3 problem's for
+    ``nested``, ``None`` for the baselines.
     """
 
     spec: FmrSpec | None
@@ -219,10 +234,21 @@ class PlanKey:
     c_out: int
     padding: tuple[int, ...]
     dtype: str
-    blocking: BlockingConfig | None = None  # None: fused numpy fast path
-    backend: str = "fused"  # fused | compiled
-    algorithm: str = "winograd"  # winograd | fft | direct | im2col
-    kernel: tuple[int, ...] | None = None  # baseline plans only
+    blocking: BlockingConfig | None = None  # compiled backend only
+    backend: str | None = "fused"  # fused | compiled | None (baselines)
+    algorithm: str = "winograd"  # winograd | nested | fft | direct | im2col
+    kernel: tuple[int, ...] | None = None  # non-winograd plans only
+    #: How the request rules reached this key -- ``forced``, ``default``
+    #: or the portfolio decision's source.  Descriptive only: not part
+    #: of the key's identity.
+    source: str = field(default="default", compare=False, repr=False)
+
+    @property
+    def name(self) -> str:
+        """The request path: a Winograd plan's backend, else its
+        algorithm.  Request spans, ``execute.<name>`` spans and
+        ``engine.requests.<name>`` counters are named by it."""
+        return self.backend if self.algorithm == "winograd" else self.algorithm
 
 
 @dataclass
@@ -253,112 +279,12 @@ class CacheStats:
         }
 
 
-class PlanEntry:
-    """One cached plan plus everything derived from it.
-
-    Holds the :class:`WinogradPlan`, the fused fast-path constants (the
-    Kronecker transform matrices), the lazily built compiled executor
-    (whose construction generates the transform codelets), and the
-    kernel transforms seen so far, keyed by kernel fingerprint.
-    """
-
-    def __init__(self, key: PlanKey, plan: WinogradPlan):
-        self.key = key
-        self.plan = plan
-        self.fast = _FusedPlan(plan)
-        self._compiled: CompiledWinogradExecutor | None = None
-        self._build_error: str | None = None
-        self.kernels: dict[str, TransformedKernels] = {}
-        self.lock = threading.Lock()
-
-    def compiled_executor(
-        self,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> CompiledWinogradExecutor:
-        """Lazily built compiled-C executor for this plan.
-
-        First build binds the plan to its codelet key's stage library:
-        already loaded by another plan with the same key, found in the
-        disk build cache, or compiled now; raises
-        :class:`CompilerUnavailableError` / :class:`CodeletBuildError`
-        on hosts without a toolchain, which the engine's fallback chain
-        absorbs.  A failed build is remembered on this entry: later
-        calls raise a fresh :class:`CodeletBuildError` without rerunning
-        the compiler, so their requests go straight down the chain.  The
-        build is retried once the entry has been evicted and rebuilt, or
-        by another plan entry with the same key.
-        """
-        if self.key.backend != "compiled" or self.key.blocking is None:
-            raise ValueError(
-                f"plan was cached for backend {self.key.backend!r}, not 'compiled'"
-            )
-        with self.lock:
-            if self._build_error is not None:
-                raise CodeletBuildError(self._build_error)
-            if self._compiled is None:
-                try:
-                    self._compiled = CompiledWinogradExecutor(
-                        plan=self.plan,
-                        blocking=self.key.blocking,
-                        simd_width=self.key.blocking.simd_width,
-                        tracer=tracer,
-                        metrics=metrics,
-                    )
-                except CodeletBuildError as exc:
-                    self._build_error = str(exc)
-                    raise
-            return self._compiled
-
-    def release(self) -> None:
-        """Drop the compiled executor's workspace buffers.
-
-        Called on cache eviction/clear; idempotent and safe for entries
-        that never built an executor.  The dlopen'd stage library itself
-        stays in the process-wide registry (it is content-addressed and
-        a few kilobytes); only the per-plan workspace is dropped here.
-        """
-        with self.lock:
-            self._compiled = None
-
-    def nbytes(self) -> int:
-        n = self.fast.const_bytes
-        n += sum(w.data.nbytes for w in self.kernels.values())
-        if self._compiled is not None:
-            n += self._compiled.workspace_nbytes
-        return n
-
-
-class BaselinePlanEntry:
-    """Cached state for a non-Winograd portfolio algorithm.
-
-    The analog of :class:`PlanEntry` for the FFT / direct / im2col
-    paths: holds the executable implementation, the layer signature, and
-    the memoized kernel-side precomputation (FFT spectra, im2col GEMM
-    operands) keyed by kernel fingerprint -- the same "FX" amortization
-    the Winograd path gets from its kernel transforms.
-    """
-
-    def __init__(self, key: PlanKey, impl, layer: ConvLayerSpec):
-        self.key = key
-        self.impl = impl
-        self.layer = layer
-        self.prepared: dict[str, object] = {}
-        self.lock = threading.Lock()
-
-    def release(self) -> None:
-        """Nothing pooled to tear down; kept for cache symmetry."""
-
-    def nbytes(self) -> int:
-        return sum(getattr(p, "nbytes", 0) for p in self.prepared.values())
-
-
 class PlanCache:
     """Thread-safe LRU over :class:`PlanEntry` with a byte budget.
 
     Eviction triggers when either the plan count exceeds ``max_plans``
-    or the cached bytes (transform constants plus memoized kernel
-    transforms) exceed ``max_bytes``; least-recently-used plans go
+    or the cached bytes (plan constants plus memoized kernel
+    preparations) exceed ``max_bytes``; least-recently-used plans go
     first.
     """
 
@@ -405,12 +331,12 @@ class PlanCache:
     def get_or_create(self, key: PlanKey, build=None, tenant: str | None = None) -> PlanEntry:
         """Return the cached entry for ``key``, building it on a miss.
 
-        ``build`` overrides the default Winograd-plan construction --
-        baseline-algorithm dispatch passes a :class:`BaselinePlanEntry`
-        factory; the cache's LRU/byte accounting treats both uniformly.
-        ``tenant`` attributes a newly built entry to a serving tenant
-        for quota accounting (a cache hit never re-attributes: the
-        first builder pays, which is what fair-share eviction wants).
+        ``build(key)`` constructs the entry; the engine passes its
+        factory for every plan kind, and the default builds a fused
+        Winograd entry.  ``tenant`` attributes a newly built entry to a
+        serving tenant for quota accounting (a cache hit never
+        re-attributes: the first builder pays, which is what fair-share
+        eviction wants).
         """
         with self._lock:
             entry = self._entries.get(key)
@@ -422,17 +348,7 @@ class PlanCache:
         # Build outside the lock: plan construction (transform
         # generation, tile planning) can be slow and must not serialize
         # concurrent hits on other keys.
-        if build is not None:
-            entry = build()
-        else:
-            plan = WinogradPlan(
-                spec=key.spec,
-                input_shape=key.input_shape,
-                c_out=key.c_out,
-                padding=key.padding,
-                dtype=np.dtype(key.dtype),
-            )
-            entry = PlanEntry(key, plan)
+        entry = (build if build is not None else FusedEntry)(key)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:  # lost a build race: reuse winner
@@ -449,31 +365,15 @@ class PlanCache:
             self._evict()
             return entry
 
-    def kernel_transform(self, entry: PlanEntry, kernels: np.ndarray) -> TransformedKernels:
-        """Memoized ``(T, C, C')`` kernel transform for ``kernels``."""
-        fp = kernel_fingerprint(kernels)
-        with self._lock:
-            w = entry.kernels.get(fp)
-            if w is not None:
-                self.stats.kernel_hits += 1
-                self._bump("kernel_hits")
-                return w
-        w = entry.plan.transform_kernels(kernels)
-        with self._lock:
-            w = entry.kernels.setdefault(fp, w)
-            self.stats.kernel_misses += 1
-            self._bump("kernel_misses")
-            self._recount()
-            self._evict()
-        return w
+    def prepare(self, entry: PlanEntry, kernels: np.ndarray):
+        """``entry``'s kernel preparation for ``kernels``, memoized by
+        kernel fingerprint.
 
-    def baseline_prepared(self, entry: BaselinePlanEntry, kernels: np.ndarray):
-        """Memoized kernel-side precomputation for a baseline plan.
-
-        FFT spectra and im2col GEMM operands are to their algorithms
-        what the transformed-kernel tensor is to Winograd; memoizing
-        them by fingerprint gives every portfolio member the same warm
-        serving path (and the same ``kernel_hits`` accounting).
+        The Winograd ``(T, C, C')`` kernel transform, FFT spectra, the
+        im2col GEMM operand and the nested stacked bank are each what
+        their algorithm computes once per kernel tensor; memoizing them
+        here gives every plan kind the same warm serving path (the
+        paper's "FX" mode) and the same ``kernel_hits`` accounting.
         """
         fp = kernel_fingerprint(kernels)
         with self._lock:
@@ -482,7 +382,7 @@ class PlanCache:
                 self.stats.kernel_hits += 1
                 self._bump("kernel_hits")
                 return p
-        p = entry.impl.prepare_kernels(kernels, entry.layer)
+        p = entry.prepare_kernels(kernels)
         with self._lock:
             p = entry.prepared.setdefault(fp, p)
             self.stats.kernel_misses += 1
@@ -695,10 +595,63 @@ class WorkspaceArena:
 
 
 # ----------------------------------------------------------------------
-# Fused (Kronecker) fast path
+# Plan entries: one per plan kind, one interface
 # ----------------------------------------------------------------------
-class _FusedPlan:
-    """Per-plan constants and buffer geometry for the fused fast path.
+class PlanEntry:
+    """One cached plan plus the kernel preparations seen so far.
+
+    Every plan kind implements the same interface, so the engine runs
+    each request through one sequence:
+
+    * ``prepare_kernels(kernels)`` -- the kernel-side precomputation,
+      memoized by :meth:`PlanCache.prepare` in ``prepared`` per kernel
+      fingerprint;
+    * ``lease_bytes`` -- the transient workspace one execution needs
+      (see :meth:`ConvolutionEngine.workspace_bytes`);
+    * ``execute(images, prepared, out=, epilogue=)`` -- one execution,
+      writing into ``out`` when given and applying ``epilogue`` (an
+      in-place post-pass) exactly once, on the finished result.
+    """
+
+    lease_bytes = 0
+
+    def __init__(self, key: PlanKey):
+        self.key = key
+        self.prepared: dict[str, object] = {}
+
+    def prepare_kernels(self, kernels: np.ndarray):
+        raise NotImplementedError
+
+    def execute(self, images, prepared, out=None, epilogue=None) -> np.ndarray:
+        raise NotImplementedError
+
+    def release(self) -> None:
+        """Drop pooled buffers on eviction/clear; idempotent."""
+
+    def nbytes(self) -> int:
+        return sum(getattr(p, "nbytes", 0) for p in self.prepared.values())
+
+
+def _winograd_plan(key: PlanKey) -> WinogradPlan:
+    return WinogradPlan(
+        spec=key.spec,
+        input_shape=key.input_shape,
+        c_out=key.c_out,
+        padding=key.padding,
+        dtype=np.dtype(key.dtype),
+    )
+
+
+def _layer_spec(input_shape, c_out, kernel, padding) -> ConvLayerSpec:
+    return ConvLayerSpec(
+        network="engine", name="auto", batch=input_shape[0],
+        c_in=input_shape[1], c_out=c_out, image=tuple(input_shape[2:]),
+        padding=tuple(padding), kernel=tuple(kernel),
+    )
+
+
+class FusedEntry(PlanEntry):
+    """The fused (Kronecker) fast path: per-plan constants and geometry.
 
     The N-D transforms are separable mode-``n`` products (Eqn. 8);
     since every tile is transformed by the *same* per-dimension
@@ -709,11 +662,21 @@ class _FusedPlan:
     sub-matrix in place, so no stage re-packs its operand with a transpose.
     Numerically this is the same linear map evaluated in a different
     association order -- verified against the reference pipeline to
-    float tolerance by ``tests/test_engine.py``.
+    float tolerance by ``tests/test_engine.py``.  Kernels are prepared
+    as the memoized ``(T, C, C')`` transform; ``lease_bytes`` is the
+    exact arena lease of one execution.
     """
 
-    def __init__(self, plan: WinogradPlan):
-        self.plan = plan
+    def __init__(
+        self,
+        key: PlanKey,
+        arena: WorkspaceArena | None = None,
+        tracer: Tracer | None = None,
+    ):
+        super().__init__(key)
+        self.arena = arena if arena is not None else WorkspaceArena()
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.plan = plan = _winograd_plan(key)
         dtype = plan.dtype
         a_mats, b_mats, _ = plan.transforms.matrices(np.float64)
         # bk: (T, K) and ak: (L, T), both applied from the left.
@@ -754,20 +717,28 @@ class _FusedPlan:
             perm.extend([nd + 1 + d, 1 + d])
         self._assemble_perm = tuple(perm)
 
-    def run(
+    def prepare_kernels(self, kernels: np.ndarray) -> TransformedKernels:
+        return self.plan.transform_kernels(kernels)
+
+    def nbytes(self) -> int:
+        return self.const_bytes + super().nbytes()
+
+    def execute(
         self,
         images: np.ndarray,
         w: TransformedKernels,
-        lease: ArenaLease,
         out: np.ndarray | None = None,
-        tracer: Tracer | None = None,
         epilogue=None,
     ) -> np.ndarray:
+        with self.arena.lease(self.lease_bytes) as lease:
+            return self._run(images, w, lease, out, epilogue)
+
+    def _run(self, images, w, lease: ArenaLease, out, epilogue) -> np.ndarray:
         plan = self.plan
         dtype = plan.dtype
         b, c, cp = plan.batch, plan.c_in, plan.c_out
         n, t = plan.tiles_per_image, plan.t_matrices
-        tracer = tracer if tracer is not None else NULL_TRACER
+        tracer = self.tracer
 
         buf_padded = lease.take(self._shapes["padded"], dtype)
         buf_tiles = lease.take(self._shapes["tiles"], dtype)
@@ -852,6 +823,157 @@ class _FusedPlan:
         return result
 
 
+class CompiledEntry(PlanEntry):
+    """A plan run through generated C codelets (``backend="compiled"``).
+
+    Kernels are prepared as the same ``(T, C, C')`` transform the fused
+    path memoizes -- it *is* the V layout stage 2 consumes, so repeated
+    kernels skip stage 1b.  The executor owns its workspace, so
+    ``lease_bytes`` reports that workspace from the plan's shapes
+    without building anything.  The compiled result is a private heap
+    array, delivered through ``out`` by a copy.
+    """
+
+    def __init__(
+        self,
+        key: PlanKey,
+        tracer: Tracer | None = None,
+        metrics: MetricsRegistry | None = None,
+    ):
+        super().__init__(key)
+        self.plan = _winograd_plan(key)
+        self.tracer, self.metrics = tracer, metrics
+        self.lease_bytes = self.plan.dtype.itemsize * sum(
+            prod(shape)
+            for shape in CompiledWinogradExecutor.workspace_shapes(
+                self.plan, key.blocking.simd_width
+            ).values()
+        )
+        self._compiled: CompiledWinogradExecutor | None = None
+        self._build_error: str | None = None
+        self.lock = threading.Lock()
+
+    def executor(self) -> CompiledWinogradExecutor:
+        """Lazily built compiled-C executor for this plan.
+
+        First build binds the plan to its codelet key's stage library:
+        already loaded by another plan with the same key, found in the
+        disk build cache, or compiled now; raises
+        :class:`CompilerUnavailableError` / :class:`CodeletBuildError`
+        on hosts without a toolchain, which the engine's fallback chain
+        absorbs.  A failed build is remembered on this entry: later
+        calls raise a fresh :class:`CodeletBuildError` without rerunning
+        the compiler, so their requests go straight down the chain.  The
+        build is retried once the entry has been evicted and rebuilt, or
+        by another plan entry with the same key.
+        """
+        with self.lock:
+            if self._build_error is not None:
+                raise CodeletBuildError(self._build_error)
+            if self._compiled is None:
+                try:
+                    self._compiled = CompiledWinogradExecutor(
+                        plan=self.plan,
+                        blocking=self.key.blocking,
+                        simd_width=self.key.blocking.simd_width,
+                        tracer=self.tracer,
+                        metrics=self.metrics,
+                    )
+                except CodeletBuildError as exc:
+                    self._build_error = str(exc)
+                    raise
+            return self._compiled
+
+    def prepare_kernels(self, kernels: np.ndarray) -> TransformedKernels:
+        # The executor first: a build that fails reroutes the request
+        # before any kernel work is done or memoized.
+        self.executor()
+        return self.plan.transform_kernels(kernels)
+
+    def execute(self, images, w, out=None, epilogue=None) -> np.ndarray:
+        result = self.executor().execute(images, w)
+        if out is not None:
+            np.copyto(_result_buffer(out, result.shape, result.dtype), result)
+            result = out
+        if epilogue is not None:
+            epilogue(result)  # a private heap array: safe to mutate
+        return result
+
+    def release(self) -> None:
+        """Drop the compiled executor's workspace buffers.
+
+        The dlopen'd stage library itself stays in the process-wide
+        registry (it is content-addressed and a few kilobytes); only the
+        per-plan workspace is dropped here.
+        """
+        with self.lock:
+            self._compiled = None
+
+    def nbytes(self) -> int:
+        n = super().nbytes()
+        if self._compiled is not None:
+            n += self._compiled.workspace_nbytes
+        return n
+
+
+class BaselineEntry(PlanEntry):
+    """A non-Winograd portfolio algorithm (FFT / direct / im2col).
+
+    Kernels are prepared as the implementation's own precomputation
+    (FFT spectra, the im2col GEMM operand; direct has none).  Baselines
+    allocate their scratch themselves, so ``lease_bytes`` is 0.
+    """
+
+    def __init__(self, key: PlanKey, impl, layer: ConvLayerSpec):
+        super().__init__(key)
+        self.impl = impl
+        self.layer = layer
+
+    def prepare_kernels(self, kernels: np.ndarray):
+        return self.impl.prepare_kernels(kernels, self.layer)
+
+    def execute(self, images, prepared, out=None, epilogue=None) -> np.ndarray:
+        result = self.impl.execute_prepared(images, prepared, self.layer, out=out)
+        if epilogue is not None:
+            epilogue(result)
+        return result
+
+
+class NestedEntry(PlanEntry):
+    """Nested Winograd: an r > 3 layer as one stacked r = 3 problem.
+
+    :mod:`repro.core.nested` reduces the kernel to ONE channel-stacked
+    r = 3 convolution: kernels are prepared as the stacked bank, the
+    stacked input is gathered into an arena lease of ``lease_bytes``, and
+    the inner convolution re-enters ``engine.run`` on the key's Winograd
+    backend -- with its own plan, kernel memo, spans and fallback chain,
+    attributed to the tenant that owns this entry, and honoring ``out=``
+    and the epilogue.
+    """
+
+    def __init__(self, key: PlanKey, engine: "ConvolutionEngine", layer: ConvLayerSpec):
+        super().__init__(key)
+        self.engine = engine
+        self.nested = NestedWinogradExecutor(layer)
+        self.lease_bytes = self.nested.stacked_nbytes(key.dtype)
+
+    def prepare_kernels(self, kernels: np.ndarray) -> np.ndarray:
+        return self.nested.prepare_kernels(kernels)
+
+    def execute(self, images, stacked_kernels, out=None, epilogue=None) -> np.ndarray:
+        engine, nested, key = self.engine, self.nested, self.key
+        with engine.arena.lease(self.lease_bytes) as lease:
+            buf = lease.take(nested.stacked_shape, key.dtype)
+            with engine.tracer.span("nested.stack"):
+                nested.stack_input(images, out=buf)
+            return engine.run(
+                buf, stacked_kernels,
+                padding=nested.inner_padding, dtype=key.dtype,
+                backend=key.backend, algorithm="winograd",
+                tenant=engine.plans.tenant_of(key), out=out, epilogue=epilogue,
+            )
+
+
 def _interleave(counts: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
     out: tuple[int, ...] = ()
     for n, mm in zip(counts, m):
@@ -867,21 +989,6 @@ def _result_buffer(out, shape, dtype) -> np.ndarray:
             f"out buffer has shape {out.shape}/{out.dtype}, expected {shape}/{dtype}"
         )
     return out
-
-
-def _apply_epilogue(result: np.ndarray, epilogue) -> np.ndarray:
-    """Apply a graph epilogue in place on a finished backend result.
-
-    The compiled backend has no in-place output path and returns a
-    private heap array, so mutating it is safe; the fused path instead
-    applies the epilogue inside :meth:`_FusedPlan.run` while the result
-    buffer is cache-hot.  Either
-    way the epilogue runs exactly once per *successful* attempt -- a
-    fallback reroute re-dispatches before any epilogue has been applied.
-    """
-    if epilogue is not None:
-        epilogue(result)
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -925,8 +1032,9 @@ class ConvolutionEngine:
         baselines (``"fft"``/``"direct"``/``"im2col"``), or ``"auto"``
         -- the portfolio planner picks per layer shape (cost-model
         ranking, measured probes, wisdom persistence; see
-        :mod:`repro.core.portfolio`).  Probes run on the first request
-        for a new shape, and the Winograd-family probes run under
+        :mod:`repro.core.portfolio`).  Probes run the first time a
+        shape is resolved -- by a request, serve admission or graph
+        planning -- and the Winograd-family probes run under
         ``backend``, so they measure what serving will pay.
     tracer, metrics:
         Observability hooks (:mod:`repro.obs`): a span tracer recording
@@ -934,11 +1042,11 @@ class ConvolutionEngine:
         (plan-cache, arena, backend mix, latency percentiles).
         Engine-scoped by default; pass shared instances to aggregate
         across engines.
-    fallback:
-        Enable the backend fallback chain (``compiled -> fused``): a
-        compiled request whose host has no C toolchain or whose codelet
-        build fails is rerouted to the fused path instead of failing,
-        with the event recorded in metrics and the trace.
+
+    A compiled request whose host has no C toolchain, or whose codelet
+    build fails, is rerouted down the fallback chain (``compiled ->
+    fused``) instead of failing, with the event recorded in metrics and
+    the trace.
     """
 
     def __init__(
@@ -955,7 +1063,6 @@ class ConvolutionEngine:
         algorithm: str = "winograd",
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        fallback: bool = True,
     ):
         if tile_policy not in ("fixed", "model"):
             raise ValueError(f"tile_policy must be 'fixed' or 'model', got {tile_policy!r}")
@@ -979,7 +1086,6 @@ class ConvolutionEngine:
         # instances to aggregate across engines).
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.fallback = fallback
         self.plans = PlanCache(
             max_plans=max_plans, max_bytes=max_cache_bytes, metrics=self.metrics
         )
@@ -995,8 +1101,7 @@ class ConvolutionEngine:
         self.portfolio = PortfolioPlanner(
             machine, self.wisdom, tracer=self.tracer, metrics=self.metrics
         )
-        self._spec_cache: dict[tuple, FmrSpec] = {}
-        self._blocking_cache: dict[tuple, BlockingConfig] = {}
+        self._keys: dict[tuple, PlanKey] = {}
         self._algo_cache: dict[tuple, AlgorithmChoice] = {}
         self._lock = threading.Lock()
 
@@ -1021,109 +1126,80 @@ class ConvolutionEngine:
         :func:`repro.core.convolution.winograd_convolution`; repeated
         calls with the same layer signature hit the plan cache, and
         repeated calls with the same kernel tensor skip the kernel
-        transform entirely (the "FX" path).  ``backend`` overrides the
-        engine default per call.  ``algorithm`` overrides the engine's
-        algorithm default per call (``"auto"`` engages the portfolio
-        planner).  ``backend`` and ``fmr`` apply to the Winograd family
-        only: either one pins ``"auto"`` to Winograd, and a baseline
-        algorithm rejects both (``"nested"`` takes ``backend`` but picks
-        its own inner ``F(m, 3)``, so it rejects ``fmr``).
-        ``tenant`` attributes plans built for this request to a serving
-        tenant for quota accounting (see :meth:`PlanCache.evict_tenant`).
-        ``epilogue`` is an in-place post-pass (``epilogue(result) ->
-        None``) fused into the conv's output write -- the graph
-        executor's folded ReLU/BN/add/mul chains; it is applied exactly
-        once, after whichever backend attempt succeeds.
+        preparation entirely (the "FX" path).  ``fmr``, ``padding``,
+        ``dtype``, ``backend`` and ``algorithm`` pick the plan as
+        :meth:`resolve` documents.  ``tenant`` attributes plans built
+        for this request to a serving tenant for quota accounting (see
+        :meth:`PlanCache.evict_tenant`).  ``epilogue`` is an in-place
+        post-pass (``epilogue(result) -> None``) fused into the conv's
+        output write -- the graph executor's folded ReLU/BN/add/mul
+        chains; it is applied exactly once, by whichever backend
+        attempt succeeds.
+
+        Every algorithm runs the same sequence: resolve the plan key,
+        get its entry, prepare the kernels, execute under an
+        ``execute.<name>`` span -- all inside one ``request`` span and
+        the ``compiled -> fused`` fallback loop.
         """
         images = np.asarray(images)
         kernels = np.asarray(kernels)
-        if images.ndim < 3:
-            raise ValueError(f"images must be (B, C, *spatial), got shape {images.shape}")
-        ndim = images.ndim - 2
-        if padding is None:
-            padding = (0,) * ndim
-        padding = tuple(padding)
-        algo = algorithm if algorithm is not None else self.algorithm
-        if algo not in ("auto",) + ALGORITHMS:
-            raise ValueError(
-                f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algo!r}"
-            )
-        if algo != "winograd":
-            # A backend or tile knob pins the request to the Winograd
-            # family; "auto" then has nothing to decide, while an
-            # explicit baseline algorithm would contradict it.  "nested"
-            # IS the Winograd family (its inner r = 3 problem runs the
-            # normal pipeline), so a backend passes through to it; a
-            # pinned fmr does not, since nested picks its own F(m, 3).
-            if algo == "auto":
-                if backend is not None or fmr is not None:
-                    algo = "winograd"
-                else:
-                    algo = self._decide_algorithm(
-                        images, kernels, padding, np.dtype(dtype)
-                    ).algorithm
-            elif fmr is not None or (backend is not None and algo != "nested"):
-                knob = "fmr" if fmr is not None else "backend"
-                raise ValueError(
-                    f"{knob} applies to the winograd path, not algorithm={algo!r}"
-                )
-            if algo == "nested":
-                return self._run_nested(
-                    images, kernels, padding, np.dtype(dtype), out,
-                    backend=backend, tenant=tenant, epilogue=epilogue,
-                )
-            if algo != "winograd":
-                return self._run_baseline(
-                    algo, images, kernels, padding, np.dtype(dtype), out,
-                    tenant=tenant, epilogue=epilogue,
-                )
-        if backend is None:
-            backend = self.backend
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-        spec = self._resolve_spec(fmr, images.shape, kernels.shape, padding)
-        dtype = np.dtype(dtype)
-
-        self.metrics.counter(f"engine.requests.{backend}").inc()
-        if backend == "compiled" and not compiled_available():
+        key = self.resolve(
+            images.shape, kernels.shape, fmr=fmr, padding=padding,
+            dtype=dtype, backend=backend, algorithm=algorithm,
+        )
+        self.metrics.counter(f"engine.requests.{key.name}").inc()
+        if key.name == "compiled" and not compiled_available():
             # No C toolchain (or no cffi): reroute up front -- visibly,
             # via the same fallback counters/events the chain uses --
             # instead of paying a doomed plan build per request.
-            self.metrics.counter("engine.fallbacks").inc()
-            self.metrics.counter("engine.fallbacks.compiled_to_fused").inc()
-            self.tracer.event(
-                "fallback", source="compiled", target="fused",
-                error="CompilerUnavailableError",
-            )
-            backend = "fused"
+            key = self._fall_back(key, "CompilerUnavailableError")
         t0 = time.perf_counter()
-        with self.tracer.span("request", backend=backend) as req:
+        with self.tracer.span("request", backend=key.name) as req:
             try:
-                current = backend
+                images = images.astype(key.dtype, copy=False)
                 while True:
                     try:
-                        return self._dispatch(
-                            current, spec, images, kernels, padding, dtype,
-                            out, tenant=tenant, epilogue=epilogue,
+                        entry = self.plans.get_or_create(
+                            key, self._new_entry, tenant=tenant
                         )
+                        # Kernel preparation stays outside the execute
+                        # span: the memoized lookup is request plumbing,
+                        # and keeping it out makes the execute.<name>
+                        # spans directly comparable.
+                        prepared = self.plans.prepare(entry, kernels)
+                        with self.tracer.span(f"execute.{key.name}"):
+                            return entry.execute(
+                                images, prepared, out=out, epilogue=epilogue
+                            )
                     except FALLBACK_ERRORS as exc:
-                        nxt = FALLBACK_NEXT.get(current)
-                        if nxt is None or not self.fallback:
+                        if key.name not in FALLBACK_NEXT:
                             raise
-                        self.metrics.counter("engine.fallbacks").inc()
-                        self.metrics.counter(
-                            f"engine.fallbacks.{current}_to_{nxt}"
-                        ).inc()
-                        self.tracer.event(
-                            "fallback", source=current, target=nxt,
-                            error=type(exc).__name__,
-                        )
-                        req.attrs["fallback"] = f"{current}->{nxt}"
-                        current = nxt
+                        source = key.name
+                        key = self._fall_back(key, type(exc).__name__)
+                        req.attrs["fallback"] = f"{source}->{key.name}"
             finally:
                 self.metrics.histogram("engine.request_seconds").observe(
                     time.perf_counter() - t0
                 )
+
+    def _fall_back(self, key: PlanKey, error: str) -> PlanKey:
+        """Count and trace one reroute of ``key`` down the chain."""
+        nxt = FALLBACK_NEXT[key.name]
+        self.metrics.counter("engine.fallbacks").inc()
+        self.metrics.counter(f"engine.fallbacks.{key.name}_to_{nxt}").inc()
+        self.tracer.event("fallback", source=key.name, target=nxt, error=error)
+        return _fallback_key(key)
+
+    def _new_entry(self, key: PlanKey) -> PlanEntry:
+        """Build the plan entry for ``key`` (the plan cache's factory)."""
+        if key.algorithm == "winograd":
+            if key.backend == "compiled":
+                return CompiledEntry(key, self.tracer, self.metrics)
+            return FusedEntry(key, self.arena, self.tracer)
+        layer = _layer_spec(key.input_shape, key.c_out, key.kernel, key.padding)
+        if key.algorithm == "nested":
+            return NestedEntry(key, self, layer)
+        return BaselineEntry(key, make_baseline(key.algorithm, self.machine), layer)
 
     # ------------------------------------------------------------------
     def run_many(
@@ -1243,103 +1319,155 @@ class ConvolutionEngine:
         *,
         padding: tuple[int, ...] | None = None,
         dtype=np.float32,
+        tenant: str | None = None,
     ) -> int:
-        """Transient workspace demand of one execution at this signature.
+        """Transient workspace of one request at this signature.
 
-        The fused path's exact arena lease size for the ``F(m, r)``
-        :meth:`run` picks for these shapes, used by the serving
-        front-end's per-tenant arena quotas as the admission estimate
-        for every backend (the compiled executor's workspace holds the
-        same pipeline tensors).  Resolving the plan
-        warms the same cache entry execution will use, so admission
-        control does not duplicate planning work.
+        The serving front-end's per-tenant arena quotas admit each batch
+        by this figure.  The signature is resolved as :meth:`run`
+        resolves it under the engine's default algorithm and backend
+        (an ``auto`` engine decides it here), and the answer is the
+        ``lease_bytes`` of the plan entry that :meth:`run` will use.
+        That entry is built here (attributed to ``tenant``), so
+        admission warms the cache and builds no other entry:
+
+        * fused Winograd: its exact arena lease (padded input, tiles, U,
+          X, Y and, when the grid overhangs, the crop buffer);
+        * compiled Winograd: the workspace its executor allocates
+          (blocked padded input, U, V, X), computed from the plan's
+          shapes without building codelets;
+        * nested: the stacked-input lease; the inner r = 3 request
+          leases its own on top;
+        * fft / direct / im2col: 0 -- they lease nothing from the arena.
+
+        On a host without a C toolchain a compiled signature reports the
+        fused entry its requests are rerouted to.
         """
-        input_shape = tuple(input_shape)
-        kernel_shape = tuple(kernel_shape)
+        key = self.resolve(input_shape, kernel_shape, padding=padding, dtype=dtype)
+        if key.name == "compiled" and not compiled_available():
+            key = _fallback_key(key)  # where run reroutes it
+        return self.plans.get_or_create(key, self._new_entry, tenant=tenant).lease_bytes
+
+    # ------------------------------------------------------------------
+    def resolve(
+        self,
+        input_shape: tuple[int, ...],
+        kernel_shape: tuple[int, ...],
+        *,
+        fmr: FmrSpec | str | None = None,
+        padding: tuple[int, ...] | None = None,
+        dtype=np.float32,
+        backend: str | None = None,
+        algorithm: str | None = None,
+    ) -> PlanKey:
+        """The plan a request with these shapes and knobs runs.
+
+        The one place the request rules live; :meth:`run`,
+        :meth:`workspace_bytes` and the graph planner all resolve
+        through it, memoized per signature:
+
+        * ``algorithm`` defaults to the engine's; ``"auto"`` engages the
+          portfolio planner (memoized per shape; see
+          :meth:`_decide_algorithm`);
+        * ``backend`` and ``fmr`` apply to the Winograd family only:
+          either one pins ``"auto"`` to Winograd, and a baseline
+          algorithm rejects both (``"nested"`` takes ``backend`` for its
+          inner r = 3 problem but picks its own inner ``F(m, 3)``, so it
+          rejects ``fmr``);
+        * ``backend`` defaults to the engine's, and ``fmr`` to the
+          engine's tile policy;
+        * a compiled plan's blocking comes from wisdom when it fits the
+          channel counts, else from :func:`default_parallel_blocking`.
+
+        A host without a C toolchain still resolves ``compiled``: the
+        reroute to ``fused`` is a fallback :meth:`run` counts per
+        request.
+        """
+        if padding is not None and type(padding) is not tuple:
+            padding = tuple(padding)
+        args = (
+            tuple(input_shape), tuple(kernel_shape), fmr, padding, dtype,
+            backend, algorithm,
+        )
+        key = self._keys.get(args)
+        if key is None:
+            key = self._keys[args] = self._resolve(*args)
+        return key
+
+    def _resolve(
+        self, input_shape, kernel_shape, fmr, padding, dtype, backend, algorithm
+    ) -> PlanKey:
+        if len(input_shape) < 3:
+            raise ValueError(f"images must be (B, C, *spatial), got shape {input_shape}")
         if padding is None:
             padding = (0,) * (len(input_shape) - 2)
-        padding = tuple(padding)
-        key = PlanKey(
-            spec=self._resolve_spec(None, input_shape, kernel_shape, padding),
-            input_shape=input_shape,
-            c_out=kernel_shape[1],
-            padding=padding,
-            dtype=np.dtype(dtype).name,
-        )
-        entry = self.plans.get_or_create(key)
-        return entry.fast.lease_bytes
-
-    # ------------------------------------------------------------------
-    def _dispatch(
-        self, backend, spec, images, kernels, padding, dtype, out,
-        tenant: str | None = None, epilogue=None,
-    ) -> np.ndarray:
-        """Resolve the plan for ``backend`` and execute one attempt."""
-        blocking = None
-        if backend == "compiled":
-            blocking = self._parallel_blocking(
-                spec, images.shape, kernels.shape[1], padding
+        dtype = np.dtype(dtype)
+        algo = algorithm if algorithm is not None else self.algorithm
+        if algo not in ("auto",) + ALGORITHMS:
+            raise ValueError(
+                f"algorithm must be 'auto' or one of {ALGORITHMS}, got {algo!r}"
+            )
+        source = "forced" if algorithm is not None else "default"
+        if algo == "auto":
+            # A backend or tile knob pins the request to the Winograd
+            # family, leaving "auto" nothing to decide.
+            if backend is not None or fmr is not None:
+                algo, source = "winograd", "forced"
+            else:
+                choice = self._decide_algorithm(
+                    input_shape, kernel_shape, padding, dtype
+                )
+                algo, source = choice.algorithm, choice.source
+        elif algo != "winograd" and (
+            fmr is not None or (backend is not None and algo != "nested")
+        ):
+            knob = "fmr" if fmr is not None else "backend"
+            raise ValueError(
+                f"{knob} applies to the winograd path, not algorithm={algo!r}"
             )
         key = PlanKey(
-            spec=spec,
-            input_shape=tuple(images.shape),
-            c_out=kernels.shape[1],
-            padding=padding,
-            dtype=dtype.name,
-            blocking=blocking,
-            backend=backend,
+            spec=None, input_shape=input_shape, c_out=kernel_shape[1],
+            padding=padding, dtype=dtype.name, backend=None, algorithm=algo,
+            kernel=kernel_shape[2:], source=source,
         )
-        entry = self.plans.get_or_create(key, tenant=tenant)
+        if algo not in ENGINE_EXECUTED:
+            return key
+        if backend is None:
+            backend = self.backend
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        if algo == "nested":
+            return replace(key, backend=backend)
+        spec = self._resolve_spec(fmr, input_shape, kernel_shape, padding)
+        blocking = None
         if backend == "compiled":
-            execu = entry.compiled_executor(tracer=self.tracer, metrics=self.metrics)
-            # Same FX memoization as the fused path: the (T, C, C')
-            # transform IS the V layout stage 2 consumes, so repeated
-            # kernels skip stage 1b entirely.
-            w = self.plans.kernel_transform(entry, kernels)
-            with self.tracer.span("execute.compiled"):
-                result = execu.execute(images, w)
-            return _apply_epilogue(result, epilogue)
-        # Kernel transform outside the execute span, mirroring the
-        # compiled branch: the memoized FX lookup is shared request
-        # plumbing, and keeping it out of both spans makes
-        # execute.fused / execute.compiled directly comparable.
-        w = self.plans.kernel_transform(entry, kernels)
-        with self.tracer.span("execute.fused"):
-            with self.arena.lease(entry.fast.lease_bytes) as lease:
-                return entry.fast.run(
-                    images.astype(dtype, copy=False), w, lease, out=out,
-                    tracer=self.tracer, epilogue=epilogue,
-                )
+            blocking = self._compiled_blocking(spec, input_shape, kernel_shape[1], padding)
+        return replace(key, spec=spec, blocking=blocking, backend=backend, kernel=None)
 
-    # ------------------------------------------------------------------
-    def _layer_spec(self, input_shape, kernel_shape, padding) -> ConvLayerSpec:
-        return ConvLayerSpec(
-            network="engine", name="auto", batch=input_shape[0],
-            c_in=input_shape[1], c_out=kernel_shape[1],
-            image=tuple(input_shape[2:]), padding=tuple(padding),
-            kernel=tuple(kernel_shape[2:]),
-        )
+    def _decide_algorithm(self, input_shape, kernel_shape, padding, dtype) -> AlgorithmChoice:
+        """Portfolio decision for this shape (memoized).
 
-    def _decide_algorithm(self, images, kernels, padding, dtype) -> AlgorithmChoice:
-        """Portfolio decision for this request's shape (memoized).
-
-        The in-engine memo makes the warm ``"auto"`` path one dict
-        lookup; the planner underneath additionally consults/records the
-        persistent wisdom so decisions survive the process.  Plan
-        entries the losing candidates' probes built are discarded once
-        the decision is made: no request will use them.  (An entry a
-        concurrent request built while a probe ran may go with them; it
-        is only rebuilt.)
+        The in-engine memo makes a decided shape one dict lookup; the
+        planner underneath additionally consults/records the persistent
+        wisdom so decisions survive the process.  Probes run on arrays
+        of ones -- a convolution's time does not depend on its values,
+        and unlike a fresh ``np.zeros`` array, whose untouched pages all
+        map to one zero page, they occupy memory as a request's arrays
+        do -- so a decision needs only the shapes.  Every plan entry the
+        probes built is dropped once the decision is made: those entries
+        hold the probe kernel's preparation, and the first real request
+        rebuilds the winner's.  (An entry a concurrent request built
+        while a probe ran may go with them; it is only rebuilt.)
         """
-        cache_key = (
-            tuple(images.shape), tuple(kernels.shape), tuple(padding), dtype.name
-        )
+        cache_key = (input_shape, kernel_shape, padding, dtype.name)
         with self._lock:
             cached = self._algo_cache.get(cache_key)
         if cached is not None:
             return cached
-        layer = self._layer_spec(images.shape, kernels.shape, padding)
-        built: dict[str, set[PlanKey]] = {}
+        layer = _layer_spec(input_shape, kernel_shape[1], kernel_shape[2:], padding)
+        images = np.ones(input_shape, dtype)
+        kernels = np.ones(kernel_shape, dtype)
+        built: set[PlanKey] = set()
 
         def probe_once(algo: str) -> float:
             # Re-enter run() with the algorithm forced: probes time the
@@ -1358,121 +1486,16 @@ class ConvolutionEngine:
                 algorithm=algo, **kwargs,
             )
             elapsed = time.perf_counter() - t0
-            built.setdefault(algo, set()).update(set(self.plans.keys()) - before)
+            built.update(set(self.plans.keys()) - before)
             return elapsed
 
         choice = self.portfolio.decide(layer, dtype.name, probe_once)
-        for algo, keys in built.items():
-            if algo != choice.algorithm:
-                for key in keys:
-                    self.plans.discard(key)
+        for key in built:
+            self.plans.discard(key)
         with self._lock:
             self._algo_cache[cache_key] = choice
         return choice
 
-    def _run_baseline(
-        self, algo, images, kernels, padding, dtype, out,
-        tenant: str | None = None, epilogue=None,
-    ) -> np.ndarray:
-        """One request through a non-Winograd portfolio algorithm."""
-        self.metrics.counter(f"engine.requests.{algo}").inc()
-        t0 = time.perf_counter()
-        with self.tracer.span("request", backend=algo):
-            try:
-                layer = self._layer_spec(images.shape, kernels.shape, padding)
-                key = PlanKey(
-                    spec=None,
-                    input_shape=tuple(images.shape),
-                    c_out=kernels.shape[1],
-                    padding=tuple(padding),
-                    dtype=dtype.name,
-                    blocking=None,
-                    backend=algo,
-                    algorithm=algo,
-                    kernel=tuple(kernels.shape[2:]),
-                )
-                entry = self.plans.get_or_create(
-                    key,
-                    build=lambda: BaselinePlanEntry(
-                        key, make_baseline(algo, self.machine), layer
-                    ),
-                    tenant=tenant,
-                )
-                prepared = self.plans.baseline_prepared(entry, kernels)
-                with self.tracer.span(f"execute.{algo}"):
-                    result = entry.impl.execute_prepared(
-                        images.astype(dtype, copy=False), prepared, layer, out=out
-                    )
-                return _apply_epilogue(result, epilogue)
-            finally:
-                self.metrics.histogram("engine.request_seconds").observe(
-                    time.perf_counter() - t0
-                )
-
-    def _run_nested(
-        self, images, kernels, padding, dtype, out,
-        backend: str | None = None,
-        tenant: str | None = None, epilogue=None,
-    ) -> np.ndarray:
-        """One request through the nested-Winograd decomposition.
-
-        The r > 3 kernel is reduced to ONE channel-stacked r = 3 problem
-        (:mod:`repro.core.nested`): the stacked input is gathered into an
-        arena lease, the stacked kernel bank is memoized in the plan
-        cache like a baseline's prepared kernels, and the inner
-        convolution re-enters :meth:`run` on the normal Winograd path --
-        honoring the request's backend knobs, epilogue and ``out=``, and
-        inheriting the plan cache / FX memoization / fallback chain.
-        """
-        self.metrics.counter("engine.requests.nested").inc()
-        t0 = time.perf_counter()
-        with self.tracer.span("request", backend="nested"):
-            try:
-                layer = self._layer_spec(images.shape, kernels.shape, padding)
-                key = PlanKey(
-                    spec=None,
-                    input_shape=tuple(images.shape),
-                    c_out=kernels.shape[1],
-                    padding=tuple(padding),
-                    dtype=dtype.name,
-                    blocking=None,
-                    backend="nested",
-                    algorithm="nested",
-                    kernel=tuple(kernels.shape[2:]),
-                )
-                entry = self.plans.get_or_create(
-                    key,
-                    build=lambda: BaselinePlanEntry(
-                        key, NestedWinogradExecutor(layer), layer
-                    ),
-                    tenant=tenant,
-                )
-                stacked_kernels = self.plans.baseline_prepared(entry, kernels)
-                executor = entry.impl
-                with self.tracer.span("execute.nested"):
-                    with self.arena.lease(executor.stacked_nbytes(dtype)) as lease:
-                        buf = lease.take(executor.stacked_shape, dtype)
-                        with self.tracer.span("nested.stack"):
-                            executor.stack_input(
-                                images.astype(dtype, copy=False), out=buf
-                            )
-                        result = self.run(
-                            buf, stacked_kernels,
-                            padding=executor.inner_padding, dtype=dtype,
-                            backend=backend, algorithm="winograd",
-                            tenant=tenant, out=out, epilogue=epilogue,
-                        )
-                if out is not None and result is not out:
-                    # Non-fused inner backends allocate their own output.
-                    np.copyto(_result_buffer(out, result.shape, dtype), result)
-                    result = out
-                return result
-            finally:
-                self.metrics.histogram("engine.request_seconds").observe(
-                    time.perf_counter() - t0
-                )
-
-    # ------------------------------------------------------------------
     def _resolve_spec(self, fmr, input_shape, kernel_shape, padding) -> FmrSpec:
         r = tuple(kernel_shape[2:])
         if isinstance(fmr, str):
@@ -1480,68 +1503,43 @@ class ConvolutionEngine:
         elif fmr is not None:
             spec = fmr
         else:
-            spec = self._select_spec(tuple(input_shape), tuple(kernel_shape), padding)
+            spec = self._select_spec(input_shape, kernel_shape, padding)
         if spec.r != r:
             raise ValueError(f"spec kernel size {spec.r} != kernels' {r}")
         return spec
 
     def _select_spec(self, input_shape, kernel_shape, padding) -> FmrSpec:
-        """Pick ``F(m, r)`` for an unpinned call (memoized per shape)."""
-        key = (input_shape, kernel_shape, padding, self.tile_policy)
-        with self._lock:
-            cached = self._spec_cache.get(key)
-        if cached is not None:
-            return cached
+        """Pick ``F(m, r)`` for an unpinned request."""
         r = kernel_shape[2:]
-        spatial = input_shape[2:]
-        out = output_shape(spatial, r, padding)
+        out = output_shape(input_shape[2:], r, padding)
         if self.tile_policy == "model":
             from repro.core.tile_selection import select_tile_size
 
-            layer = ConvLayerSpec(
-                network="engine", name="auto", batch=input_shape[0],
-                c_in=input_shape[1], c_out=kernel_shape[1],
-                image=spatial, padding=padding, kernel=r,
-            )
-            spec = select_tile_size(
+            layer = _layer_spec(input_shape, kernel_shape[1], r, padding)
+            return select_tile_size(
                 layer, self.machine, mode="train", wisdom=self.wisdom, top_k=1
             )[0].spec
-        else:
-            # The paper's workhorse sizes: m = 4 per dimension when the
-            # fp32 accuracy budget allows (alpha <= 8 keeps Table-3
-            # error small) and the output extent amortizes the tile;
-            # m = 2 otherwise -- always correct, merely conservative.
-            m = tuple(
-                4 if (rd + 3 <= 8 and od >= 4) else 2
-                for rd, od in zip(r, out)
-            )
-            spec = FmrSpec(m=m, r=r)
-        with self._lock:
-            self._spec_cache[key] = spec
-        return spec
+        # The paper's workhorse sizes: m = 4 per dimension when the
+        # fp32 accuracy budget allows (alpha <= 8 keeps Table-3
+        # error small) and the output extent amortizes the tile;
+        # m = 2 otherwise -- always correct, merely conservative.
+        m = tuple(
+            4 if (rd + 3 <= 8 and od >= 4) else 2
+            for rd, od in zip(r, out)
+        )
+        return FmrSpec(m=m, r=r)
 
-    def _parallel_blocking(self, spec, input_shape, c_out, padding) -> BlockingConfig:
-        """Blocking for the compiled backend (memoized).
+    def _compiled_blocking(self, spec, input_shape, c_out, padding) -> BlockingConfig:
+        """Blocking for the compiled backend.
 
         Prefers a tuned wisdom entry when it satisfies the compiled
         executor's divisibility constraints (``C``/``C'`` multiples of
         the SIMD group and of the channel blocks); otherwise falls back
         to correctness-first defaults sized by the channel counts --
-        autotuning is never triggered from the compiled hot path.
+        autotuning is never triggered from the request path.
         """
         c_in = input_shape[1]
-        simd = parallel_simd_width(c_in, c_out)
-        key = (spec, tuple(input_shape), c_out, padding)
-        with self._lock:
-            cached = self._blocking_cache.get(key)
-        if cached is not None:
-            return cached
-        layer = ConvLayerSpec(
-            network="engine", name="auto", batch=input_shape[0],
-            c_in=c_in, c_out=c_out,
-            image=tuple(input_shape[2:]), padding=padding, kernel=spec.r,
-        )
-        blocking: BlockingConfig | None = None
+        layer = _layer_spec(input_shape, c_out, spec.r, padding)
         stored = self.wisdom.get(layer_key(layer, spec, self.machine))
         if stored is not None:
             cand = blocking_from_wisdom(stored, self.machine.vector_width)
@@ -1551,12 +1549,8 @@ class ConvolutionEngine:
                 and c_in % cand.c_blk == 0
                 and c_out % cand.cprime_blk == 0
             ):
-                blocking = cand
-        if blocking is None:
-            blocking = default_parallel_blocking(c_in, c_out, simd)
-        with self._lock:
-            self._blocking_cache[key] = blocking
-        return blocking
+                return cand
+        return default_parallel_blocking(c_in, c_out, parallel_simd_width(c_in, c_out))
 
     # ------------------------------------------------------------------
     def close(self) -> None:

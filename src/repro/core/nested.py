@@ -186,11 +186,11 @@ def inner_fmr(geom: NestedGeometry, out_extent: tuple[int, ...]) -> FmrSpec:
 class NestedWinogradExecutor:
     """Plan-cache resident executor for one nested layer shape.
 
-    Quacks like a baseline ``ConvImplementation`` for the pieces the
-    engine's ``BaselinePlanEntry`` machinery uses (``name``,
-    ``supports``, ``prepare_kernels``), but the actual convolution is
-    dispatched back through the engine's Winograd path — the stacked
-    r = 3 problem runs on whatever backend the request asked for.
+    The shape algebra and the stacking steps behind the engine's
+    ``NestedEntry`` (``prepare_kernels``, ``stack_input``,
+    ``stacked_shape``); the actual convolution is dispatched back
+    through the engine's Winograd path — the stacked r = 3 problem runs
+    on whatever backend the request asked for.
     """
 
     name = "nested"

@@ -221,27 +221,12 @@ class GraphExecutor:
             else:
                 dest = lease.take(shape, plan.dtype)
                 leased.add(id(dest))
-        kwargs = dict(
-            padding=tuple(node.attrs["padding"]),
-            dtype=plan.dtype,
-            epilogue=epilogue,
-            out=dest,
-            tenant=self.tenant,
+        result = engine.run(
+            x, node.attrs["weights"], fmr=np_.fmr,
+            padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
+            backend=np_.backend, algorithm=np_.algorithm,
+            tenant=self.tenant, out=dest, epilogue=epilogue,
         )
-        if np_.algorithm == "winograd":
-            result = engine.run(
-                x, node.attrs["weights"], fmr=node.attr("fmr"),
-                backend=np_.backend, algorithm="winograd", **kwargs,
-            )
-        elif np_.algorithm == "nested":
-            result = engine.run(
-                x, node.attrs["weights"],
-                backend=np_.backend, algorithm="nested", **kwargs,
-            )
-        else:
-            result = engine.run(
-                x, node.attrs["weights"], algorithm=np_.algorithm, **kwargs,
-            )
         if dest is None and np_.feeds_downstream:
             # The conv landed in a private heap array the engine
             # allocated (non-in-place backend) and a later node must
@@ -258,29 +243,21 @@ def execute_plan_naive(
     plan: GraphPlan, engine, feeds, *, tenant: str | None = None
 ) -> dict[str, np.ndarray]:
     """Node-at-a-time replay of ``plan`` -- no fusion, no arena, no
-    ``out=``; every conv goes through the same per-node algorithm and
-    backend the plan chose.  The bitwise reference for the optimized
-    executor, and the "layer-at-a-time" leg of the graph benchmark.
+    ``out=``; every conv goes through the same per-node algorithm,
+    backend and ``F(m, r)`` the plan chose.  The bitwise reference for
+    the optimized executor, and the "layer-at-a-time" leg of the graph
+    benchmark.
     """
     graph = plan.graph
     env = _normalize_feeds(graph, feeds, plan.dtype)
     for node in plan.order:
         if node.op == "conv":
             np_ = plan.node_plans[node.name]
-            x = env[node.inputs[0]]
-            if np_.algorithm in ("winograd", "nested"):
-                env[node.name] = engine.run(
-                    x, node.attrs["weights"],
-                    fmr=node.attr("fmr") if np_.algorithm == "winograd" else None,
-                    padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
-                    backend=np_.backend, algorithm=np_.algorithm, tenant=tenant,
-                )
-            else:
-                env[node.name] = engine.run(
-                    x, node.attrs["weights"],
-                    padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
-                    algorithm=np_.algorithm, tenant=tenant,
-                )
+            env[node.name] = engine.run(
+                env[node.inputs[0]], node.attrs["weights"], fmr=np_.fmr,
+                padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
+                backend=np_.backend, algorithm=np_.algorithm, tenant=tenant,
+            )
         else:
             env[node.name] = eval_node(node, [env[t] for t in node.inputs])
     return {name: env[name] for name in graph.outputs}

@@ -4,12 +4,16 @@
 into an executable :class:`GraphPlan`:
 
 * **Per-conv algorithm.**  Each conv node goes through the same
-  resolution as :meth:`ConvolutionEngine.run` -- an explicit
-  ``algorithm`` pins every node, an explicit ``backend`` pins the
-  Winograd family, and ``"auto"`` asks the engine's memoized
+  resolution as :meth:`ConvolutionEngine.run` -- literally
+  :meth:`ConvolutionEngine.resolve`, with the node's shapes, padding and
+  ``fmr`` pin: an explicit ``algorithm`` pins every node, an explicit
+  ``backend`` or a node's ``fmr`` pins the Winograd family, and
+  ``"auto"`` asks the engine's memoized
   :class:`~repro.core.portfolio.PortfolioPlanner` per *node shape*, so
   a bottleneck block can run its 1x1 convs through im2col while the
   3x3 stays on Winograd (the fpgaHART-style per-layer optimization).
+  The node plan records the resolved algorithm, backend and ``F(m, r)``,
+  and execution passes exactly those to ``engine.run``.
 * **Epilogue fusion.**  A chain of elementwise ops (relu, batchnorm,
   add, mul) hanging off a conv's sole consumer edge is folded into the
   conv's stage-3 write: the engine applies them on the result buffer
@@ -20,8 +24,8 @@ into an executable :class:`GraphPlan`:
   declared graph output or a fan-out (>1 consumer) edge.
 * **Arena placement.**  Conv outputs that stay inside the graph are
   written straight into one :class:`~repro.core.engine.WorkspaceArena`
-  lease via ``out=`` on in-place-capable paths (fused backend and all
-  baseline algorithms), so activations flow conv-to-conv without
+  lease via ``out=`` on in-place-capable paths (every path but the
+  compiled backend), so activations flow conv-to-conv without
   leaving the workspace; graph outputs get fresh heap arrays that are
   safe to return after the lease is released.
 
@@ -37,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.fmr import FmrSpec
 from repro.graph.ir import EPILOGUE_OPS, Graph, Node, tensor_nbytes
 from repro.util.alignment import round_up
 
@@ -47,18 +52,21 @@ class NodePlan:
 
     name: str
     algorithm: str
-    #: Winograd backend request (None = engine default); always None for
-    #: baseline algorithms, where the knob does not apply.
+    #: The Winograd backend the node runs on (for ``nested``, its inner
+    #: r = 3 problem's); None for the baseline algorithms.
     backend: str | None
-    #: Where the algorithm came from: forced | default | predicted |
-    #: probed | remembered (the latter three from the portfolio planner).
+    #: The node's ``F(m, r)``; None unless the algorithm is winograd.
+    fmr: FmrSpec | None
+    #: Where the algorithm came from: forced | default, or the portfolio
+    #: decision's source (predicted | probed | wisdom).
     source: str
     #: Names of epilogue nodes folded into this conv's stage-3 write.
     epilogues: tuple[str, ...]
     #: Tensor name the conv's (epilogue-applied) result is stored under.
     result: str
     #: True when the conv can write straight into a caller buffer
-    #: (fused backend or baseline algorithm honoring ``out=``).
+    #: (every path but the compiled backend, whose result is a private
+    #: heap array).
     writes_in_place: bool
     #: True when the result is consumed by a later node in this plan.
     feeds_downstream: bool
@@ -117,10 +125,12 @@ def plan_graph(
     """Resolve per-node algorithms and fold epilogues for ``graph``.
 
     ``backend``/``algorithm`` mirror :meth:`ConvolutionEngine.run`:
-    ``None`` defers to the engine's defaults, ``algorithm="auto"``
-    engages the portfolio per conv node, and an explicit backend with
-    an explicit baseline algorithm is the same contradiction it is on
-    the engine (ValueError).  ``fuse=False`` disables epilogue folding
+    each conv node resolves through :meth:`ConvolutionEngine.resolve`
+    with its own ``fmr`` pin, so ``None`` defers to the engine's
+    defaults, ``algorithm="auto"`` engages the portfolio per unpinned
+    conv node, and a backend or pin with an explicit baseline algorithm
+    is the same contradiction it is on the engine (ValueError).
+    ``fuse=False`` disables epilogue folding
     (every node executes standalone) -- the layer-at-a-time shape the
     benchmarks compare against.
     """
@@ -150,8 +160,10 @@ def plan_graph(
             materialized.add(node.name)
             continue
 
-        algo, source, req_backend = _resolve_algorithm(
-            node, shapes, engine, backend=backend, algorithm=algorithm, dtype=dtype
+        key = engine.resolve(
+            shapes[node.inputs[0]], node.attrs["weights"].shape,
+            fmr=node.attr("fmr"), padding=tuple(node.attrs["padding"]),
+            dtype=dtype, backend=backend, algorithm=algorithm,
         )
 
         epilogues: list[str] = []
@@ -173,8 +185,6 @@ def plan_graph(
                 epilogues.append(nxt.name)
                 tensor = nxt.name
 
-        resolved_backend = req_backend if req_backend is not None else engine.backend
-        writes_in_place = algo != "winograd" or resolved_backend == "fused"
         # The chain stopped at `tensor`, so none of its consumers were
         # folded into THIS conv; consumers folded into a *later* conv
         # still read the stored value as an epilogue operand.  Any
@@ -182,12 +192,13 @@ def plan_graph(
         feeds_downstream = bool(consumers.get(tensor))
         node_plans[node.name] = NodePlan(
             name=node.name,
-            algorithm=algo,
-            backend=req_backend if algo in ("winograd", "nested") else None,
-            source=source,
+            algorithm=key.algorithm,
+            backend=key.backend,
+            fmr=key.spec,
+            source=key.source,
             epilogues=tuple(epilogues),
             result=tensor,
-            writes_in_place=writes_in_place,
+            writes_in_place=key.name != "compiled",
             feeds_downstream=feeds_downstream,
             is_output=tensor in outputs,
         )
@@ -208,31 +219,3 @@ def plan_graph(
         folded_into=folded_into,
         arena_bytes=arena_bytes,
     )
-
-
-def _resolve_algorithm(
-    node: Node, shapes, engine, *, backend, algorithm, dtype
-) -> tuple[str, str, str | None]:
-    """Mirror :meth:`ConvolutionEngine._run`'s algorithm resolution for
-    one conv node; returns (algorithm, source, backend_request)."""
-    algo = algorithm if algorithm is not None else engine.algorithm
-    wino_forced = backend is not None
-    if algo == "auto":
-        if wino_forced:
-            return "winograd", "forced", backend
-        in_shape = shapes[node.inputs[0]]
-        choice = engine._decide_algorithm(
-            np.zeros(in_shape, dtype=dtype),
-            node.attrs["weights"],
-            tuple(node.attrs["padding"]),
-            dtype,
-        )
-        return choice.algorithm, choice.source, None
-    if algo not in ("winograd", "nested") and wino_forced:
-        # "nested" is Winograd-family: its inner r = 3 problem honors
-        # backend requests, so a pinned backend passes through to it.
-        raise ValueError(
-            f"backend applies to the winograd path, not algorithm={algo!r}"
-        )
-    source = "forced" if algorithm is not None else "default"
-    return algo, source, backend

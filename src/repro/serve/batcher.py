@@ -282,12 +282,15 @@ class DynamicBatcher:
         )
         stacked_b = pad_to if pad_to is not None else total
         # Arena quota: reserve the batch's exact workspace demand before
-        # executing; rejected batches never touch the arena.
+        # executing; rejected batches never touch the arena.  Sizing
+        # builds the plan entry the batch will run, so it is attributed
+        # to the tenant here.
         lease_bytes = self.engine.workspace_bytes(
             (stacked_b,) + key.signature,
             model.kernels.shape,
             padding=model.padding,
             dtype=key.dtype,
+            tenant=key.tenant,
         )
         self.tenants.lease_arena(key.tenant, lease_bytes)
         try:

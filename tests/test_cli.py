@@ -269,6 +269,12 @@ class TestCliRunGraph:
         assert "codelet_builds=1 memo_hits=1 disk_hits=0" in out
         assert "bitwise-vs-naive=True" in out
 
+    def test_run_graph_rejects_a_baseline_on_pinned_convs(self, capsys):
+        """VGG-s pins every conv's F(m, r); an explicit baseline algorithm
+        contradicts the pin as it does on ``engine.run``."""
+        assert main(["run-graph", "--network", "vgg", "--algorithm", "im2col"]) == 2
+        assert "fmr applies to the winograd path" in capsys.readouterr().err
+
     def test_run_graph_rejects_unknown_network(self):
         with pytest.raises(SystemExit):
             main(["run-graph", "--network", "nope"])

@@ -78,11 +78,11 @@ class TestPlanCache:
         cache = PlanCache()
         entry = cache.get_or_create(_key())
         ker = RNG.standard_normal((16, 16, 3, 3)).astype(np.float32)
-        w1 = cache.kernel_transform(entry, ker)
-        w2 = cache.kernel_transform(entry, ker.copy())  # equal content
+        w1 = cache.prepare(entry, ker)
+        w2 = cache.prepare(entry, ker.copy())  # equal content
         assert w1 is w2
         assert cache.stats.kernel_hits == 1
-        w3 = cache.kernel_transform(entry, ker * 2.0)
+        w3 = cache.prepare(entry, ker * 2.0)
         assert w3 is not w1
         assert cache.stats.kernel_misses == 2
 

@@ -13,16 +13,13 @@ assert the documented recovery:
   ``request`` span names the edge it took;
 * the failed build is remembered on the plan entry, so later requests go
   straight to fused without rerunning the compiler, until the entry is
-  evicted;
-* with ``fallback=False`` the build error propagates.
+  evicted.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.compiled_backend import CodeletBuildError
 from repro.core.engine import ConvolutionEngine
 from repro.core.fmr import FmrSpec
 
@@ -72,12 +69,3 @@ class TestFallbackChain:
             eng.plans.clear()
             eng.run(images, kernels, fmr=SPEC)
         assert len(failing_codelet_build) == 2
-
-    def test_fallback_disabled_propagates_the_build_error(self, failing_codelet_build):
-        images, kernels = _data()
-        with ConvolutionEngine(backend="compiled", fallback=False) as eng:
-            for _ in range(2):
-                with pytest.raises(CodeletBuildError, match="injected"):
-                    eng.run(images, kernels, fmr=SPEC)
-            assert eng.metrics.counter_value("engine.fallbacks") == 0
-        assert len(failing_codelet_build) == 1

@@ -283,6 +283,21 @@ class TestDifferential:
         assert all(p.source in ("predicted", "probed", "remembered", "forced", "default")
                    for p in ex.plan.conv_plans)
 
+    def test_pinned_nodes_keep_their_pin_under_auto(self):
+        """A conv node that carries ``fmr`` resolves as
+        ``engine.run(..., fmr=..., algorithm="auto")`` does: Winograd on
+        that very tile, source ``forced``, and no portfolio decision."""
+        g = graph_scaled_vgg()
+        with ConvolutionEngine(algorithm="auto") as eng:
+            ex = _assert_graph_faithful(eng, g)
+            assert eng.algorithm_decisions() == []
+        assert [(p.algorithm, p.source) for p in ex.plan.conv_plans] == [
+            ("winograd", "forced")
+        ] * 3
+        assert [p.fmr for p in ex.plan.conv_plans] == [
+            g.node(p.name).attr("fmr") for p in ex.plan.conv_plans
+        ]
+
     def test_forced_baseline_algorithm(self):
         with ConvolutionEngine() as eng:
             ex = _assert_graph_faithful(eng, residual_block(c=8, size=8),

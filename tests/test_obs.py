@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.compiled_backend import compiled_available
 from repro.core.engine import ConvolutionEngine
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -286,22 +287,54 @@ class TestEngineObservability:
                 == eng.plans.stats.evictions
             )
 
-    def test_request_spans_and_latency_histogram(self):
+    @pytest.mark.parametrize(
+        "name", ["fused", "compiled", "fft", "direct", "im2col", "nested"]
+    )
+    def test_request_spans_and_latency_histogram(self, name):
+        """One observability contract for every path: each request is one
+        ``request`` span tagged with its backend or algorithm, with an
+        ``execute.<name>`` child, one ``engine.requests.<name>``
+        increment and one ``engine.request_seconds`` sample.  Nested's
+        inner r = 3 problem is a Winograd request of its own, under
+        ``execute.nested``."""
+        if name == "compiled" and not compiled_available():
+            pytest.skip("no C toolchain/cffi on this host")
         images, kernels = _layer()
+        kwargs = {"backend": name} if name in ("fused", "compiled") else {
+            "algorithm": name
+        }
+        if name == "nested":
+            kernels = (np.random.default_rng(1).standard_normal((16, 16, 5, 5))
+                       * 0.1).astype(np.float32)
+            kwargs["padding"] = (2, 2)
         with ConvolutionEngine() as eng:
-            eng.run(images, kernels)
-            eng.run(images, kernels)
-            reqs = eng.tracer.spans("request")
-            assert len(reqs) == 2
-            assert all(s.attrs["backend"] == "fused" for s in reqs)
-            # Stage spans nest under execute.fused under the request.
-            by_name = {s.name: s for s in eng.tracer.spans()}
-            ex = by_name["execute.fused"]
-            st1 = by_name["fused.stage1"]
-            assert st1.parent_id == ex.span_id
+            eng.run(images, kernels, **kwargs)
+            eng.run(images, kernels, **kwargs)
+            spans = eng.tracer.spans()
+            reqs = [s for s in spans if s.name == "request"]
+            mine = [s for s in reqs if s.attrs["backend"] == name]
+            assert len(mine) == 2
+            for req in mine:
+                (ex,) = [s for s in spans if s.parent_id == req.span_id
+                         and s.name.startswith("execute.")]
+                assert ex.name == f"execute.{name}"
+            if name in ("fused", "compiled"):
+                # Stage spans nest under execute.<backend> under the request.
+                ex = next(s for s in spans if s.name == f"execute.{name}")
+                st1 = next(s for s in spans if s.name == f"{name}.stage1")
+                assert st1.parent_id == ex.span_id
+            inner = [s for s in reqs if s not in mine]
+            if name == "nested":
+                nested_ex = {s.span_id for s in spans if s.name == "execute.nested"}
+                assert len(inner) == 2
+                assert all(s.attrs["backend"] == "fused" for s in inner)
+                assert {s.parent_id for s in inner} == nested_ex
+                assert eng.metrics.counter_value("engine.requests.fused") == 2
+            else:
+                assert inner == []
             h = eng.metrics.histogram("engine.request_seconds")
-            assert h.count == 2
-            assert eng.metrics.counter_value("engine.requests.fused") == 2
+            assert h.count == len(reqs)
+            assert eng.metrics.counter_value(f"engine.requests.{name}") == 2
 
     def test_metrics_under_thread_executor(self):
         images, kernels = _layer()

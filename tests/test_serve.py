@@ -14,7 +14,10 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.core.compiled_backend import clear_compiled_caches, compiled_available
 from repro.core.engine import ConvolutionEngine
+from repro.core.portfolio import portfolio_key
+from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry, labeled
 from repro.serve import (
@@ -32,6 +35,7 @@ from repro.serve import (
     encode_tensor,
     tensor_digest,
 )
+from repro.util.wisdom import AlgoWisdomEntry
 
 RNG = np.random.default_rng(7)
 
@@ -180,6 +184,94 @@ def test_model_registry_is_tenant_namespaced():
         reg.register("a", "bad", np.zeros((3, 4), np.float32), ())
     with pytest.raises(ProtocolError):  # padding rank mismatch
         reg.register("a", "bad", k_a, (1,))
+
+
+# ----------------------------------------------------------------------
+# Admission: workspace_bytes sizes the entry the batch runs
+# ----------------------------------------------------------------------
+class TestAdmission:
+    @pytest.fixture
+    def masked_toolchain(self, monkeypatch):
+        """``CC=/bin/false``; the probe memo is cleared on both sides so
+        later tests re-probe the real toolchain."""
+        monkeypatch.setenv("CC", "/bin/false")
+        clear_compiled_caches()
+        yield
+        clear_compiled_caches()
+
+    @pytest.mark.parametrize(
+        "case", ["auto-1x1", "compiled-3x3", "compiled-3x3-no-toolchain"]
+    )
+    def test_admission_builds_only_the_entries_the_batch_runs(self, case, request):
+        """The batcher's sequence -- ``workspace_bytes`` to admit, then
+        ``run_many`` -- twice: the plan cache holds only the entry the
+        batch runs (an ``auto`` signature decided as im2col, a 3x3 layer
+        on a compiled engine, or its fused reroute when the toolchain is
+        masked), and admission reports that entry's workspace: 0 for
+        im2col, which leases nothing, exactly what the compiled executor
+        allocates, or the fused arena lease.  Admission counts no
+        fallback; each rerouted batch counts one."""
+        r, want = 3, ("winograd", "compiled")
+        engine_kw = {"backend": "compiled"}
+        if case == "auto-1x1":
+            r, want, engine_kw = 1, ("im2col", None), {"algorithm": "auto"}
+        elif case == "compiled-3x3" and not compiled_available():
+            pytest.skip("no C toolchain/cffi on this host")
+        elif case == "compiled-3x3-no-toolchain":
+            request.getfixturevalue("masked_toolchain")
+            want = ("winograd", "fused")
+        padding = (r // 2,) * 2
+        kernels = (RNG.standard_normal((16, 16, r, r)) * 0.2).astype(np.float32)
+        reqs = [RNG.standard_normal((1, 16, 12, 12)).astype(np.float32)
+                for _ in range(2)]
+        with ConvolutionEngine(**engine_kw) as engine:
+            if case == "auto-1x1":
+                # Decided from wisdom, so probe noise cannot move it.
+                layer = ConvLayerSpec(
+                    network="serve", name="m", batch=2, c_in=16, c_out=16,
+                    image=(12, 12), padding=padding, kernel=(r, r),
+                )
+                engine.wisdom.algo_put(
+                    engine.machine.fingerprint(), portfolio_key(layer),
+                    AlgoWisdomEntry(algorithm="im2col"),
+                )
+            for i in range(2):
+                lease = engine.workspace_bytes(
+                    (2, 16, 12, 12), kernels.shape, padding=padding
+                )
+                if i == 0:  # sizing alone loads and builds no codelets
+                    counters = engine.metrics.snapshot()["counters"]
+                    assert not [n for n in counters if n.startswith("codelet_compile.")]
+                engine.run_many(reqs, kernels, padding=padding)
+            (key,) = engine.plans.keys()
+            assert (key.algorithm, key.backend) == want
+            if key.algorithm == "im2col":
+                assert lease == 0
+            elif key.backend == "compiled":
+                entry = engine.plans.get_or_create(key)
+                assert lease == entry.executor().workspace_nbytes
+            else:
+                assert lease == engine.arena.high_water_bytes > 0
+            fallbacks = engine.metrics.counter_value("engine.fallbacks")
+            assert fallbacks == (2 if case.endswith("no-toolchain") else 0)
+
+    def test_admission_attributes_the_plan_to_the_tenant(self):
+        """Admission builds the plan entry the batch runs, so the entry
+        is the requesting tenant's: its bytes count against that
+        tenant's plan quota."""
+        ker = RNG.standard_normal((8, 8, 3, 3)).astype(np.float32)
+        img = RNG.standard_normal((1, 8, 12, 12)).astype(np.float32)
+
+        async def scenario(server):
+            async with ServeClient("127.0.0.1", server.port, tenant="t1") as cli:
+                await cli.register("m", ker, [1, 1])
+                await cli.infer("m", img)
+            plans = server.engine.plans
+            return [plans.tenant_of(k) for k in plans.keys()], plans.tenant_bytes("t1")
+
+        owners, owned = _serve(scenario)
+        assert owners == ["t1"]
+        assert owned > 0
 
 
 # ----------------------------------------------------------------------
