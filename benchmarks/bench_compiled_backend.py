@@ -51,8 +51,8 @@ from repro.obs.tracer import Tracer
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
-#: Fused per-stage span -> compiled per-stage span.  stage1b never
-#: shows up warm (the kernel transform is memoized away by both paths).
+#: Fused per-stage span -> compiled per-stage span.  Both paths take
+#: the engine's memoized kernel transform, so no kernel stage is timed.
 STAGE_SPANS = {
     "stage1": ("fused.stage1", "compiled.stage1"),
     "stage2": ("fused.stage2", "compiled.stage2"),

@@ -82,8 +82,6 @@ def fft_convolution(
     # Valid correlation result occupies the leading `out` corner.
     crop = (slice(None), slice(None)) + tuple(slice(0, o) for o in out_spatial)
     result = full[crop].astype(images.dtype, copy=False)
-    from repro.baselines.base import ConvImplementation
-
     return ConvImplementation.finish(result, out)
 
 

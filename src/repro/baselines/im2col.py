@@ -95,8 +95,6 @@ def im2col_convolution(
     patches = im2col(padded, r)  # (B*P, C*K)
     flat = patches @ w  # (B*P, C')
     result = np.moveaxis(flat.reshape((b,) + out_spatial + (cprime,)), -1, 1)
-    from repro.baselines.base import ConvImplementation
-
     return ConvImplementation.finish(result, out)
 
 

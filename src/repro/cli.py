@@ -25,20 +25,6 @@ import argparse
 import sys
 import time
 
-from repro.baselines import (
-    BaselineCrash,
-    CudnnFft3D,
-    CudnnImplicitGemm,
-    CudnnWinograd2D,
-    OursWinograd,
-    UnsupportedLayer,
-    falcon,
-    libxsmm_winograd,
-    mkldnn_direct,
-    mkldnn_winograd,
-    zlateski_direct,
-)
-from repro.core.autotune import DEFAULT_N_BLK_VALUES, autotune_layer
 from repro.core.engine import BACKENDS as ENGINE_BACKENDS
 from repro.core.portfolio import ALGORITHMS as ENGINE_ALGORITHMS
 from repro.core.fmr import FmrSpec
@@ -98,6 +84,21 @@ def _write_trace(tracer, path) -> None:
 
 # ----------------------------------------------------------------------
 def cmd_bench(args) -> int:
+    from repro.baselines import (
+        BaselineCrash,
+        CudnnFft3D,
+        CudnnImplicitGemm,
+        CudnnWinograd2D,
+        OursWinograd,
+        UnsupportedLayer,
+        falcon,
+        libxsmm_winograd,
+        mkldnn_direct,
+        mkldnn_winograd,
+        zlateski_direct,
+    )
+    from repro.core.autotune import DEFAULT_N_BLK_VALUES
+
     wisdom = Wisdom()
     if args.wisdom:
         try:
@@ -198,6 +199,8 @@ def cmd_gemm(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    from repro.core.autotune import DEFAULT_N_BLK_VALUES, autotune_layer
+
     try:
         layer = get_layer(args.network, args.layer)
     except KeyError as exc:

@@ -2,53 +2,36 @@
 
 Submodules follow the three-stage pipeline of Fig. 1 plus the supporting
 machinery (layouts, codelets, JIT GEMM, autotuning, static scheduling).
+The names below import their submodule on first access, so importing
+one submodule loads only what that submodule needs.
 """
 
-from repro.core.blocked_pipeline import BlockedWinogradExecutor
-from repro.core.blocking import BlockingConfig
-from repro.core.convolution import WinogradPlan, winograd_convolution
-from repro.core.fmr import FmrSpec
-from repro.core.channel_padding import winograd_convolution_padded_channels
-from repro.core.complexity import complexity_table, effective_reduction
-from repro.core.gradients import weight_gradient, winograd_data_gradient
-from repro.core.nested import (
-    NestedWinogradExecutor,
-    nested_convolution,
-    nested_supported,
-)
-from repro.core.pointsearch import search_points
-from repro.core.tile_selection import select_tile_size
-from repro.core.parallel_convolution import ParallelWinogradExecutor
-from repro.core.transforms import (
-    Transform1D,
-    TransformND,
-    mode_n_multiply,
-    transform_tensor,
-    winograd_1d,
-    winograd_nd,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BlockedWinogradExecutor",
-    "BlockingConfig",
-    "FmrSpec",
-    "NestedWinogradExecutor",
-    "ParallelWinogradExecutor",
-    "nested_convolution",
-    "nested_supported",
-    "Transform1D",
-    "TransformND",
-    "WinogradPlan",
-    "mode_n_multiply",
-    "transform_tensor",
-    "winograd_1d",
-    "winograd_convolution",
-    "winograd_data_gradient",
-    "weight_gradient",
-    "winograd_nd",
-    "winograd_convolution_padded_channels",
-    "complexity_table",
-    "effective_reduction",
-    "search_points",
-    "select_tile_size",
-]
+_EXPORTS = {
+    "BlockedWinogradExecutor": "blocked_pipeline",
+    "BlockingConfig": "blocking",
+    "FmrSpec": "fmr",
+    "NestedWinogradExecutor": "nested",
+    "ParallelWinogradExecutor": "parallel_convolution",
+    "nested_convolution": "nested",
+    "nested_supported": "nested",
+    "Transform1D": "transforms",
+    "TransformND": "transforms",
+    "WinogradPlan": "convolution",
+    "mode_n_multiply": "transforms",
+    "transform_tensor": "transforms",
+    "winograd_1d": "transforms",
+    "winograd_convolution": "convolution",
+    "winograd_data_gradient": "gradients",
+    "weight_gradient": "gradients",
+    "winograd_nd": "transforms",
+    "winograd_convolution_padded_channels": "channel_padding",
+    "complexity_table": "complexity",
+    "effective_reduction": "complexity",
+    "search_points": "pointsearch",
+    "select_tile_size": "tile_selection",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,18 +14,25 @@ The search space follows the paper exactly:
   ``C_blk * C'_blk <= 128**2``,
 * the stationary V block must fit the thread's L2 share,
 * threads per core in {1, 2, 4}.
+
+The cost model is imported by the searches that evaluate it, so the
+engine's compiled path can read wisdom keys and blockings from here
+without loading the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.blocking import BlockingConfig, candidate_blockings
 from repro.core.fmr import FmrSpec
-from repro.machine.cost import ExecutionFeatures, WinogradCostModel
 from repro.machine.spec import MachineSpec
 from repro.nets.layers import ConvLayerSpec
 from repro.util.wisdom import Wisdom, WisdomEntry
+
+if TYPE_CHECKING:
+    from repro.machine.cost import ExecutionFeatures
 
 #: Coarse n_blk grid used by the default search; the full 6..30 sweep is
 #: available via ``n_blk_values=range(6, 31)``.
@@ -88,6 +95,8 @@ def autotune_layer(
     returned immediately without re-searching, matching the paper's
     "saving the optimal parameters in a wisdom file".
     """
+    from repro.machine.cost import WinogradCostModel
+
     key = layer_key(layer, fmr, machine)
     if wisdom is not None:
         entry = wisdom.get(key)
@@ -159,6 +168,8 @@ def network_model_time(
     so the network cost is simply the sum of the layer costs plus no
     inter-layer reshuffling (the layout contract).
     """
+    from repro.machine.cost import WinogradCostModel
+
     total = 0.0
     wisdom = wisdom if wisdom is not None else Wisdom()
     for spec, fmr in layers:

@@ -27,9 +27,9 @@ library here:
   is a :class:`PlanGeometry` value each entry point reads at call time
   from its leading ``const int64_t* geo`` argument;
 * every stage function takes ``[start, stop)`` range arguments matching
-  the :class:`~repro.core.scheduling.GridSlice` grids, so the very same
-  entry points serve the sequential executor (full ranges) and the
-  thread executor (one slice per worker).
+  the :class:`~repro.core.scheduling.GridSlice` grids: the executor
+  calls them over full ranges, and any partition of a grid fills the
+  stage's output bit for bit like one full-range call.
 
 Numerics: coefficients are emitted as hex float literals, pre-rounded to
 float32 for single-precision plans (mirroring NEP-50 scalar conversion
@@ -37,19 +37,17 @@ in the numpy codelets).  The build allows FMA contraction
 (``-ffp-contract=fast``), so compiled results can differ from the
 Python paths in the last bits -- they remain within differential-test
 tolerance of the direct-convolution oracle, and are deterministic
-across runs and bit-identical across compiled executors (sequential
-and thread) by construction: every executor runs this same
-translation unit, and the per-output arithmetic order is fixed by the
-emitted source, not by the schedule.
+across runs by construction: the per-output arithmetic order is fixed
+by the emitted source, not by the range a call covers.
 
-Buffer layouts match the parallel executor exactly:
-``padded (B, C/S, *padded_input, S)`` (the Table-1 image layout),
-``u (T, NB, C)``, ``v (T, C, C')``, ``x (T, NB, C')``,
-``out_tiles (B, C', *counts, *m)``.
-Stage 3 is emitted twice: ``wino_stage3`` scatters into ``out_tiles``
-(the parallel executor's layout), ``wino_stage3_direct`` writes the
-final cropped ``out (B, C', *output)`` tensor so the sequential path
-skips ``assemble_output`` entirely.
+A library holds the three entry points the engine calls, and nothing
+else, since each one costs compile time in every cold build:
+``wino_stage1`` (input transform), ``wino_stage2`` (blocked GEMM) and
+``wino_stage3_direct`` (inverse transform into the final cropped
+``out (B, C', *output)`` tensor, so no ``assemble_output`` pass runs).
+Kernels arrive as the ``(T, C, C')`` transform the engine memoizes.
+Buffer layouts: ``padded (B, C/S, *padded_input, S)`` (the Table-1
+image layout), ``u (T, NB, C)``, ``v (T, C, C')``, ``x (T, NB, C')``.
 """
 
 from __future__ import annotations
@@ -455,42 +453,6 @@ def _emit_stage1(key: CodeletKey, b_cods: list[Codelet]) -> str:
 
 
 # ----------------------------------------------------------------------
-# Stage 1b -- kernel transform
-# ----------------------------------------------------------------------
-def _emit_stage1b(key: CodeletKey, g_cods: list[Codelet]) -> str:
-    em = _Emitter(key.dtype)
-    r = key.spec.r
-    em.lines.append(
-        "void wino_stage1b(const int64_t* restrict geo, "
-        "const real_t* restrict kernels, real_t* restrict v, "
-        "int64_t c0, int64_t c1, int64_t p0, int64_t p1) {"
-    )
-    em.lines += _geo_locals(key.ndim, ["cp"])
-    ind = "  "
-    em.stmt(ind, f"const int64_t plane = {_ll(key.c_in)} * cp;")
-    em.stmt(ind, "for (int64_t c = c0; c < c1; ++c) {")
-    ind += "  "
-    em.stmt(ind, f"for (int64_t q = p0 * {_ll(key.simd)}; "
-                 f"q < p1 * {_ll(key.simd)}; ++q) {{")
-    ind += "  "
-    em.stmt(ind, f"const real_t* restrict kp = kernels + (c * cp + q) * {_ll(prod(r))};")
-    r_strides = _row_major_strides(r)
-    names: dict[tuple[int, ...], str] = {}
-    for flat, idx in enumerate(_multi_indices(r)):
-        nm = f"a{flat}"
-        em.stmt(ind, f"const real_t {nm} = kp[{_ll(_flat(idx, r_strides))}];")
-        names[idx] = nm
-    outs = emit_separable_transform(g_cods, r, names, em, ind)
-    em.stmt(ind, "real_t* vp = v + c * cp + q;")
-    _plane_stores(em, ind, "vp", [outs[i] for i in _multi_indices(key.spec.tile_shape)], "")
-    for _ in range(2):
-        ind = ind[:-2]
-        em.stmt(ind, "}")
-    em.lines.append("}")
-    return "\n".join(em.lines)
-
-
-# ----------------------------------------------------------------------
 # Stage 2 -- blocked batched GEMM
 # ----------------------------------------------------------------------
 def _stage2_vw(jt: int) -> int:
@@ -683,35 +645,29 @@ def _stage3_direct_store(em: _Emitter, key: CodeletKey, ind: str) -> None:
     em.stmt(ind, "}")
 
 
-def _emit_stage3(key: CodeletKey, a_cods: list[Codelet], direct: bool) -> str:
+def _emit_stage3(key: CodeletKey, a_cods: list[Codelet]) -> str:
     """Inverse transform, vectorized across the output-channel lanes.
 
     The ``T`` planes of ``x`` hold the channel block contiguously, so
     the inputs are plain vector loads; the transform runs ``S`` wide;
     the ``m``-tile of output vectors is parked in a local buffer and
-    scattered per channel with contiguous scalar stores.  ``direct``
-    selects the final-tensor layout (``wino_stage3_direct``, cropped by
-    a per-tile valid extent) over the ``out_tiles`` arena layout
-    (``wino_stage3``) -- same arithmetic, so the two variants are
-    bit-identical where both store.  The range start is decoded once;
-    the loop then advances the (b, tile, channel-block) indices -- and
-    for the direct store the tile's grid coordinates -- with carries,
-    so no iteration divides by a run-time value.
+    scattered per channel into the final cropped tensor
+    (:func:`_stage3_direct_store`).  The range start is decoded once;
+    the loop then advances the (b, tile, channel-block) indices and the
+    tile's grid coordinates with carries, so no iteration divides by a
+    run-time value.
     """
     em = _Emitter(key.dtype, rtype="vchan")
     nd, s = key.ndim, key.simd
     m, tile = key.spec.m, key.spec.tile_shape
-    fname = "wino_stage3_direct" if direct else "wino_stage3"
-    dest = "out" if direct else "out_tiles"
     em.lines.append(
-        f"void {fname}(const int64_t* restrict geo, const real_t* restrict x, "
-        f"real_t* restrict {dest}, int64_t f0, int64_t f1) {{"
+        "void wino_stage3_direct(const int64_t* restrict geo, const real_t* restrict x, "
+        "real_t* restrict out, int64_t f0, int64_t f1) {"
     )
-    fields = ["n_tiles", "nb", "cp", "cp_blocks"]
-    if direct:
-        fields += (["out_elems"] + [f"count{d}" for d in range(nd)]
-                   + [f"out_ext{d}" for d in range(nd)]
-                   + [f"out_stride{d}" for d in range(nd - 1)])
+    fields = (["n_tiles", "nb", "cp", "cp_blocks", "out_elems"]
+              + [f"count{d}" for d in range(nd)]
+              + [f"out_ext{d}" for d in range(nd)]
+              + [f"out_stride{d}" for d in range(nd - 1)])
     em.lines += _geo_locals(nd, fields)
     ind = "  "
     # The inputs are loaded in the order the first codelet pass consumes
@@ -725,11 +681,10 @@ def _emit_stage3(key: CodeletKey, a_cods: list[Codelet], direct: bool) -> str:
     em.stmt(ind, "int64_t tile = f0 / cp_blocks;")
     em.stmt(ind, "int64_t b = tile / n_tiles;")
     em.stmt(ind, "tile -= b * n_tiles;")
-    if direct:
-        em.stmt(ind, "int64_t trem = tile;")
-        for d in range(nd - 1, 0, -1):
-            em.stmt(ind, f"int64_t td{d} = trem % count{d}; trem /= count{d};")
-        em.stmt(ind, "int64_t td0 = trem;")
+    em.stmt(ind, "int64_t trem = tile;")
+    for d in range(nd - 1, 0, -1):
+        em.stmt(ind, f"int64_t td{d} = trem % count{d}; trem /= count{d};")
+    em.stmt(ind, "int64_t td0 = trem;")
     em.stmt(ind, "for (int64_t f = f0; f < f1; ++f) {")
     ind += "  "
     em.stmt(ind, f"const real_t* xp = x + (b * n_tiles + tile) * cp + qb * {_ll(s)};")
@@ -744,33 +699,21 @@ def _emit_stage3(key: CodeletKey, a_cods: list[Codelet], direct: bool) -> str:
         em.stmt(ind, f"const vchan {nm} = *(const vchan*)xp;{step}")
         names[idx] = nm
     outs = emit_separable_transform(a_cods, tile, names, em, ind)
-    mp = prod(m)
-    em.stmt(ind, f"real_t sbuf[{mp}][{s}];")
+    em.stmt(ind, f"real_t sbuf[{prod(m)}][{s}];")
     for mflat, idx in enumerate(_multi_indices(m)):
         em.stmt(ind, f"*(vchan*)sbuf[{mflat}] = {outs[idx]};")
     em.stmt(ind, "IN_MEMORY(sbuf);")
-    if direct:
-        _stage3_direct_store(em, key, ind)
-    else:
-        em.stmt(ind, f"real_t* restrict ob = out_tiles + "
-                     f"((b * cp + qb * {_ll(s)}) * n_tiles + tile) * {_ll(mp)};")
-        em.stmt(ind, f"for (int cc = 0; cc < {s}; ++cc) {{")
-        em.stmt(ind + "  ", "real_t* restrict oc = ob + "
-                            f"(int64_t)cc * (n_tiles * {_ll(mp)});")
-        for mflat in range(mp):
-            em.stmt(ind + "  ", f"oc[{mflat}] = sbuf[{mflat}][cc];")
-        em.stmt(ind, "}")
+    _stage3_direct_store(em, key, ind)
     em.stmt(ind, "if (++qb == cp_blocks) {")
     inner = ind + "  "
     em.stmt(inner, "qb = 0;")
-    if direct:
-        for d in range(nd - 1, -1, -1):
-            em.stmt(inner, f"if (++td{d} == count{d}) {{")
-            inner += "  "
-            em.stmt(inner, f"td{d} = 0;")
-        for _ in range(nd):
-            inner = inner[:-2]
-            em.stmt(inner, "}")
+    for d in range(nd - 1, -1, -1):
+        em.stmt(inner, f"if (++td{d} == count{d}) {{")
+        inner += "  "
+        em.stmt(inner, f"td{d} = 0;")
+    for _ in range(nd):
+        inner = inner[:-2]
+        em.stmt(inner, "}")
     em.stmt(inner, "if (++tile == n_tiles) { tile = 0; ++b; }")
     em.stmt(ind, "}")
     ind = ind[:-2]
@@ -792,14 +735,13 @@ class GeneratedSource:
 
 
 def render_source(key: CodeletKey) -> GeneratedSource:
-    """Render the five stage functions for ``key`` as one C translation
+    """Render the three stage functions for ``key`` as one C translation
     unit.  Deterministic and a function of the key alone: every plan
     with this key gets byte-identical source, hence one build."""
     dtype = np.dtype(key.dtype)
     real = "float" if dtype == np.float32 else "double"
     dims = winograd_nd(key.spec).dims
     b_cods = [generate_codelet(t.b, name="b_codelet") for t in dims]
-    g_cods = [generate_codelet(t.g, name="g_codelet") for t in dims]
     a_cods = [generate_codelet(t.a, name="a_codelet") for t in dims]
 
     itemsize = dtype.itemsize
@@ -824,13 +766,9 @@ def render_source(key: CodeletKey) -> GeneratedSource:
     geo = "const int64_t* geo"
     cdef = "\n".join([
         f"void wino_stage1({geo}, const {real}* padded, {real}* u, {range_args});",
-        f"void wino_stage1b({geo}, const {real}* kernels, {real}* v, "
-        "int64_t c0, int64_t c1, int64_t p0, int64_t p1);",
         f"void wino_stage2({geo}, const {real}* u, const {real}* v, {real}* x, "
         "int64_t t0, int64_t t1, int64_t j0, int64_t j1, "
         "int64_t i0, int64_t i1);",
-        f"void wino_stage3({geo}, const {real}* x, {real}* out_tiles, "
-        "int64_t f0, int64_t f1);",
         f"void wino_stage3_direct({geo}, const {real}* x, {real}* out, "
         "int64_t f0, int64_t f1);",
     ])
@@ -856,9 +794,7 @@ def render_source(key: CodeletKey) -> GeneratedSource:
     c_source = "\n\n".join([
         header,
         _emit_stage1(key, b_cods),
-        _emit_stage1b(key, g_cods),
         emit2(key),
-        _emit_stage3(key, a_cods, direct=False),
-        _emit_stage3(key, a_cods, direct=True),
+        _emit_stage3(key, a_cods),
     ]) + "\n"
     return GeneratedSource(c_source=c_source, cdef=cdef, real_type=real)

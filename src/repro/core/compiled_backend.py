@@ -1,16 +1,13 @@
 """Compiled execution backend: cffi-built C codelets for the hot path.
 
-:mod:`repro.core.codegen_c` renders the stage functions of one codelet
-key -- ``F(m, r)``, ``S``, dtype, ``C`` and the stage-2 register tile --
-into one C translation unit; this module owns everything around that
-source:
+:mod:`repro.core.codegen_c` renders the three stage functions of one
+codelet key -- ``F(m, r)``, ``S``, dtype, ``C`` and the stage-2 register
+tile -- into one C translation unit; this module owns everything around
+that source.  The engine imports it only when it builds a compiled plan
+entry; the toolchain probe and the two fallback errors live in
+:mod:`repro.core.toolchain`, so a fused-only process never loads the
+code generator.
 
-* **capability probe** -- find a working C compiler (``$CC`` wins when
-  set, otherwise ``cc``/``gcc``/``clang`` from PATH) and a flag set that
-  produces a loadable shared object, test-compiling a tiny probe once
-  per process.  No compiler or no cffi -> :func:`compiled_available`
-  is False and the engine falls back to the fused numpy path (recorded
-  in metrics) instead of failing.
 * **build cache** -- compiled libraries land in a content-addressed
   disk cache (``$REPRO_CODELET_CACHE`` or
   ``$XDG_CACHE_HOME/repro/codelets``) keyed by a digest of the source,
@@ -20,13 +17,14 @@ source:
   on the key, so plans that differ only in shape share one compile,
   one dlopen and one disk-cache entry.
 * **entry points** -- :class:`CompiledStages` binds one plan's packed
-  geometry to the shared library; its wrappers pass numpy buffers
-  through ``ffi.from_buffer`` with zero copies, and cffi ABI-mode calls
-  release the GIL, so the thread executor achieves real parallelism
-  when its stage bodies run compiled.
+  geometry to the shared library's ``wino_stage1``, ``wino_stage2`` and
+  ``wino_stage3_direct``; its wrappers pass numpy buffers through
+  ``ffi.from_buffer`` with zero copies, over full ranges by default or
+  over any slice of a stage's task grid.
 * :class:`CompiledWinogradExecutor` -- the sequential all-compiled
-  pipeline used by ``backend="compiled"``: full-range calls into the
-  same stage functions the parallel executors slice.
+  pipeline used by ``backend="compiled"``: stage 1, stage 2 and stage 3
+  straight into the cropped output, on the ``(T, C, C')`` kernel
+  transform the engine memoizes.
 
 The compile itself is observable: a ``codelet.compile`` span, build /
 cache-hit counters and a compile-seconds histogram.
@@ -36,14 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shlex
-import shutil
-import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -52,136 +45,17 @@ from repro.core.blocking import BlockingConfig
 from repro.core.codegen_c import CodeletKey, PlanGeometry, render_source
 from repro.core.convolution import TransformedKernels, WinogradPlan
 from repro.core.layout import ImageLayout, pack_padded
+from repro.core.toolchain import (  # noqa: F401 - re-exported
+    CodeletBuildError,
+    CompilerUnavailableError,
+    Toolchain,
+    clear_probe_cache,
+    compiled_available,
+    probe_toolchain,
+    run_compiler,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-
-class CompilerUnavailableError(RuntimeError):
-    """No working C toolchain (or no cffi); the engine falls back."""
-
-
-class CodeletBuildError(RuntimeError):
-    """Compiling generated codelet source failed (toolchain regressed
-    after the probe, disk full, ...); absorbed by the fallback chain."""
-
-
-#: No -ffast-math (value-changing rewrites stay off), but FMA
-#: contraction is allowed: results remain deterministic across runs and
-#: bit-identical across the compiled executors (same translation unit,
-#: fixed per-output arithmetic order), they just round differently from
-#: the numpy paths in the last bits -- well inside differential-test
-#: tolerance, and the contracted stage-2 kernel is ~2x the mul+add one.
-BASE_FLAGS = ("-O3", "-fPIC", "-shared", "-std=c11", "-ffp-contract=fast")
-_NATIVE_FLAG = "-march=native"
-
-#: The probe exercises the GNU vector extensions the emitters rely on
-#: (gcc and clang both support them); a compiler without them fails the
-#: probe and the engine falls back instead of failing mid-build.
-_PROBE_SOURCE = """\
-typedef float v4f __attribute__((vector_size(16), aligned(4), may_alias));
-int repro_probe(void) {
-  float buf[4] = {40.0f, 2.0f, 0.0f, 0.0f};
-  v4f a = *(const v4f*)buf;
-  a += 1.0f * a - a;
-  return (int)(a[0] + a[1]);
-}
-"""
-
-
-@dataclass(frozen=True)
-class Toolchain:
-    """A probed compiler invocation: argv prefix + validated flags."""
-
-    argv: tuple[str, ...]
-    flags: tuple[str, ...]
-
-
-def find_compiler() -> tuple[str, ...] | None:
-    """Compiler argv prefix, honoring ``$CC`` strictly.
-
-    When ``CC`` is set it is used even if broken (so ``CC=/bin/false``
-    deterministically masks the toolchain for fallback tests); otherwise
-    the conventional names are searched on PATH.
-    """
-    cc = os.environ.get("CC")
-    if cc is not None:
-        argv = tuple(shlex.split(cc))
-        return argv or None
-    for cand in ("cc", "gcc", "clang"):
-        path = shutil.which(cand)
-        if path:
-            return (path,)
-    return None
-
-
-def _have_cffi() -> bool:
-    try:
-        import cffi  # noqa: F401
-    except ImportError:  # pragma: no cover - cffi is in the image
-        return False
-    return True
-
-
-def _run_compiler(argv, flags, src: Path, out: Path) -> tuple[bool, str]:
-    cmd = [*argv, *flags, str(src), "-o", str(out)]
-    try:
-        res = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        return False, f"{type(exc).__name__}: {exc}"
-    if res.returncode != 0 or not out.exists():
-        return False, (res.stderr or res.stdout or "")[-2000:]
-    return True, ""
-
-
-def _probe_dlopen(path: Path) -> bool:
-    import cffi
-
-    try:
-        ffi = cffi.FFI()
-        ffi.cdef("int repro_probe(void);")
-        lib = ffi.dlopen(str(path))
-        return lib.repro_probe() == 42
-    except Exception:  # noqa: BLE001 - any failure means "not capable"
-        return False
-
-
-_PROBE_CACHE: dict[tuple[str | None, str | None], Toolchain | None] = {}
-_PROBE_LOCK = threading.Lock()
-
-
-def probe_toolchain() -> Toolchain | None:
-    """Find (and cache) a compiler + flag set that builds a loadable
-    shared object; ``None`` when the host has no usable toolchain.
-
-    Cached per ``($CC, $PATH)``, so changing either re-probes without an
-    explicit cache clear, while a hit resolves no compiler (no PATH
-    walk per request).  ``-march=native`` is kept only when the probe
-    compile accepts it.
-    """
-    key = (os.environ.get("CC"), os.environ.get("PATH"))
-    with _PROBE_LOCK:
-        if key in _PROBE_CACHE:
-            return _PROBE_CACHE[key]
-    argv = find_compiler()
-    tc: Toolchain | None = None
-    if argv is not None and _have_cffi():
-        with tempfile.TemporaryDirectory(prefix="repro-cc-probe-") as td:
-            src = Path(td) / "probe.c"
-            out = Path(td) / "probe.so"
-            src.write_text(_PROBE_SOURCE)
-            for flags in ((*BASE_FLAGS, _NATIVE_FLAG), BASE_FLAGS):
-                ok, _ = _run_compiler(argv, flags, src, out)
-                if ok and _probe_dlopen(out):
-                    tc = Toolchain(argv=argv, flags=flags)
-                    break
-    with _PROBE_LOCK:
-        _PROBE_CACHE[key] = tc
-    return tc
-
-
-def compiled_available() -> bool:
-    """True when the compiled backend can build and load codelets."""
-    return probe_toolchain() is not None
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +111,7 @@ def build_shared_library(
         os.close(fd)
         try:
             Path(tmp_c).write_text(c_source)
-            ok, err = _run_compiler(
+            ok, err = run_compiler(
                 toolchain.argv, toolchain.flags, Path(tmp_c), Path(tmp_so)
             )
             if not ok:
@@ -270,9 +144,9 @@ class CompiledStages:
     and is shared by every plan with that key; this object adds the
     plan's own :class:`PlanGeometry`, packed once into the ``geo``
     array each entry point takes first, and the full-range arguments.
-    Stateless after construction, so one instance serves the whole
-    thread pool, where the cffi calls release the GIL for the duration
-    of the C stage body.
+    Every entry point also takes ``[start, stop)`` ranges over its
+    stage's task grid (:mod:`repro.core.scheduling`); a stage filled
+    slice by slice matches one full-range call bit for bit.
     """
 
     def __init__(
@@ -290,21 +164,19 @@ class CompiledStages:
         self._ctype = real_type + "[]"
         self._geo = ffi.new("int64_t[]", geometry.pack().tolist())
         s = geometry.simd
-        counts = plan.grid.counts
         row_blocks = -(-plan.gemm_rows // blocking.n_blk)
         self.full_ranges = {
             "stage1": ((0, plan.batch), (0, plan.c_in // s))
-            + tuple((0, n) for n in counts),
-            "stage1b": ((0, plan.c_in), (0, plan.c_out // s)),
+            + tuple((0, n) for n in plan.grid.counts),
             "stage2": (
                 (0, plan.t_matrices),
                 (0, plan.c_out // blocking.cprime_blk),
                 (0, row_blocks),
             ),
-            "stage3": ((0, plan.batch * plan.tiles_per_image * (plan.c_out // s)),),
+            "stage3_direct": (
+                (0, plan.batch * plan.tiles_per_image * (plan.c_out // s)),
+            ),
         }
-        # Same 1-D grid, different destination layout.
-        self.full_ranges["stage3_direct"] = self.full_ranges["stage3"]
 
     def _ptr(self, arr: np.ndarray, writable: bool):
         if arr.dtype != self.dtype:
@@ -324,24 +196,10 @@ class CompiledStages:
             *self._flat(ranges),
         )
 
-    def stage1b(self, kernels: np.ndarray, v: np.ndarray, ranges=None) -> None:
-        ranges = ranges if ranges is not None else self.full_ranges["stage1b"]
-        self.lib.wino_stage1b(
-            self._geo, self._ptr(kernels, False), self._ptr(v, True),
-            *self._flat(ranges),
-        )
-
     def stage2(self, u: np.ndarray, v: np.ndarray, x: np.ndarray, ranges=None) -> None:
         ranges = ranges if ranges is not None else self.full_ranges["stage2"]
         self.lib.wino_stage2(
             self._geo, self._ptr(u, False), self._ptr(v, False), self._ptr(x, True),
-            *self._flat(ranges),
-        )
-
-    def stage3(self, x: np.ndarray, out_tiles: np.ndarray, ranges=None) -> None:
-        ranges = ranges if ranges is not None else self.full_ranges["stage3"]
-        self.lib.wino_stage3(
-            self._geo, self._ptr(x, False), self._ptr(out_tiles, True),
             *self._flat(ranges),
         )
 
@@ -413,8 +271,7 @@ def clear_compiled_caches() -> None:
     """Drop the in-process probe and library caches (tests / cold-start
     benchmarks).  The content-addressed disk cache is left alone -- it
     is the persistence layer, not a memoization detail."""
-    with _PROBE_LOCK:
-        _PROBE_CACHE.clear()
+    clear_probe_cache()
     with _LIBRARIES_LOCK:
         _LIBRARIES.clear()
 
@@ -425,17 +282,19 @@ def clear_compiled_caches() -> None:
 class CompiledWinogradExecutor:
     """Runs a :class:`WinogradPlan` entirely through the compiled stages.
 
-    Owns persistent pipeline buffers in the executors' shared layouts
-    (padded / U / V / X); :meth:`execute` is serialized internally, so
-    the one workspace serves one request at a time.  ``padded`` is the
-    Table-1 image layout ``(B, C/S, *padded_input, S)``: its zero halo
-    is written once, at allocation, and each call copies the images
-    into its interior (:func:`~repro.core.layout.pack_padded`), so
-    stage 1 reads every tile element as one ``S``-wide vector.  Stage 3
-    runs the direct variant, writing a fresh output tensor in its final
-    cropped layout -- no ``out_tiles`` buffer and no numpy reassembly.
-    Passing :class:`TransformedKernels` uses the memoized ``(T, C, C')``
-    data as V directly -- the FX path skips stage 1b.
+    Owns persistent pipeline buffers (padded / U / X); :meth:`execute` is
+    serialized internally, so the one workspace serves one request at a
+    time.  ``padded`` is the Table-1 image layout ``(B, C/S,
+    *padded_input, S)``: its zero halo is written once, at allocation,
+    and each call copies the images into its interior
+    (:func:`~repro.core.layout.pack_padded`), so stage 1 reads every tile
+    element as one ``S``-wide vector.  Stage 3 runs the direct variant,
+    writing a fresh output tensor in its final cropped layout -- no
+    ``out_tiles`` buffer and no numpy reassembly.  Stage 2 reads the
+    memoized ``(T, C, C')`` kernel transform (:class:`TransformedKernels`,
+    the engine's FX path) as V directly; raw kernels are transformed by
+    :meth:`WinogradPlan.transform_kernels` first, so both give the same
+    bits.
     """
 
     def __init__(
@@ -458,7 +317,6 @@ class CompiledWinogradExecutor:
         dtype = plan.dtype
         self._padded = np.zeros(shapes["padded"], dtype)
         self._u = np.empty(shapes["u"], dtype)
-        self._v = np.empty(shapes["v"], dtype)
         self._x = np.empty(shapes["x"], dtype)
         self._out_shape = (plan.batch, plan.c_out) + plan.grid.output_shape
         self._lock = threading.Lock()
@@ -473,13 +331,12 @@ class CompiledWinogradExecutor:
                 b, c, plan.grid.padded_input_shape, simd_width
             ).stored_shape,
             "u": (t, nb, c),
-            "v": (t, c, cp),
             "x": (t, nb, cp),
         }
 
     @property
     def workspace_nbytes(self) -> int:
-        return sum(a.nbytes for a in (self._padded, self._u, self._v, self._x))
+        return sum(a.nbytes for a in (self._padded, self._u, self._x))
 
     def _timed(self, name: str, fn) -> None:
         t0 = time.perf_counter()
@@ -497,29 +354,21 @@ class CompiledWinogradExecutor:
         images = np.asarray(images, dtype=plan.dtype)
         if tuple(images.shape) != plan.input_shape:
             raise ValueError(f"images shape {images.shape} != {plan.input_shape}")
+        if not isinstance(kernels, TransformedKernels):
+            kernels = plan.transform_kernels(np.asarray(kernels))
+        if kernels.spec != plan.spec or kernels.c != plan.c_in \
+                or kernels.cprime != plan.c_out:
+            raise ValueError(
+                "transformed kernels do not match the plan "
+                f"({kernels.spec}, C={kernels.c}, C'={kernels.cprime})"
+            )
+        v = np.ascontiguousarray(kernels.data, dtype=plan.dtype)
         with self._lock:
             # No stage writes `padded`, so its halo is still zero.
             pack_padded(
                 images, plan.padding, plan.grid.padded_input_shape,
                 self.simd_width, out=self._padded,
             )
-            if isinstance(kernels, TransformedKernels):
-                if kernels.spec != plan.spec or kernels.c != plan.c_in \
-                        or kernels.cprime != plan.c_out:
-                    raise ValueError(
-                        "transformed kernels do not match the plan "
-                        f"({kernels.spec}, C={kernels.c}, C'={kernels.cprime})"
-                    )
-                v = np.ascontiguousarray(kernels.data, dtype=plan.dtype)
-            else:
-                karr = np.ascontiguousarray(kernels, dtype=plan.dtype)
-                expected = (plan.c_in, plan.c_out) + plan.spec.r
-                if tuple(karr.shape) != expected:
-                    raise ValueError(
-                        f"kernels shape {karr.shape} != expected {expected}"
-                    )
-                self._timed("stage1b", lambda: self.stages.stage1b(karr, self._v))
-                v = self._v
             self._timed("stage1", lambda: self.stages.stage1(self._padded, self._u))
             self._timed("stage2", lambda: self.stages.stage2(self._u, v, self._x))
             # Fresh (not persistent): the caller owns the result, and

@@ -41,6 +41,13 @@ Three cooperating pieces:
 
 The cache and arena are an explicit *extension beyond the paper* (which
 restarts its binary per layer benchmark); see DESIGN.md.
+
+A process loads only the code its plans run: the compiled backend and
+its code generator are imported when a compiled plan entry is built,
+nested Winograd when a nested one is, the autotuner's wisdom keys when
+a compiled plan is resolved, and the KNL cost model (with the codelet,
+JIT-GEMM and scheduling simulators it drives) by the ``auto`` decision
+and ``tile_policy="model"``.  No request imports anything.
 """
 
 from __future__ import annotations
@@ -58,19 +65,9 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.core.autotune import blocking_from_wisdom, layer_key
 from repro.core.blocking import BlockingConfig
-from repro.core.compiled_backend import (
-    CodeletBuildError,
-    CompiledWinogradExecutor,
-    CompilerUnavailableError,
-    clear_compiled_caches,
-    compiled_available,
-)
-from repro.core.codelets import clear_codelet_cache
 from repro.core.convolution import TransformedKernels, WinogradPlan
 from repro.core.fmr import FmrSpec
-from repro.core.nested import NestedWinogradExecutor
 from repro.core.portfolio import (
     ALGORITHMS,
     ENGINE_EXECUTED,
@@ -78,8 +75,13 @@ from repro.core.portfolio import (
     PortfolioPlanner,
     make_baseline,
 )
+from repro.core.toolchain import (
+    CodeletBuildError,
+    CompilerUnavailableError,
+    compiled_available,
+)
 from repro.core.transforms import clear_transform_caches
-from repro.machine.spec import KNL_7210, MachineSpec
+from repro.machine.spec import MachineSpec
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import output_shape
 from repro.obs.metrics import MetricsRegistry
@@ -827,11 +829,13 @@ class CompiledEntry(PlanEntry):
     """A plan run through generated C codelets (``backend="compiled"``).
 
     Kernels are prepared as the same ``(T, C, C')`` transform the fused
-    path memoizes -- it *is* the V layout stage 2 consumes, so repeated
-    kernels skip stage 1b.  The executor owns its workspace, so
-    ``lease_bytes`` reports that workspace from the plan's shapes
-    without building anything.  The compiled result is a private heap
-    array, delivered through ``out`` by a copy.
+    path memoizes -- it *is* the V layout stage 2 consumes, so the
+    generated library needs no kernel-transform entry point.  The
+    executor owns its workspace, so ``lease_bytes`` reports that
+    workspace from the plan's shapes without building anything.  The
+    compiled result is a private heap array, delivered through ``out``
+    by a copy.  Building this entry is what imports the compiled
+    backend and its code generator.
     """
 
     def __init__(
@@ -840,6 +844,8 @@ class CompiledEntry(PlanEntry):
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
+        from repro.core.compiled_backend import CompiledWinogradExecutor
+
         super().__init__(key)
         self.plan = _winograd_plan(key)
         self.tracer, self.metrics = tracer, metrics
@@ -849,11 +855,11 @@ class CompiledEntry(PlanEntry):
                 self.plan, key.blocking.simd_width
             ).values()
         )
-        self._compiled: CompiledWinogradExecutor | None = None
+        self._compiled = None
         self._build_error: str | None = None
         self.lock = threading.Lock()
 
-    def executor(self) -> CompiledWinogradExecutor:
+    def executor(self):
         """Lazily built compiled-C executor for this plan.
 
         First build binds the plan to its codelet key's stage library:
@@ -871,6 +877,8 @@ class CompiledEntry(PlanEntry):
             if self._build_error is not None:
                 raise CodeletBuildError(self._build_error)
             if self._compiled is None:
+                from repro.core.compiled_backend import CompiledWinogradExecutor
+
                 try:
                     self._compiled = CompiledWinogradExecutor(
                         plan=self.plan,
@@ -952,6 +960,8 @@ class NestedEntry(PlanEntry):
     """
 
     def __init__(self, key: PlanKey, engine: "ConvolutionEngine", layer: ConvLayerSpec):
+        from repro.core.nested import NestedWinogradExecutor
+
         super().__init__(key)
         self.engine = engine
         self.nested = NestedWinogradExecutor(layer)
@@ -1538,6 +1548,8 @@ class ConvolutionEngine:
         to correctness-first defaults sized by the channel counts --
         autotuning is never triggered from the request path.
         """
+        from repro.core.autotune import blocking_from_wisdom, layer_key
+
         c_in = input_shape[1]
         layer = _layer_spec(input_shape, c_out, spec.r, padding)
         stored = self.wisdom.get(layer_key(layer, spec, self.machine))
@@ -1614,6 +1626,9 @@ def clear_compile_caches() -> None:
     as a fresh process would.  The content-addressed on-disk build cache
     is deliberately kept -- it persists across processes by design.
     """
+    from repro.core.codelets import clear_codelet_cache
+    from repro.core.compiled_backend import clear_compiled_caches
+
     clear_transform_caches()
     clear_codelet_cache()
     clear_compiled_caches()

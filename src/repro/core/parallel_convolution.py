@@ -19,9 +19,9 @@ buffers shared by the whole pool:
 
 The output is bitwise independent of the thread count (see
 :mod:`repro.core.stages`).  Numpy releases the GIL inside its array
-kernels and cffi for a whole compiled stage body (``use_compiled=True``),
-so the threads run concurrently only inside those calls; the Python
-between them is serialized.
+kernels, so the threads run concurrently only inside those calls; the
+Python between them is serialized.  That is why this executor is the
+reproduction of Sec. 4.5, not a serving path.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from repro.core.layout import pack_padded
 from repro.core.parallel import ForkJoinPool
 from repro.core.stages import (
     STAGE_BUFFERS,
+    NumpyStages,
     buffer_shapes,
     check_inputs,
-    make_stages,
     stage_schedules,
 )
 from repro.core.tiling import assemble_output
@@ -58,12 +58,6 @@ class ParallelWinogradExecutor:
     #: Observability hooks (see repro.obs); optional and no-op-safe.
     tracer: Tracer | None = None
     metrics: MetricsRegistry | None = None
-    #: Run the compiled C codelets instead of the numpy stage bodies.
-    #: cffi ABI calls release the GIL for a whole stage body, so this is
-    #: where the thread pool scales.  Requires a working toolchain
-    #: (raises CompilerUnavailableError at construction otherwise --
-    #: the engine probes first).
-    use_compiled: bool = False
 
     pool: ForkJoinPool = field(init=False)
 
@@ -71,10 +65,7 @@ class ParallelWinogradExecutor:
         self._schedules = stage_schedules(
             self.plan, self.blocking, self.simd_width, self.n_threads
         )
-        self.stages = make_stages(
-            self.plan, self.blocking, self.simd_width, self.use_compiled,
-            tracer=self.tracer, metrics=self.metrics,
-        )
+        self.stages = NumpyStages(self.plan, self.blocking, self.simd_width)
         self.pool = ForkJoinPool(self.n_threads)
 
     # ------------------------------------------------------------------

@@ -13,7 +13,9 @@ FFT world has used for decades (FFTW's planner):
 
 1. **Predict** -- rank every candidate algorithm with the machine
    model's unit-comparable warm-path predictions
-   (:func:`repro.machine.cost.predict_algorithm_seconds`).
+   (:func:`repro.machine.cost.predict_algorithm_seconds`, imported by
+   the first decision, so an engine that never decides never loads the
+   model).
 2. **Probe** -- optionally confirm the ranking by *measuring* the top
    predicted candidates plus Winograd (always probed, so ``auto`` can
    never lose to the default by more than noise) under a small time
@@ -36,19 +38,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.baselines.base import ConvImplementation, UnsupportedLayer
-from repro.core.nested import nested_supported
-from repro.machine.cost import PORTFOLIO_ALGORITHMS, predict_algorithm_seconds
 from repro.machine.spec import MachineSpec
 from repro.nets.layers import ConvLayerSpec
 from repro.obs.metrics import MetricsRegistry, labeled
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.wisdom import AlgoWisdomEntry, Wisdom
 
+if TYPE_CHECKING:
+    from repro.baselines.base import ConvImplementation
+
 #: Candidate algorithms, in preference order for ties.
-ALGORITHMS = PORTFOLIO_ALGORITHMS
+ALGORITHMS = ("winograd", "nested", "fft", "direct", "im2col")
 
 #: Algorithms the engine itself executes (through its Winograd pipeline)
 #: rather than via a standalone baseline implementation.  ``nested``
@@ -195,7 +197,16 @@ class PortfolioPlanner:
 
     # ------------------------------------------------------------------
     def candidates(self, layer: ConvLayerSpec) -> dict[str, float]:
-        """Calibrated model predictions per *supported* algorithm."""
+        """Calibrated model predictions per *supported* algorithm.
+
+        The first call imports the KNL cost model, and with it the
+        codelet, JIT-GEMM and scheduling simulators it drives: only an
+        ``auto`` decision pays for them.
+        """
+        from repro.baselines.base import UnsupportedLayer
+        from repro.core.nested import nested_supported
+        from repro.machine.cost import predict_algorithm_seconds
+
         scale = self.wisdom.get_calibration(self.fingerprint) or 1.0
         preds: dict[str, float] = {}
         for algo in ALGORITHMS:
@@ -304,6 +315,8 @@ class PortfolioPlanner:
         """Record the one-shot model->host scale on first measurement."""
         if self.wisdom.get_calibration(self.fingerprint) is not None:
             return
+        from repro.machine.cost import predict_algorithm_seconds
+
         for algo, host_s in measured.items():
             model_s = predict_algorithm_seconds(algo, layer, self.machine)
             if model_s > 0 and host_s > 0:

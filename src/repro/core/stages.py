@@ -1,16 +1,13 @@
-"""One set of Winograd stage bodies for the parallel executors (Sec. 4.5).
+"""One set of Winograd stage bodies for the thread executor (Sec. 4.5).
 
 In the paper's runtime each pipeline stage has one body, and every
 thread runs that body over the slice of the stage's task grid that the
-static scheduler assigned it.  This module holds that body once:
-:class:`NumpyStages` is the numpy set, with the same signatures as the
-compiled C set (:class:`~repro.core.compiled_backend.CompiledStages`),
-and :func:`make_stages` picks one of the two.  The module also owns the
-pipeline geometry the thread executor
-(:mod:`repro.core.parallel_convolution`) is built from: the channel and
-blocking checks, the shared buffer shapes, and the per-stage static
-schedules.  Because every worker count calls the same bodies over
-slices of the same grids, the output does not depend on it.
+static scheduler assigned it.  This module holds that body once, as
+:class:`NumpyStages`, together with the pipeline geometry the thread
+executor (:mod:`repro.core.parallel_convolution`) is built from: the
+channel and blocking checks, the shared buffer shapes, and the
+per-stage static schedules.  Because every worker count calls the same
+bodies over slices of the same grids, the output does not depend on it.
 
 The shared buffers (all C-contiguous):
 
@@ -37,7 +34,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.blocking import BlockingConfig
-from repro.core.compiled_backend import CompiledStages, get_compiled_stages
 from repro.core.convolution import WinogradPlan
 from repro.core.layout import ImageLayout
 from repro.core.scheduling import (
@@ -48,8 +44,6 @@ from repro.core.scheduling import (
     static_schedule,
 )
 from repro.core.transforms import transform_tensor
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 
 #: Each stage body's buffer operands, in call order (the slice's
 #: ``ranges`` follow them).  The order of the keys is the pipeline order.
@@ -118,7 +112,7 @@ def check_inputs(
     plan: WinogradPlan, images: np.ndarray, kernels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cast a request to the plan dtype and check its shapes; the stage
-    bodies (the compiled ones index raw pointers) trust both."""
+    bodies trust both."""
     images = np.asarray(images, dtype=plan.dtype)
     kernels = np.ascontiguousarray(kernels, dtype=plan.dtype)
     if tuple(images.shape) != plan.input_shape:
@@ -132,10 +126,8 @@ def check_inputs(
 class NumpyStages:
     """Vectorized numpy stage bodies over one slice of each stage grid.
 
-    Same call signatures as
-    :class:`~repro.core.compiled_backend.CompiledStages`, minus its
-    full-range default: every call names its ``ranges``.  Stateless
-    after construction, so one instance serves every worker of a pool.
+    Every call names its ``ranges``.  Stateless after construction, so
+    one instance serves every worker of a pool.
     """
 
     def __init__(
@@ -238,20 +230,3 @@ class NumpyStages:
                 # indexing result: shape (k, S, *m), matching inv directly.
                 out_tiles[(b_idx, slice(cpb * s, (cpb + 1) * s)) + tidx] = inv
 
-
-def make_stages(
-    plan: WinogradPlan,
-    blocking: BlockingConfig,
-    simd_width: int,
-    use_compiled: bool,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> NumpyStages | CompiledStages:
-    """The stage set an executor runs: the compiled C codelets (raising
-    :class:`~repro.core.compiled_backend.CompilerUnavailableError`
-    without a toolchain) or the numpy bodies."""
-    if use_compiled:
-        return get_compiled_stages(
-            plan, blocking, simd_width, tracer=tracer, metrics=metrics
-        )
-    return NumpyStages(plan, blocking, simd_width)

@@ -8,41 +8,31 @@ composition that converts algorithm descriptions into predicted runtimes.
 
 All Fig. 5 / Fig. 6 "runtimes" in this reproduction are produced by these
 models; wall-clock timings of the real numpy execution are reported
-separately and never mixed with modelled times.
+separately and never mixed with modelled times.  The names below import
+their submodule on first access, so a process that needs only the
+machine specs does not load the simulators.
 """
 
-from repro.machine.spec import (
-    KNL_7210,
-    TITAN_X_PASCAL,
-    XEON_E7_8890,
-    MachineSpec,
-)
-from repro.machine.cache import CacheSim, CacheStats
-from repro.machine.memory import MemoryModel, TlbModel
-from repro.machine.profiles import (
-    DEFAULT_PROFILE,
-    PROFILES,
-    get_profile,
-    list_profiles,
-)
-from repro.machine.trace import Instr, InstrKind
-from repro.machine.vector import PipelineResult, simulate_pipeline
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "MachineSpec",
-    "KNL_7210",
-    "TITAN_X_PASCAL",
-    "XEON_E7_8890",
-    "CacheSim",
-    "CacheStats",
-    "MemoryModel",
-    "TlbModel",
-    "DEFAULT_PROFILE",
-    "PROFILES",
-    "get_profile",
-    "list_profiles",
-    "Instr",
-    "InstrKind",
-    "PipelineResult",
-    "simulate_pipeline",
-]
+_EXPORTS = {
+    "MachineSpec": "spec",
+    "KNL_7210": "spec",
+    "TITAN_X_PASCAL": "spec",
+    "XEON_E7_8890": "spec",
+    "CacheSim": "cache",
+    "CacheStats": "cache",
+    "MemoryModel": "memory",
+    "TlbModel": "memory",
+    "DEFAULT_PROFILE": "profiles",
+    "PROFILES": "profiles",
+    "get_profile": "profiles",
+    "list_profiles": "profiles",
+    "Instr": "trace",
+    "InstrKind": "trace",
+    "PipelineResult": "vector",
+    "simulate_pipeline": "vector",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -32,6 +32,7 @@ from repro.core.blocking import BlockingConfig
 from repro.core.codelets import Codelet, generate_codelet
 from repro.core.fmr import FmrSpec
 from repro.core.jit_gemm import MicrokernelSpec, simulate_microkernel
+from repro.core.portfolio import ALGORITHMS
 from repro.core.scheduling import schedule_stats, static_schedule
 from repro.core.transforms import winograd_nd
 from repro.machine.memory import MemoryModel, TlbModel
@@ -486,12 +487,12 @@ class WinogradCostModel:
 # ----------------------------------------------------------------------
 # Algorithm-portfolio cost entries
 # ----------------------------------------------------------------------
-#: Algorithms the portfolio planner can rank.  Every entry returns
-#: *model seconds on the given machine* for one warm (serving-path)
-#: layer invocation, so cross-algorithm comparisons are like-with-like:
-#: Winograd and FFT are charged without their memoized kernel-side work
-#: (transform / spectrum), matching what a warm engine request executes.
-PORTFOLIO_ALGORITHMS = ("winograd", "nested", "fft", "direct", "im2col")
+# One entry per algorithm of :data:`repro.core.portfolio.ALGORITHMS`.
+# Every entry returns *model seconds on the given machine* for one warm
+# (serving-path) layer invocation, so cross-algorithm comparisons are
+# like-with-like: Winograd and FFT are charged without their memoized
+# kernel-side work (transform / spectrum), matching what a warm engine
+# request executes.
 
 
 def _portfolio_fmr(layer: ConvLayerSpec) -> FmrSpec:
@@ -647,5 +648,5 @@ def predict_algorithm_seconds(
 
         return Im2colBaseline(machine).predicted_seconds(layer)
     raise ValueError(
-        f"unknown algorithm {algorithm!r}; expected one of {PORTFOLIO_ALGORITHMS}"
+        f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
     )

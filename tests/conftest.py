@@ -26,6 +26,6 @@ def failing_codelet_build(monkeypatch, tmp_path):
         runs.append(src)
         return False, "injected codelet build failure"
 
-    monkeypatch.setattr(compiled_backend, "_run_compiler", fail)
+    monkeypatch.setattr(compiled_backend, "run_compiler", fail)
     yield runs
     compiled_backend.clear_compiled_caches()

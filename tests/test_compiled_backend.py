@@ -3,13 +3,14 @@
 The differential harness (``test_differential.py``) pins the compiled
 executors' *outputs* to every other executor; this module tests the
 machinery itself: source generation determinism and its dependence on
-the codelet key alone, the disk/in-process build caches and the one
-library plans of a key share, the FX (pre-transformed kernels) path, bitwise
-reproducibility across executors that share the translation unit,
-engine plan-cache eviction, the engine's wisdom-tuned blocking, the
-channel-blocked ``padded`` workspace
-(its packing and its reuse across calls), the narrow ``S`` that odd
-channel counts get, and the no-toolchain error surface.
+the codelet key alone, the library's three entry points, the
+disk/in-process build caches and the one library plans of a key share,
+raw vs pre-transformed kernels, bitwise reproducibility across runs and
+between the executor and the engine's compiled backend, engine
+plan-cache eviction, the engine's wisdom-tuned blocking, the
+channel-blocked ``padded`` workspace (its packing and its reuse across
+calls), the narrow ``S`` that odd channel counts get, and the
+no-toolchain error surface.
 
 Everything except the error-surface tests is skipped on hosts without
 a C compiler -- where the engine's fallback behavior is exercised
@@ -19,7 +20,9 @@ instead (see ``test_differential.test_compiled_fallback_is_visible_and_correct``
 from __future__ import annotations
 
 import os
+import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -45,7 +48,6 @@ from repro.core.engine import (
 )
 from repro.core.fmr import FmrSpec
 from repro.core.layout import ImageLayout, pack_padded
-from repro.core.parallel_convolution import ParallelWinogradExecutor
 from repro.graph import GraphExecutor, graph_scaled_c3d
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import direct_convolution
@@ -180,9 +182,7 @@ SHARED_KEY_PLANS = {
 @needs_cc
 def test_plans_sharing_a_key_build_once(tmp_path, monkeypatch):
     """The first plan of a key compiles, every later one loads nothing;
-    each plan's geometry still gives oracle-correct output, and the
-    thread pool slicing the shared stages agrees with the sequential
-    executor to the bit."""
+    each plan's geometry still gives oracle-correct output."""
     monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
     clear_compiled_caches()
     metrics = MetricsRegistry()
@@ -209,12 +209,6 @@ def test_plans_sharing_a_key_build_once(tmp_path, monkeypatch):
                 np.testing.assert_allclose(
                     y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0
                 )
-                for n_threads in (2, 3):
-                    with ParallelWinogradExecutor(
-                        plan=plan, blocking=blk, n_threads=n_threads,
-                        simd_width=simd, use_compiled=True,
-                    ) as thread:
-                        np.testing.assert_array_equal(thread.execute(img, ker), y)
         n_plans = sum(len(shapes) for shapes in SHARED_KEY_PLANS.values())
         assert metrics.counter_value("codelet_compile.memo_hits") == (
             n_plans - len(SHARED_KEY_PLANS)
@@ -275,26 +269,52 @@ def test_c3d_graph_builds_one_library(tmp_path, monkeypatch):
 # Executor semantics
 # ----------------------------------------------------------------------
 @needs_cc
-def test_fx_path_matches_stage1b():
-    """Pre-transformed kernels (the engine's memoized FX path) must give
-    bitwise the same result as running compiled stage 1b on raw
-    kernels: stage 2 consumes the identical V layout either way."""
-    plan = _plan(np.float64)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_raw_and_transformed_kernels_agree_bitwise(dtype):
+    """Raw kernels go through :meth:`WinogradPlan.transform_kernels`,
+    the transform the engine memoizes, so they give bitwise what the
+    pre-transformed (FX) kernels give."""
+    plan = _plan(dtype)
     img, ker = _data(plan)
     with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
         y_raw = ex.execute(img, ker)
         y_fx = ex.execute(img, plan.transform_kernels(ker))
-    # Not array_equal: stage 1b in C and the numpy kernel transform
-    # round differently; but both V tensors are the same math.
-    np.testing.assert_allclose(y_fx, y_raw, atol=1e-12, rtol=0)
+    np.testing.assert_array_equal(y_raw, y_fx)
     assert y_fx.shape == (plan.batch, plan.c_out) + plan.grid.output_shape
 
 
 @needs_cc
+def test_library_exports_the_three_engine_entry_points(tmp_path, monkeypatch):
+    """A codelet library holds exactly the entry points the compiled
+    executor calls -- every extra one is compile time in a cold build --
+    and the bound stages expose exactly those."""
+    monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
+    clear_compiled_caches()
+    try:
+        want = ["wino_stage1", "wino_stage2", "wino_stage3_direct"]
+        gen = _source(_plan())
+        assert sorted(re.findall(r"^void (\w+)\(", gen.c_source, re.M)) == want
+        assert sorted(re.findall(r"void (\w+)\(", gen.cdef)) == want
+        stages = get_compiled_stages(_plan(), BLK, 8)
+        assert sorted(stages.full_ranges) == ["stage1", "stage2", "stage3_direct"]
+        assert not hasattr(stages, "stage1b") and not hasattr(stages, "stage3")
+        nm = shutil.which("nm")
+        if nm is not None:
+            (so,) = (tmp_path / "codelets").glob("wino_*.so")
+            out = subprocess.run(
+                [nm, "-D", "--defined-only", str(so)],
+                capture_output=True, text=True, check=True,
+            ).stdout
+            assert sorted(re.findall(r"\b(wino_\w+)$", out, re.M)) == want
+    finally:
+        clear_compiled_caches()
+
+
+@needs_cc
 def test_repeat_and_cross_executor_bitwise():
-    """Same translation unit, fixed arithmetic order: repeated runs and
-    every executor that slices the compiled stages (sequential, thread
-    pool at 2 and 3 workers) must agree to the bit."""
+    """Same translation unit, fixed arithmetic order: repeated runs
+    agree to the bit, and so do the executor and the engine's compiled
+    backend when they share the plan's blocking and library."""
     plan = _plan()
     img, ker = _data(plan, seed=5)
     with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
@@ -302,13 +322,14 @@ def test_repeat_and_cross_executor_bitwise():
         y2 = ex.execute(img, ker)
     np.testing.assert_array_equal(y1, y2)
 
-    for n_threads in (2, 3):
-        with ParallelWinogradExecutor(
-            plan=plan, blocking=BLK, n_threads=n_threads, simd_width=8,
-            use_compiled=True,
-        ) as thread:
-            yt = thread.execute(img, ker)
-        np.testing.assert_array_equal(yt, y1)
+    with ConvolutionEngine(metrics=MetricsRegistry()) as engine:
+        y_engine = engine.run(img, ker, fmr=SPEC, padding=(1, 1), backend="compiled")
+        assert engine.metrics.counter_value("engine.fallbacks") == 0
+        (key,) = engine.plans.keys()
+    with CompiledWinogradExecutor(
+        plan=plan, blocking=key.blocking, simd_width=key.blocking.simd_width,
+    ) as ex:
+        np.testing.assert_array_equal(ex.execute(img, ker), y_engine)
 
 
 # ----------------------------------------------------------------------
@@ -362,9 +383,8 @@ def test_workspace_persists_across_calls(spec, input_shape, padding):
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_narrow_simd_widths(ndim, c_in, c_out):
     """Odd channel counts make the engine pick S = 1, 2 or 4: the
-    compiled backend stays right against the oracle, and the thread
-    pool slicing the same stages agrees with the sequential executor
-    to the bit."""
+    compiled backend stays right against the oracle, and the executor
+    built with the same blocking agrees with it to the bit."""
     simd = parallel_simd_width(c_in, c_out)
     assert simd == {3: 1, 6: 2, 12: 4}[c_in]
     spec = FmrSpec.uniform(ndim, 2, 3)
@@ -386,11 +406,7 @@ def test_narrow_simd_widths(ndim, c_in, c_out):
 
     blk = default_parallel_blocking(c_in, c_out, simd)
     with CompiledWinogradExecutor(plan=plan, blocking=blk, simd_width=simd) as ex:
-        y_seq = ex.execute(img, ker)
-    with ParallelWinogradExecutor(
-        plan=plan, blocking=blk, n_threads=2, simd_width=simd, use_compiled=True,
-    ) as thread:
-        np.testing.assert_array_equal(thread.execute(img, ker), y_seq)
+        np.testing.assert_array_equal(ex.execute(img, ker), y)
 
 
 @needs_cc
@@ -487,11 +503,6 @@ def test_masked_toolchain_raises(monkeypatch):
             get_compiled_stages(plan, BLK, 8)
         with pytest.raises(CompilerUnavailableError):
             CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8)
-        with pytest.raises(CompilerUnavailableError):
-            ParallelWinogradExecutor(
-                plan=plan, blocking=BLK, n_threads=2, simd_width=8,
-                use_compiled=True,
-            )
     finally:
         clear_compiled_caches()
 

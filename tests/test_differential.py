@@ -1,6 +1,6 @@
 """Differential harness: every executor agrees with every other.
 
-The repo has six ways to evaluate the same convolution:
+The repo has five ways to evaluate the same convolution:
 
 1. the sequential :class:`WinogradPlan` pipeline (the reference
    implementation of the paper's Table-1 algorithm),
@@ -9,21 +9,20 @@ The repo has six ways to evaluate the same convolution:
    engine backend,
 3. the engine's fused Kronecker fast path,
 4. the thread-parallel executor (static GCD schedule on a fork-join
-   thread pool -- the paper's Sec. 4.5 runtime),
-5. the compiled-C sequential executor (generated codelets, cffi), and
-6. the thread-parallel executor with compiled stage bodies
-   (5 and 6 join the matrix only on hosts with a C toolchain).
+   thread pool -- the paper's Sec. 4.5 runtime), and
+5. the compiled-C sequential executor (generated codelets, cffi),
+   which joins the matrix only on hosts with a C toolchain.
 
 This matrix pins them to each other across dimensionality, odd edge
 tiles, anisotropic tiles and dtypes.  Two tolerance classes:
 
-* **bitwise** -- the thread executor at 2 workers vs 1 worker, and
-  sequential-compiled vs thread-compiled: every worker calls the one
-  set of stage bodies in :mod:`repro.core.stages` (numpy, or the
-  compiled C set the sequential compiled executor runs full-range), and
-  each body fills its buffer bit-for-bit the same however its grid is
-  sliced -- which ``test_stage_slices_fill_like_full_range`` checks
-  directly -- so each pair must be ``array_equal``, not merely close;
+* **bitwise** -- the thread executor at 2 workers vs 1 worker: every
+  worker calls the one set of numpy stage bodies in
+  :mod:`repro.core.stages`, and each body fills its buffer bit-for-bit
+  the same however its grid is sliced -- which
+  ``test_stage_slices_fill_like_full_range`` checks directly, for the
+  numpy bodies and for the compiled entry points alike -- so the pair
+  must be ``array_equal``, not merely close;
 * **tight allclose** -- everything else: the executors associate the
   linear maps differently (Kronecker vs mode-n products, blocked vs
   flat K summation, FMA contraction in the generated C), which is the
@@ -52,6 +51,7 @@ from repro.core.compiled_backend import (
     CompiledWinogradExecutor,
     clear_compiled_caches,
     compiled_available,
+    get_compiled_stages,
 )
 from repro.core.convolution import WinogradPlan
 from repro.core.engine import BACKENDS, ConvolutionEngine, parallel_simd_width
@@ -59,8 +59,8 @@ from repro.core.fmr import FmrSpec
 from repro.core.parallel_convolution import ParallelWinogradExecutor
 from repro.core.stages import (
     STAGE_BUFFERS,
+    NumpyStages,
     buffer_shapes,
-    make_stages,
     stage_grids,
     stage_schedules,
 )
@@ -102,11 +102,10 @@ def _plan(spec, img, ker, padding, dtype):
     )
 
 
-def _thread(plan, img, ker, n_threads, blocking=BLK, simd=8, use_compiled=False):
+def _thread(plan, img, ker, n_threads, blocking=BLK, simd=8):
     """One run of the thread-parallel executor at ``n_threads`` workers."""
     with ParallelWinogradExecutor(
         plan=plan, blocking=blocking, n_threads=n_threads, simd_width=simd,
-        use_compiled=use_compiled,
     ) as ex:
         return ex.execute(img, ker)
 
@@ -114,8 +113,8 @@ def _thread(plan, img, ker, n_threads, blocking=BLK, simd=8, use_compiled=False)
 def _all_executors(spec, img, ker, padding, dtype):
     """Run every executor, return {name: output}.
 
-    The two compiled variants join only when the host can build
-    codelets; on toolchain-less hosts the matrix is the other four.
+    The compiled executor joins only when the host can build codelets;
+    on toolchain-less hosts the matrix is the other four.
     """
     plan = _plan(spec, img, ker, padding, dtype)
     outs = {"sequential": plan.execute(img, plan.transform_kernels(ker))}
@@ -129,7 +128,6 @@ def _all_executors(spec, img, ker, padding, dtype):
             plan=plan, blocking=BLK, simd_width=8
         ) as comp:
             outs["compiled"] = comp.execute(img, ker)
-        outs["thread-compiled"] = _thread(plan, img, ker, 2, use_compiled=True)
     return outs
 
 
@@ -161,13 +159,6 @@ def test_executor_matrix(spec, batch, channels, spatial, padding, dtype):
         outs["thread"], outs["thread@1"],
         err_msg="thread executor at 2 and 1 workers must agree bitwise",
     )
-    if "compiled" in outs:
-        # One translation unit, fixed per-output arithmetic order: the
-        # thread pool slicing the same C stages must not change a bit.
-        np.testing.assert_array_equal(
-            outs["thread-compiled"], outs["compiled"],
-            err_msg="thread-compiled and compiled executors must agree bitwise",
-        )
 
     # Tight class: same math, different association order.
     pair_atol = 1e-12 * scale if np.dtype(dtype) == np.float64 else 1e-5 * scale
@@ -194,6 +185,16 @@ def test_executor_matrix_repeatable():
         )
 
 
+#: The compiled library's entry points: stage name -> (the stage grid
+#: it runs on, its buffer operands in call order).  Stage 3 writes the
+#: final cropped output ``out`` over stage 3's grid.
+COMPILED_STAGES = {
+    "stage1": ("stage1", STAGE_BUFFERS["stage1"]),
+    "stage2": ("stage2", STAGE_BUFFERS["stage2"]),
+    "stage3_direct": ("stage3", ("x", "out")),
+}
+
+
 @pytest.mark.parametrize("stage_set", ["numpy", "compiled"])
 @pytest.mark.parametrize(
     "spec,batch,channels,spatial,padding,dtype",
@@ -206,27 +207,37 @@ def test_stage_slices_fill_like_full_range(
     """Running every slice of a stage's static schedule fills its output
     buffer bitwise-identically to one full-range call -- at 1, 3, 13 and
     40 workers (40 outnumbers most grids' tasks, so some slices are
-    empty).  The thread executor rests on this: it is what makes its
-    results independent of worker count."""
+    empty).  The thread executor rests on this for the numpy bodies: it
+    is what makes its results independent of worker count.  The
+    compiled entry points take the same ranges, so any partition of
+    their grids must give the bits of the executor's full-range calls."""
     if stage_set == "compiled" and not compiled_available():
         pytest.skip("no C toolchain")
     img, ker = _data(batch, channels, spatial, spec, dtype)
     plan = _plan(spec, img, ker, padding, dtype)
-    stages = make_stages(plan, BLK, 8, use_compiled=stage_set == "compiled")
+    if stage_set == "compiled":
+        stages = get_compiled_stages(plan, BLK, 8)
+        entry_points = COMPILED_STAGES
+    else:
+        stages = NumpyStages(plan, BLK, 8)
+        entry_points = {name: (name, bufs) for name, bufs in STAGE_BUFFERS.items()}
     rng = np.random.default_rng(1)
+    shapes = buffer_shapes(plan, 8)
+    shapes["out"] = (batch, plan.c_out) + plan.grid.output_shape
     buffers = {
         name: rng.standard_normal(shape).astype(dtype)
-        for name, shape in buffer_shapes(plan, 8).items()
+        for name, shape in shapes.items()
     }
     grids = stage_grids(plan, BLK, 8)
-    for name, (*sources, dest) in STAGE_BUFFERS.items():
+    schedules = {n: stage_schedules(plan, BLK, 8, n) for n in (1, 3, 13, 40)}
+    for name, (grid, (*sources, dest)) in entry_points.items():
         body = getattr(stages, name)
         args = [buffers[b] for b in sources]
         full = np.zeros_like(buffers[dest])
-        body(*args, full, tuple((0, p) for p in grids[name]))
-        for n in (1, 3, 13, 40):
+        body(*args, full, tuple((0, p) for p in grids[grid]))
+        for n, schedule in schedules.items():
             sliced = np.zeros_like(full)
-            for sl in stage_schedules(plan, BLK, 8, n)[name]:
+            for sl in schedule[grid]:
                 body(*args, sliced, sl.ranges)
             np.testing.assert_array_equal(
                 sliced, full, err_msg=f"{stage_set} {name}: {n} slices != full range"
