@@ -458,10 +458,12 @@ def cmd_run_graph(args) -> int:
         print(f"backend  : {args.backend}  algorithm: {args.algorithm}  "
               f"fuse: {not args.no_fuse}")
         _print_table(
-            ["conv", "algorithm", "backend", "source", "epilogues", "in-place", "output"],
+            ["conv", "algorithm", "backend", "source", "epilogues", "in-place",
+             "C-last", "output"],
             [
                 [r["node"], r["algorithm"], r["backend"], r["source"],
                  r["epilogues"], "yes" if r["in_place"] else "no",
+                 "yes" if r["channels_last"] else "no",
                  "x".join(map(str, r["shape"]))]
                 for r in executor.plan.describe()
             ],

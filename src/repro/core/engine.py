@@ -15,7 +15,7 @@ Three cooperating pieces:
   (:class:`PlanKey`) memoizing one :class:`PlanEntry` per plan: fused or
   compiled Winograd, an FFT/direct/im2col baseline, or nested Winograd.
   Every entry kind answers the same three questions -- how to prepare a
-  kernel tensor (memoized per kernel fingerprint: Winograd kernel
+  kernel tensor (memoized per exact kernel content: Winograd kernel
   transforms, FFT spectra, im2col operands, stacked nested banks), how
   many workspace bytes one execution needs, and ``execute(images,
   prepared, out=, epilogue=)``.  Statistics (hits, misses, evictions,
@@ -38,6 +38,13 @@ Three cooperating pieces:
   through the same method.  The Table-1 reproduction
   (``BlockedWinogradExecutor`` with its traced JIT stage 2) is
   library-only.
+
+The fused entry stores images channels-last -- the ``S = C`` member of
+the paper's Table-1 layout ``(B, C/S, *spatial, S)`` -- so every tile
+element is one contiguous run of channels.  It copies its input from,
+and writes its result into, whatever memory order those arrays have;
+the graph executor passes channels-last ``out=`` views to keep
+activations in that layout between layers (see :mod:`repro.graph`).
 
 The cache and arena are an explicit *extension beyond the paper* (which
 restarts its binary per layer benchmark); see DESIGN.md.
@@ -63,7 +70,7 @@ from math import prod
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.blocking import BlockingConfig
 from repro.core.convolution import TransformedKernels, WinogradPlan
@@ -90,70 +97,55 @@ from repro.util.alignment import CACHE_LINE_BYTES, round_up
 from repro.util.wisdom import Wisdom
 
 
-#: Arrays up to this size are fingerprinted by hashing every byte;
-#: larger ones switch to the sampled + checksummed scheme below.
-_FP_EXACT_MAX = 1 << 18
-_FP_SAMPLE = 1 << 16
-_FP_WEIGHT_WORDS = 8192
-_FP_WEIGHTS: np.ndarray | None = None
-
-
-def _fp_weights() -> np.ndarray:
-    """Fixed pseudo-random odd 64-bit weights for the positional
-    checksum, derived from blake2b so they are identical across runs,
-    processes and numpy versions."""
-    global _FP_WEIGHTS
-    if _FP_WEIGHTS is None:
-        blocks = [
-            hashlib.blake2b(
-                b"repro-kernel-fp" + i.to_bytes(4, "little"), digest_size=64
-            ).digest()
-            for i in range(_FP_WEIGHT_WORDS * 8 // 64)
-        ]
-        _FP_WEIGHTS = np.frombuffer(b"".join(blocks), dtype="<u8") | np.uint64(1)
-    return _FP_WEIGHTS
-
-
 def kernel_fingerprint(kernels: np.ndarray) -> str:
-    """Content fingerprint of a kernel array (shape, dtype and bytes).
+    """Content fingerprint of a kernel array: blake2b over its shape,
+    dtype and every byte.
 
-    Used as the memoization key for kernel transforms: two calls with
-    equal kernel tensors share one transform, which is the paper's
-    inference-only "FX" mode made automatic.
-
-    Every request pays this on its hot path, so large kernel tensors
-    (256-channel layers are multi-megabyte) are not fed through the
-    hash byte-by-byte: beyond ``_FP_EXACT_MAX`` the digest covers the
-    head and tail exactly plus a vectorized position-weighted checksum
-    of all bytes (weighted words folded polynomial-style per block, so
-    permuted elements or swapped blocks change the value).  That is not
-    cryptographic, but accidental collisions between kernel tensors of
-    the same shape are vanishingly unlikely, and it runs at memory
-    bandwidth instead of hash bandwidth (~8x faster here).
+    The memoization key for kernel preparations: two calls with equal
+    kernel tensors share one preparation, which is the paper's
+    inference-only "FX" mode made automatic.  Only arrays
+    :meth:`PlanCache.prepare` has not seen unchanged are digested.
     """
     arr = np.ascontiguousarray(kernels)
     h = hashlib.blake2b(digest_size=16)
     h.update(str(arr.shape).encode())
     h.update(str(arr.dtype).encode())
-    data = arr.reshape(-1).view(np.uint8)
-    if data.nbytes <= _FP_EXACT_MAX:
-        h.update(data.data)
-        return h.hexdigest()
-    h.update(data[:_FP_SAMPLE].data)
-    h.update(data[-_FP_SAMPLE:].data)
-    n8 = data.nbytes // 8
-    words = data[: n8 * 8].view(np.uint64)
-    weights = _fp_weights()
-    acc = 0
-    mask = (1 << 64) - 1
-    with np.errstate(over="ignore"):
-        for lo in range(0, n8, _FP_WEIGHT_WORDS):
-            chunk = words[lo: lo + _FP_WEIGHT_WORDS]
-            csum = int((chunk * weights[: chunk.size]).sum(dtype=np.uint64))
-            acc = (acc * 0x9E3779B97F4A7C15 + csum) & mask
-    h.update(acc.to_bytes(8, "little"))
-    h.update(data[n8 * 8:].data)
+    h.update(arr.reshape(-1).view(np.uint8).data)
     return h.hexdigest()
+
+
+class KernelMemo:
+    """One memoized kernel preparation and the kernels it was made from.
+
+    ``kernels`` is a private read-only copy: the preparation is computed
+    from it (so none aliases caller memory), and a repeat request is
+    recognised by one exact comparison against it.  ``last_id`` is the
+    ``id`` of the array object the memo was last requested with.
+    """
+
+    __slots__ = ("value", "kernels", "last_id")
+
+    def __init__(self, value, kernels: np.ndarray, last_id: int):
+        self.value = value
+        self.kernels = kernels
+        self.last_id = last_id
+
+    def holds(self, kernels: np.ndarray) -> bool:
+        """Whether ``kernels`` has exactly this memo's shape, dtype and
+        bytes (a bitwise test: ``-0.0`` is not ``0.0``, NaN is NaN)."""
+        kept = self.kernels
+        return (
+            kept.shape == kernels.shape
+            and kept.dtype == kernels.dtype
+            and np.array_equal(
+                kept.view(np.uint8), np.ascontiguousarray(kernels).view(np.uint8)
+            )
+        )
+
+    @property
+    def nbytes(self) -> int:
+        value = getattr(self.value, "nbytes", 0)
+        return value if self.value is self.kernels else value + self.kernels.nbytes
 
 
 #: Execution backends selectable per engine (or per call).
@@ -286,8 +278,8 @@ class PlanCache:
 
     Eviction triggers when either the plan count exceeds ``max_plans``
     or the cached bytes (plan constants plus memoized kernel
-    preparations) exceed ``max_bytes``; least-recently-used plans go
-    first.
+    preparations and the kernel copies kept beside them) exceed
+    ``max_bytes``; least-recently-used plans go first.
     """
 
     def __init__(
@@ -369,29 +361,46 @@ class PlanCache:
 
     def prepare(self, entry: PlanEntry, kernels: np.ndarray):
         """``entry``'s kernel preparation for ``kernels``, memoized by
-        kernel fingerprint.
+        exact kernel content.
 
         The Winograd ``(T, C, C')`` kernel transform, FFT spectra, the
         im2col GEMM operand and the nested stacked bank are each what
         their algorithm computes once per kernel tensor; memoizing them
         here gives every plan kind the same warm serving path (the
         paper's "FX" mode) and the same ``kernel_hits`` accounting.
+
+        A repeat request with the same array object, unchanged, is
+        recognised by one exact comparison against the copy kept beside
+        its preparation -- no hashing.  Any other array (new, or mutated
+        in place since) is digested whole by :func:`kernel_fingerprint`
+        and looked up by content; only a new content is prepared.
         """
-        fp = kernel_fingerprint(kernels)
+        ident = id(kernels)
         with self._lock:
-            p = entry.prepared.get(fp)
-            if p is not None:
-                self.stats.kernel_hits += 1
-                self._bump("kernel_hits")
-                return p
-        p = entry.prepare_kernels(kernels)
+            memo = next(
+                (m for m in entry.prepared.values() if m.last_id == ident), None
+            )
+        if memo is None or not memo.holds(kernels):
+            fp = kernel_fingerprint(kernels)
+            with self._lock:
+                memo = entry.prepared.get(fp)
+            if memo is None:
+                kept = np.array(kernels, order="C")
+                kept.flags.writeable = False
+                memo = KernelMemo(entry.prepare_kernels(kept), kept, ident)
+                with self._lock:
+                    memo = entry.prepared.setdefault(fp, memo)
+                    memo.last_id = ident
+                    self.stats.kernel_misses += 1
+                    self._bump("kernel_misses")
+                    self._recount()
+                    self._evict()
+                return memo.value
         with self._lock:
-            p = entry.prepared.setdefault(fp, p)
-            self.stats.kernel_misses += 1
-            self._bump("kernel_misses")
-            self._recount()
-            self._evict()
-        return p
+            memo.last_id = ident
+            self.stats.kernel_hits += 1
+            self._bump("kernel_hits")
+        return memo.value
 
     def discard(self, key: PlanKey) -> bool:
         """Drop ``key``'s entry, if cached, with its tenant attribution.
@@ -606,8 +615,8 @@ class PlanEntry:
     each request through one sequence:
 
     * ``prepare_kernels(kernels)`` -- the kernel-side precomputation,
-      memoized by :meth:`PlanCache.prepare` in ``prepared`` per kernel
-      fingerprint;
+      memoized by :meth:`PlanCache.prepare` in ``prepared`` as one
+      :class:`KernelMemo` per kernel fingerprint;
     * ``lease_bytes`` -- the transient workspace one execution needs
       (see :meth:`ConvolutionEngine.workspace_bytes`);
     * ``execute(images, prepared, out=, epilogue=)`` -- one execution,
@@ -619,7 +628,7 @@ class PlanEntry:
 
     def __init__(self, key: PlanKey):
         self.key = key
-        self.prepared: dict[str, object] = {}
+        self.prepared: dict[str, KernelMemo] = {}
 
     def prepare_kernels(self, kernels: np.ndarray):
         raise NotImplementedError
@@ -631,7 +640,8 @@ class PlanEntry:
         """Drop pooled buffers on eviction/clear; idempotent."""
 
     def nbytes(self) -> int:
-        return sum(getattr(p, "nbytes", 0) for p in self.prepared.values())
+        """Memoized preparations plus the kernel copies kept beside them."""
+        return sum(m.nbytes for m in self.prepared.values())
 
 
 def _winograd_plan(key: PlanKey) -> WinogradPlan:
@@ -659,12 +669,30 @@ class FusedEntry(PlanEntry):
     since every tile is transformed by the *same* per-dimension
     matrices, stage 1/3 collapse from ``2N`` strided tensor passes into
     one GEMM per sample with the Kronecker product ``B_1 (x) ... (x) B_N``
-    (and likewise ``A``).  Stage 2 reads stage 1's result as F-contiguous
-    sub-matrix views and stage 3 reads X's per-sample ``(T, N*C')``
-    sub-matrix in place, so no stage re-packs its operand with a transpose.
+    (and likewise ``A``).
+
+    Every buffer keeps channels innermost -- the ``S = C`` member of the
+    paper's Table-1 layout family ``(B, C/S, *spatial, S)`` -- so each
+    tile element is one contiguous run of ``C`` values:
+
+    * ``padded`` is ``(B, *padded_input, C)``: the input is copied in
+      channels-last, whatever its memory order;
+    * ``tiles`` is ``(B, K, N, C)`` (the ``K`` tile elements row-major,
+      then the ``N`` tiles), gathered through one strided view of
+      ``padded`` in runs of ``C`` values;
+    * ``u`` is ``(T, B, N, C)``: stage 1 writes ``B_kron @ tiles[b]``
+      into it, and stage 2 multiplies its C-contiguous ``(N, C)`` blocks
+      by the ``(C, C')`` kernel transform into ``x`` ``(T, B, N, C')``;
+    * stage 3 reads ``x``'s per-sample ``(T, N*C')`` sub-matrix in place
+      into ``y`` ``(B, L, N, C')`` and assembles output tiles in the
+      memory order of the result: a channels-last ``out=`` view streams
+      runs of ``C'`` values.  The crop buffer, when the grid overhangs,
+      is ``(B, *padded_output, C')``.
+
     Numerically this is the same linear map evaluated in a different
     association order -- verified against the reference pipeline to
-    float tolerance by ``tests/test_engine.py``.  Kernels are prepared
+    float tolerance by ``tests/test_engine.py``; the input's and the
+    result's memory order never change a value.  Kernels are prepared
     as the memoized ``(T, C, C')`` transform; ``lease_bytes`` is the
     exact arena lease of one execution.
     """
@@ -685,39 +713,68 @@ class FusedEntry(PlanEntry):
         self.bk = np.ascontiguousarray(reduce(np.kron, b_mats).astype(dtype))
         self.ak = np.ascontiguousarray(reduce(np.kron, a_mats).astype(dtype))
         grid, spec = plan.grid, plan.spec
-        self.ndim = spec.ndim
-        self.counts = grid.counts
-        self.m = spec.m
-        self.tile_shape = spec.tile_shape
-        self.pin = grid.padded_input_shape
-        self.pout = grid.padded_output_shape
+        nd = spec.ndim
+        counts, m = grid.counts, spec.m
+        pin, pout = grid.padded_input_shape, grid.padded_output_shape
         self.out_shape = grid.output_shape
-        self.crop = self.pout != self.out_shape
+        self.crop = pout != self.out_shape
         b, c, cp = plan.batch, plan.c_in, plan.c_out
         n, t = plan.tiles_per_image, plan.t_matrices
         l = spec.output_tile_elements
         itemsize = dtype.itemsize
         self._shapes = {
-            "padded": (b, c) + self.pin,
-            "tiles": (b, c, n, t),
-            "u": (t, b, c, n),
+            "padded": (b,) + pin + (c,),
+            "tiles": (b, t, n, c),
+            "u": (t, b, n, c),
             "x": (t, b, n, cp),
             "y": (b, l, n, cp),
         }
         if self.crop:
-            self._shapes["pout"] = (b, cp) + self.pout
+            self._shapes["pout"] = (b,) + pout + (cp,)
         self.lease_bytes = sum(
             round_up(prod(s) * itemsize, CACHE_LINE_BYTES)
             for s in self._shapes.values()
         )
         self.const_bytes = self.bk.nbytes + self.ak.nbytes
-        # Assemble permutation: (B, m_1..m_N, n_1..n_N, C') ->
-        # (B, C', n_1, m_1, ..., n_N, m_N).
-        nd = self.ndim
-        perm = [0, 2 * nd + 1]
-        for d in range(nd):
-            perm.extend([nd + 1 + d, 1 + d])
-        self._assemble_perm = tuple(perm)
+
+        # Stage 1 geometry.  The interior takes the input; the halo --
+        # conv padding plus the grid's zero-extension -- is the slabs
+        # below and above it along each spatial axis.
+        lo = plan.padding
+        hi = tuple(p + s for p, s in zip(lo, plan.input_shape[2:]))
+        self._interior = (slice(None),) + tuple(map(slice, lo, hi)) + (slice(None),)
+        # (B, C, *spatial) <-> (B, *spatial, C) axis orders.
+        self._to_last = (0, *range(2, nd + 2), 1)
+        self._to_first = (0, nd + 1, *range(1, nd + 1))
+        self._halo = [
+            (slice(None),) * (1 + d) + (part,)
+            for d in range(nd)
+            for part in (slice(0, lo[d]), slice(hi[d], pin[d]))
+            if part.start < part.stop
+        ]
+        # The tile gather's source: (B, *tile, *counts, C) over the
+        # C-contiguous padded buffer, tile axes at the spatial strides
+        # and tile-count axes at m times them.
+        strides = [itemsize * prod(self._shapes["padded"][i + 1:])
+                   for i in range(nd + 2)]
+        spatial = strides[1:-1]
+        self._gather_shape = (b,) + spec.tile_shape + counts + (c,)
+        self._gather_strides = (
+            (strides[0],) + tuple(spatial)
+            + tuple(s * mm for s, mm in zip(spatial, m)) + (strides[-1],)
+        )
+
+        # Stage 3 assembly: y_tiles (B, m_1..m_N, n_1..n_N, C') permuted
+        # to the result split as (B, C', n_1, m_1, ..., n_N, m_N), or to
+        # the channels-last crop buffer split as (B, n_1, m_1, ..., C').
+        self._y_tiles = (b,) + m + counts + (cp,)
+        pairs = [ax for d in range(nd) for ax in (nd + 1 + d, 1 + d)]
+        self._to_result = (0, 2 * nd + 1, *pairs)
+        self._to_pout = (0, *pairs, 2 * nd + 1)
+        split = _interleave(counts, m)
+        self._result_split = (b, cp) + split
+        self._pout_split = (b,) + split + (cp,)
+        self._crop = (slice(None),) * 2 + tuple(slice(0, o) for o in self.out_shape)
 
     def prepare_kernels(self, kernels: np.ndarray) -> TransformedKernels:
         return self.plan.transform_kernels(kernels)
@@ -738,8 +795,7 @@ class FusedEntry(PlanEntry):
     def _run(self, images, w, lease: ArenaLease, out, epilogue) -> np.ndarray:
         plan = self.plan
         dtype = plan.dtype
-        b, c, cp = plan.batch, plan.c_in, plan.c_out
-        n, t = plan.tiles_per_image, plan.t_matrices
+        b, cp = plan.batch, plan.c_out
         tracer = self.tracer
 
         buf_padded = lease.take(self._shapes["padded"], dtype)
@@ -750,29 +806,23 @@ class FusedEntry(PlanEntry):
 
         with tracer.span("fused.stage1"):
             # Stage 0: conv padding + grid zero-extension in one buffer.
-            # The arena memory is recycled across plans, so the halo must
-            # be re-zeroed each run (cheap: one streaming pass).
-            buf_padded[...] = 0
-            interior = (slice(None), slice(None)) + tuple(
-                slice(p, p + s) for p, s in zip(plan.padding, plan.input_shape[2:])
-            )
-            buf_padded[interior] = images
+            # The arena memory is recycled across plans, so the halo is
+            # re-zeroed each run; the interior is overwritten whole.
+            for halo in self._halo:
+                buf_padded[halo] = 0
+            buf_padded[self._interior] = images.transpose(self._to_last)
 
-            # Stage 1a: overlapping tiles as a zero-copy strided view,
-            # then one gather pass into (B, C, N, K).
-            view = sliding_window_view(
-                buf_padded, self.tile_shape, axis=tuple(range(2, 2 + self.ndim))
+            # Stage 1a: overlapping tiles as one zero-copy strided view,
+            # gathered into (B, K, N, C) in runs of C values.
+            view = as_strided(
+                buf_padded, self._gather_shape, self._gather_strides,
+                writeable=False,
             )
-            step = (slice(None), slice(None)) + tuple(
-                slice(None, None, m) for m in self.m
-            )
-            np.copyto(buf_tiles.reshape(view[step].shape), view[step])
+            np.copyto(buf_tiles.reshape(self._gather_shape), view)
 
-            # Stage 1b: U = B_kron @ tiles^T, one GEMM per sample.  The
-            # transposed operand is BLAS-native (no materialized copy),
-            # and the (T, B, C, N) result makes every stage-2 sub-matrix
-            # an F-contiguous (N, C) view -- also BLAS-native.  The
-            # per-sample loop (rather than one (T, K) @ (K, B*C*N) GEMM)
+            # Stage 1b: U = B_kron @ tiles, one (T, K) @ (K, N*C) GEMM
+            # per sample into U's row-strided (T, N*C) sub-matrix.  The
+            # per-sample loop (rather than one (T, K) @ (K, B*N*C) GEMM)
             # keeps every GEMM's shape independent of the batch size:
             # BLAS kernel selection varies with matrix dimensions, so a
             # batch-folded GEMM can round differently than the same
@@ -783,39 +833,39 @@ class FusedEntry(PlanEntry):
             for i in range(b):
                 np.matmul(
                     self.bk,
-                    buf_tiles[i].reshape(-1, t).T,
-                    out=buf_u[:, i].reshape(t, -1),
+                    buf_tiles[i].reshape(self.bk.shape[1], -1),
+                    out=buf_u[:, i].reshape(self.bk.shape[0], -1),
                 )
 
         with tracer.span("fused.stage2"):
             # Stage 2: T x B batched GEMMs (N, C) @ (C, C').
-            np.matmul(buf_u.transpose(0, 1, 3, 2), w.data[:, None], out=buf_x)
+            np.matmul(buf_u, w.data[:, None], out=buf_x)
 
         with tracer.span("fused.stage3"):
             # Stage 3: Y = A_kron @ X per sample (batch-independent shapes,
             # as in stage 1) on X's row-strided (T, N*C') view -- BLAS-native,
-            # no transpose pass -- then one scatter-assemble of output tiles.
+            # no transpose pass -- then one assemble of output tiles.
             for i in range(b):
-                np.matmul(self.ak, buf_x[:, i].reshape(t, -1),
-                          out=buf_y[i].reshape(-1, n * cp))
+                np.matmul(self.ak, buf_x[:, i].reshape(self.ak.shape[1], -1),
+                          out=buf_y[i].reshape(self.ak.shape[0], -1))
 
-            y_tiles = buf_y.reshape((b,) + self.m + self.counts + (cp,))
+            # The assemble writes through a split-axis view of the result
+            # (or of the crop buffer), in that array's own memory order;
+            # copy=False makes a split that would need a copy raise
+            # instead of writing into a temporary.
+            y_tiles = buf_y.reshape(self._y_tiles)
+            result = _result_buffer(out, (b, cp) + self.out_shape, dtype)
             if self.crop:
                 buf_pout = lease.take(self._shapes["pout"], dtype)
                 np.copyto(
-                    buf_pout.reshape((b, cp) + _interleave(self.counts, self.m)),
-                    y_tiles.transpose(self._assemble_perm),
+                    buf_pout.reshape(self._pout_split),
+                    y_tiles.transpose(self._to_pout),
                 )
-                result = _result_buffer(out, (b, cp) + self.out_shape, dtype)
-                crop_idx = (slice(None), slice(None)) + tuple(
-                    slice(0, o) for o in self.out_shape
-                )
-                np.copyto(result, buf_pout[crop_idx])
+                np.copyto(result, buf_pout.transpose(self._to_first)[self._crop])
             else:
-                result = _result_buffer(out, (b, cp) + self.out_shape, dtype)
                 np.copyto(
-                    result.reshape((b, cp) + _interleave(self.counts, self.m)),
-                    y_tiles.transpose(self._assemble_perm),
+                    np.reshape(result, self._result_split, copy=False),
+                    y_tiles.transpose(self._to_result),
                 )
             if epilogue is not None:
                 # Fused graph epilogue (ReLU/BN/add/mul chain) applied on
@@ -1231,7 +1281,7 @@ class ConvolutionEngine:
         holds per-request image tensors sharing ``(C, *spatial)`` (their
         leading batch dimensions may differ); they are stacked along the
         batch axis and executed through a single :meth:`run` call -- one
-        plan-cache lookup, one kernel fingerprint and one arena lease
+        plan-cache lookup, one kernel lookup and one arena lease
         for the whole batch instead of one per request.  The returned
         list holds one output view per request, in order.
 

@@ -7,7 +7,10 @@ Three evaluators, one set of op semantics:
   stage-3 result buffer, intermediate activations written straight into
   one :class:`~repro.core.engine.WorkspaceArena` lease held across the
   whole pass (the paper's Sec. 4.1 "no data reshuffling between
-  layers", extended to a DAG);
+  layers", extended to a DAG).  Results the plan marks channels-last
+  are leased ``(B, *spatial, C)`` and handed to ``engine.run`` as their
+  ``(B, C, *spatial)`` view (``out=``); pools and elementwise ops keep
+  their input's memory order, so the layout flows to the next conv;
 * :func:`execute_plan_naive` replays the *same* plan node-at-a-time --
   every conv an ordinary ``engine.run``, every elementwise op a fresh
   standalone pass, no fusion, no arena placement.  Because both paths
@@ -22,7 +25,10 @@ The bitwise claim leans on two numpy facts: ``out=`` changes where a
 ufunc writes, never what bits it writes, and elementwise ops are
 deterministic per element -- so an epilogue applied in place on the
 conv's result buffer produces exactly the bytes the standalone node
-would.
+would.  Memory order is the third: every conv entry copies (or pads and
+lowers) its input before any arithmetic and delivers its result by a
+copy, so a channels-last activation yields the bytes its C-contiguous
+twin in the naive replay does.
 """
 
 from __future__ import annotations
@@ -44,11 +50,13 @@ def max_pool(x: np.ndarray, window: int = 2) -> np.ndarray:
     convention of the evaluation networks).  Each spatial axis in turn
     folds its ``window`` strided phases together with ``np.maximum``:
     streaming passes, and exact, so the fold order changes no value.
+    The result keeps ``x``'s memory order (a channels-last batch pools
+    into a channels-last one), ``window == 1`` included.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window == 1:
-        return x.copy()
+        return x.copy(order="K")
     for axis in range(2, x.ndim):
         lead = (slice(None),) * axis
         stop = x.shape[axis] // window * window
@@ -218,6 +226,10 @@ class GraphExecutor:
             shape = plan.shapes[np_.result]
             if np_.is_output:
                 dest = np.empty(shape, plan.dtype)
+            elif np_.channels_last:
+                buf = lease.take((shape[0],) + shape[2:] + (shape[1],), plan.dtype)
+                dest = buf.transpose(0, -1, *range(1, buf.ndim - 1))
+                leased.add(id(dest))
             else:
                 dest = lease.take(shape, plan.dtype)
                 leased.add(id(dest))

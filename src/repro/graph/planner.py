@@ -28,6 +28,17 @@ into an executable :class:`GraphPlan`:
   compiled backend), so activations flow conv-to-conv without
   leaving the workspace; graph outputs get fresh heap arrays that are
   safe to return after the lease is released.
+* **Channels-last activations.**  The layout between layers is the
+  arrays' memory order, not an option (PyTorch's ``channels_last``
+  memory format is the precedent).  An arena-placed result every one of
+  whose paths through relu, batchnorm, add, mul and maxpool nodes ends
+  at a conv's data input is stored ``(B, *spatial, C)`` and handed on
+  as its ``(B, C, *spatial)`` view: the fused backend writes it in runs
+  of ``C'`` values, the elementwise ops and maxpool keep that memory
+  order, and the next conv copies it into its own buffers.  A result
+  that reaches ``gap``, ``gemm`` or a graph output stays C-contiguous,
+  because a numpy reduction's rounding follows its iteration order and
+  graph outputs are returned NCHW.
 
 The plan is also the contract the differential tests hold execution
 to: the naive node-at-a-time reference replays the *same* plan without
@@ -44,6 +55,11 @@ import numpy as np
 from repro.core.fmr import FmrSpec
 from repro.graph.ir import EPILOGUE_OPS, Graph, Node, tensor_nbytes
 from repro.util.alignment import round_up
+
+#: Ops whose result keeps its operands' memory order (elementwise ufuncs
+#: and maxpool's strided folds), so a channels-last activation can flow
+#: through them to the next conv.
+LAYOUT_OPS = EPILOGUE_OPS + ("maxpool",)
 
 
 @dataclass(frozen=True)
@@ -72,6 +88,10 @@ class NodePlan:
     feeds_downstream: bool
     #: True when the result is a declared graph output.
     is_output: bool
+    #: True when the result is stored channels-last, ``(B, *spatial, C)``
+    #: in memory: arena-placed, and read only by convs through
+    #: :data:`LAYOUT_OPS` chains.
+    channels_last: bool
 
 
 @dataclass
@@ -107,6 +127,7 @@ class GraphPlan:
                     "source": np_.source,
                     "epilogues": "+".join(np_.epilogues) or "-",
                     "in_place": np_.writes_in_place,
+                    "channels_last": np_.channels_last,
                     "shape": self.shapes[node.name],
                 }
             )
@@ -149,6 +170,7 @@ def plan_graph(
     # tensor stored by earlier nodes.  Grown as we walk the order.
     materialized = set(graph.inputs)
     outputs = set(graph.outputs)
+    feeds_convs = _feeds_only_convs(consumers, outputs)
 
     node_plans: dict[str, NodePlan] = {}
     folded_into: dict[str, str] = {}
@@ -190,6 +212,7 @@ def plan_graph(
         # still read the stored value as an epilogue operand.  Any
         # consumer at all therefore means the result must survive.
         feeds_downstream = bool(consumers.get(tensor))
+        writes_in_place = key.name != "compiled"
         node_plans[node.name] = NodePlan(
             name=node.name,
             algorithm=key.algorithm,
@@ -198,9 +221,10 @@ def plan_graph(
             source=key.source,
             epilogues=tuple(epilogues),
             result=tensor,
-            writes_in_place=key.name != "compiled",
+            writes_in_place=writes_in_place,
             feeds_downstream=feeds_downstream,
             is_output=tensor in outputs,
+            channels_last=writes_in_place and feeds_convs(tensor),
         )
         materialized.add(tensor)
 
@@ -219,3 +243,22 @@ def plan_graph(
         folded_into=folded_into,
         arena_bytes=arena_bytes,
     )
+
+
+def _feeds_only_convs(consumers: dict[str, list[Node]], outputs: set[str]):
+    """``tensor -> bool``: whether every path from ``tensor`` through
+    :data:`LAYOUT_OPS` nodes ends at a conv's data input (memoized over
+    the DAG; a graph output or a dead end on any path says no)."""
+    memo: dict[str, bool] = {}
+
+    def check(tensor: str) -> bool:
+        if tensor not in memo:
+            cons = consumers.get(tensor, [])
+            memo[tensor] = tensor not in outputs and bool(cons) and all(
+                (c.op == "conv" and c.inputs[0] == tensor)
+                or (c.op in LAYOUT_OPS and check(c.name))
+                for c in cons
+            )
+        return memo[tensor]
+
+    return check

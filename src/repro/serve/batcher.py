@@ -7,7 +7,7 @@ incoming request lands in a queue keyed by ``(tenant, model, per-request
 image signature)``, and a per-key drain task coalesces whatever arrives
 within a small batching window (or is already waiting) into one
 :meth:`~repro.core.engine.ConvolutionEngine.run_many` call -- one plan
-lookup, one kernel fingerprint and one arena lease for the whole
+lookup, one kernel lookup and one arena lease for the whole
 batch.
 
 Batch sizes are padded up to power-of-two buckets (``1, 2, 4, ...,

@@ -1,5 +1,6 @@
 """Concurrency stress tests for the barrier and the fork-join pool."""
 
+import sys
 import threading
 import time
 
@@ -195,6 +196,48 @@ class TestEngineConcurrency:
         assert len(engine.plans) == len(work)
         # The arena pool bounds buffer count even under full contention.
         assert engine.arena.as_dict()["pooled_buffers"] <= engine.arena.max_pooled
+
+    def test_concurrent_kernels_on_one_plan(self):
+        """Threads alternating three kernel tensors on one layer signature:
+        the cache's kernel memos (and the array each was last requested
+        with) churn on every call, yet every result is its own kernel's,
+        and each kernel is memoized once."""
+        from repro.core.engine import ConvolutionEngine
+        from repro.nets.reference import direct_convolution
+
+        rng = np.random.default_rng(11)
+        img = rng.standard_normal((1, 8, 10, 10)).astype(np.float32)
+        kernels = [rng.standard_normal((8, 8, 3, 3)).astype(np.float32)
+                   for _ in range(3)]
+        refs = [direct_convolution(img.astype(np.float64), k.astype(np.float64), (1, 1))
+                for k in kernels]
+        engine = ConvolutionEngine()
+        errors = []
+
+        def worker(i):
+            try:
+                for n in range(30):
+                    j = (i + n) % len(kernels)
+                    y = engine.run(img, kernels[j], padding=(1, 1))
+                    if np.abs(y - refs[j]).max() / np.abs(refs[j]).max() > 1e-3:
+                        errors.append((i, n, j))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        (entry,) = [engine.plans.get_or_create(k) for k in engine.plans.keys()]
+        assert len(entry.prepared) == len(kernels)
 
     def test_concurrent_eviction_churn(self):
         """A 2-plan cache under 3-shape traffic: constant eviction must

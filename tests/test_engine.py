@@ -6,6 +6,8 @@ the reference pipeline and direct convolution (2D/3D, crop and no-crop),
 and wisdom persistence.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,88 @@ class TestPlanCache:
         b = a.copy()
         b[0, 0, 0, 0] += 1
         assert kernel_fingerprint(a) != kernel_fingerprint(b)
+
+    def test_kernel_mutated_in_place_is_prepared_again(self):
+        cache = PlanCache()
+        entry = cache.get_or_create(_key())
+        ker = RNG.standard_normal((16, 16, 3, 3)).astype(np.float32)
+        w1 = cache.prepare(entry, ker)
+        assert cache.prepare(entry, ker) is w1  # same array, unchanged
+        ker[3, 5, 1, 2] += 1.0
+        w2 = cache.prepare(entry, ker)
+        assert w2 is not w1
+        assert cache.stats.kernel_hits == 1 and cache.stats.kernel_misses == 2
+        np.testing.assert_array_equal(
+            w2.data, cache.get_or_create(_key()).prepare_kernels(ker).data
+        )
+
+    def test_preparation_does_not_alias_caller_kernels(self):
+        """A memoized preparation is computed from the cache's own copy:
+        mutating the caller's array afterwards cannot change what a later
+        request with the original content gets (direct convolution's
+        preparation is the kernel tensor itself)."""
+        engine = ConvolutionEngine(algorithm="direct")
+        img = RNG.standard_normal((1, 4, 6, 6)).astype(np.float32)
+        ker = RNG.standard_normal((4, 4, 3, 3)).astype(np.float32)
+        original = ker.copy()
+        y1 = engine.run(img, ker, padding=(1, 1))
+        ker[...] = 0.0
+        engine.run(img, ker, padding=(1, 1))
+        np.testing.assert_array_equal(engine.run(img, original, padding=(1, 1)), y1)
+
+    def test_forged_checksum_collision_gets_its_own_preparation(self):
+        """Kernels above 256 KB were once fingerprinted by their head,
+        tail and a position-weighted 64-bit checksum.  Moving two adjacent
+        mid-array words by plus and minus each other's weight leaves that
+        checksum unchanged, so the forged kernel below used to be served
+        the first kernel's transform.  Every byte now decides identity."""
+        weights = np.frombuffer(
+            b"".join(
+                hashlib.blake2b(
+                    b"repro-kernel-fp" + i.to_bytes(4, "little"), digest_size=64
+                ).digest()
+                for i in range(1024)
+            ),
+            dtype="<u8",
+        ) | np.uint64(1)
+        rng = np.random.default_rng(7)
+        k1 = (rng.standard_normal((128, 128, 3, 3)) * 0.05).astype(np.float32)
+        words = k1.reshape(-1).view("<u8")
+        # Mid-array (the first and last 64 KB were hashed exactly), and
+        # both words in one 8192-word checksum block.
+        for j in range(words.size // 2, words.size - 8192 - 2):
+            if j % 8192 == 8191:
+                continue
+            pair = words[j:j + 2].copy()
+            with np.errstate(over="ignore"):
+                pair[0] += weights[(j + 1) % 8192]
+                pair[1] -= weights[j % 8192]
+            vals = pair.view(np.float32)
+            if np.all(np.isfinite(vals)) and np.all(np.abs(vals) < 4.0):
+                break
+        else:
+            pytest.fail("no finite forgery found")
+        k2 = k1.copy()
+        k2.reshape(-1).view("<u8")[j:j + 2] = pair
+        assert not np.array_equal(k1, k2)
+        with np.errstate(over="ignore"):
+            checksum = [
+                int((w[j - j % 8192:][:8192] * weights).sum(dtype=np.uint64))
+                for w in (k1.reshape(-1).view("<u8"), k2.reshape(-1).view("<u8"))
+            ]
+        assert checksum[0] == checksum[1]  # the old scheme's collision
+
+        engine = ConvolutionEngine()
+        img = RNG.standard_normal((1, 128, 6, 6)).astype(np.float32)
+        y1 = engine.run(img, k1, padding=(1, 1))
+        y2 = engine.run(img, k2, padding=(1, 1))
+        assert engine.plans.stats.kernel_misses == 2
+        ref = direct_convolution(
+            img.astype(np.float64), k2.astype(np.float64), (1, 1)
+        )
+        assert np.abs(y2 - ref).max() / np.abs(ref).max() < 1e-3
+        assert not np.array_equal(y1, y2)
+        assert kernel_fingerprint(k1) != kernel_fingerprint(k2)
 
     def test_clear(self):
         cache = PlanCache()
@@ -257,6 +341,67 @@ class TestEngineCorrectness:
         y1 = engine.run(img, ker, padding=(1, 1))
         y2 = engine.run(img, ker, padding=(1, 1))
         np.testing.assert_array_equal(y1, y2)  # arena recycling is clean
+
+
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """``x``'s values stored ``(B, *spatial, C)``, viewed as ``(B, C, *spatial)``."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+
+
+#: (input shape, C', padding, F(m, r), whether the tile grid overhangs
+#: the output and the fused path crops).  Odd channel counts throughout.
+MEMORY_ORDER_CASES = [
+    ((2, 3, 11), 5, (1,), "F(4,3)", True),
+    ((2, 5, 10), 3, (1,), "F(2,3)", False),
+    ((2, 5, 10, 9), 7, (1, 1), "F(4x4,3x3)", True),
+    ((2, 3, 8, 8), 5, (1, 1), "F(4x4,3x3)", False),
+    ((1, 3, 5, 6, 7), 5, (1, 1, 1), "F(2x2x2,3x3x3)", True),
+    ((2, 3, 6, 6, 6), 3, (1, 1, 1), "F(2x2x2,3x3x3)", False),
+]
+
+
+class TestChannelsLastMemoryOrder:
+    """The fused entry copies its input into channels-last buffers and
+    assembles into ``out`` in ``out``'s own memory order: neither order
+    changes a value."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,cp,padding,fmr,crop", MEMORY_ORDER_CASES)
+    def test_fused_bitwise_across_memory_orders(self, shape, cp, padding, fmr,
+                                                crop, dtype):
+        engine = ConvolutionEngine()
+        img = RNG.standard_normal(shape).astype(dtype)
+        ker = RNG.standard_normal((shape[1], cp) + (3,) * len(padding)).astype(dtype)
+        run = dict(fmr=fmr, padding=padding, dtype=dtype)
+        want = engine.run(img, ker, **run)
+        assert want.flags.c_contiguous
+        key = engine.resolve(img.shape, ker.shape, **run)
+        assert engine.plans.get_or_create(key).crop is crop  # the cached entry
+        ref = direct_convolution(img.astype(np.float64), ker.astype(np.float64), padding)
+        tol = 1e-4 if dtype == np.float32 else 1e-10
+        assert np.abs(want - ref).max() / np.abs(ref).max() < tol
+        out_shape = want.shape
+        for src in (img, _channels_last(img)):
+            for dest in (np.empty(out_shape, dtype),
+                         _channels_last(np.empty(out_shape, dtype))):
+                got = engine.run(src, ker, out=dest, **run)
+                assert got is dest
+                np.testing.assert_array_equal(got, want)
+        assert engine.run(_channels_last(img), ker, **run).flags.c_contiguous
+
+    def test_compiled_reads_channels_last_input(self, monkeypatch, tmp_path):
+        from repro.core.compiled_backend import compiled_available
+
+        if not compiled_available():
+            pytest.skip("no C toolchain/cffi on this host")
+        monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path))
+        engine = ConvolutionEngine(backend="compiled")
+        img = RNG.standard_normal((2, 8, 9, 9)).astype(np.float32)
+        ker = RNG.standard_normal((8, 8, 3, 3)).astype(np.float32)
+        want = engine.run(img, ker, padding=(1, 1))
+        got = engine.run(_channels_last(img), ker, padding=(1, 1))
+        np.testing.assert_array_equal(got, want)
+        assert engine.metrics.counter_value("engine.fallbacks") == 0
 
 
 class TestEngineCaching:

@@ -40,6 +40,7 @@ from repro.graph import (
     residual_block,
     toy_classifier,
 )
+from repro.graph.executor import max_pool
 from repro.serve import ServeClient
 from repro.serve.protocol import ProtocolError, encode_tensor
 from repro.serve.server import ConvServer
@@ -491,6 +492,123 @@ class TestFusionAndArena:
         assert len(failing_codelet_build) == n_convs
         for name in out:
             np.testing.assert_array_equal(out[name], expect[name])
+
+
+def _channels_last(x: np.ndarray) -> np.ndarray:
+    """``x``'s values stored ``(B, *spatial, C)``, viewed as ``(B, C, *spatial)``."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, -1)), -1, 1)
+
+
+def _is_channels_last(x: np.ndarray) -> bool:
+    return np.moveaxis(x, 1, -1).flags.c_contiguous
+
+
+class TestChannelsLast:
+    """Memory order is the layout between layers: a conv result read only
+    by convs (through elementwise ops and maxpool) is stored channels-last."""
+
+    @staticmethod
+    def _marks(graph, **kw) -> dict[str, bool]:
+        with ConvolutionEngine(**kw) as eng:
+            plan = plan_graph(graph, eng)
+        return {p.name: p.channels_last for p in plan.conv_plans}
+
+    def test_vgg_marks_all_but_the_output_conv(self):
+        assert self._marks(graph_scaled_vgg()) == {
+            "conv1": True, "conv2": True, "conv3": False,
+        }
+
+    def test_result_reaching_gap_stays_nchw(self):
+        # c2 -> batchnorm -> relu -> gap: a reduction's rounding follows
+        # its iteration order, so c2 keeps the order the oracle uses.
+        assert self._marks(toy_classifier()) == {"c1": True, "c2": False}
+
+    def test_bottleneck_marks_c1_and_c2(self):
+        g = residual_block(c=16, size=8, kind="bottleneck")
+        assert self._marks(g, algorithm="winograd") == {
+            "c1": True, "c2": True, "c3": False,
+        }
+
+    def test_fan_out_to_graph_output_stays_nchw(self):
+        rng = np.random.default_rng(0)
+        g = Graph()
+        g.add_input("x", (1, 8, 8, 8))
+        g.add("conv", "c1", "x", padding=(1, 1),
+              weights=(rng.standard_normal((8, 8, 3, 3)) * 0.1).astype(np.float32))
+        g.add("relu", "r1", "c1")
+        g.add("conv", "c2", "r1", padding=(1, 1),  # r1 feeds a conv ...
+              weights=(rng.standard_normal((8, 8, 3, 3)) * 0.1).astype(np.float32))
+        g.add("maxpool", "p", "r1", window=2)  # ... and, pooled, an output
+        g.mark_output("c2", "p")
+        assert self._marks(g) == {"c1": False, "c2": False}
+        with ConvolutionEngine() as eng:
+            out = _assert_graph_faithful(eng, g).run(_feeds(g))
+        assert all(v.flags.c_contiguous for v in out.values())
+
+    def test_compiled_results_stay_nchw(self):
+        # Not written in place, so never arena-placed.
+        marks = self._marks(graph_scaled_c3d(), backend="compiled")
+        assert marks == {"conv1": False, "conv2": False}
+
+    def test_executor_passes_channels_last_out(self):
+        """Each conv is still one engine.run call; the marked ones get a
+        channels-last ``out=`` view, and graph outputs are C-contiguous."""
+        g = graph_scaled_vgg(batch=2)
+        with ConvolutionEngine() as eng:
+            ex = _assert_graph_faithful(eng, g)
+            seen = []
+            run = eng.run
+
+            def spy(images, kernels, **kw):
+                seen.append((_is_channels_last(images), kw["out"]))
+                return run(images, kernels, **kw)
+
+            eng.run = spy
+            (out,) = ex.run(_feeds(g)).values()
+        assert [(src, _is_channels_last(dest)) for src, dest in seen] == [
+            (False, True), (True, True), (True, False),
+        ]
+        assert seen[2][1].flags.c_contiguous and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("algorithm", ["fft", "direct", "im2col"])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_baselines_read_channels_last_bitwise(self, algorithm, pad):
+        """At padding 0 ``pad_images`` hands the baseline its input as
+        is, so the channels-last activation reaches its arithmetic."""
+        rng = np.random.default_rng(pad)
+        g = Graph()
+        g.add_input("x", (2, 6, 10, 10))
+        g.add("conv", "c1", "x", padding=(1, 1),
+              weights=(rng.standard_normal((6, 7, 3, 3)) * 0.1).astype(np.float32))
+        g.add("relu", "r1", "c1")
+        g.add("conv", "c2", "r1", padding=(pad, pad),
+              weights=(rng.standard_normal((7, 5, 3, 3)) * 0.1).astype(np.float32))
+        g.mark_output("c2")
+        with ConvolutionEngine() as eng:
+            ex = _assert_graph_faithful(eng, g, algorithm=algorithm)
+        assert [p.channels_last for p in ex.plan.conv_plans] == [True, False]
+
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    def test_max_pool_keeps_memory_order(self, window):
+        x = np.random.default_rng(0).standard_normal((2, 5, 7, 6)).astype(np.float32)
+        got = max_pool(_channels_last(x), window)
+        assert _is_channels_last(got)
+        np.testing.assert_array_equal(got, max_pool(x, window))
+
+    @pytest.mark.parametrize("op", ["relu", "batchnorm", "add", "mul"])
+    def test_elementwise_ops_keep_memory_order(self, op):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 5, 4, 3)).astype(np.float32)
+        y = rng.standard_normal(x.shape).astype(np.float32)
+        inputs = ("x", "y") if op in ("add", "mul") else ("x",)
+        attrs = {}
+        if op == "batchnorm":
+            attrs = {"scale": rng.standard_normal(5), "shift": rng.standard_normal(5)}
+        node = Node(name="n", op=op, inputs=inputs, attrs=attrs)
+        args = [x, y][: len(inputs)]
+        got = eval_node(node, [_channels_last(a) for a in args])
+        assert _is_channels_last(got)
+        np.testing.assert_array_equal(got, eval_node(node, args))
 
 
 # ----------------------------------------------------------------------
