@@ -458,12 +458,11 @@ def cmd_run_graph(args) -> int:
         print(f"backend  : {args.backend}  algorithm: {args.algorithm}  "
               f"fuse: {not args.no_fuse}")
         _print_table(
-            ["conv", "algorithm", "backend", "source", "epilogues", "in-place",
-             "C-last", "output"],
+            ["conv", "algorithm", "backend", "source", "epilogues", "C-last",
+             "output"],
             [
                 [r["node"], r["algorithm"], r["backend"], r["source"],
-                 r["epilogues"], "yes" if r["in_place"] else "no",
-                 "yes" if r["channels_last"] else "no",
+                 r["epilogues"], "yes" if r["channels_last"] else "no",
                  "x".join(map(str, r["shape"]))]
                 for r in executor.plan.describe()
             ],
@@ -473,8 +472,7 @@ def cmd_run_graph(args) -> int:
                   f"checksum {float(arr.sum()):+.6e}")
         print(f"plan time: {plan_ms:.2f} ms   run time: {run_ms:.2f} ms")
         snap = engine.metrics.snapshot()["counters"]
-        print(f"metrics  : interlayer_copies={snap.get('graph.interlayer_copies', 0)} "
-              f"fused_epilogues={snap.get('graph.fused_epilogues', 0)} "
+        print(f"metrics  : fused_epilogues={snap.get('graph.fused_epilogues', 0)} "
               f"codelet_builds={snap.get('codelet_compile.builds', 0)} "
               f"memo_hits={snap.get('codelet_compile.memo_hits', 0)} "
               f"disk_hits={snap.get('codelet_compile.disk_hits', 0)}")

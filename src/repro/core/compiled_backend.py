@@ -20,11 +20,10 @@ code generator.
   geometry to the shared library's ``wino_stage1``, ``wino_stage2`` and
   ``wino_stage3_direct``; its wrappers pass numpy buffers through
   ``ffi.from_buffer`` with zero copies, over full ranges by default or
-  over any slice of a stage's task grid.
-* :class:`CompiledWinogradExecutor` -- the sequential all-compiled
-  pipeline used by ``backend="compiled"``: stage 1, stage 2 and stage 3
-  straight into the cropped output, on the ``(T, C, C')`` kernel
-  transform the engine memoizes.
+  over any slice of a stage's task grid.  The engine's compiled plan
+  entry (:class:`repro.core.engine.CompiledEntry`) calls them on
+  workspace leased from its arena, with the ``(T, C, C')`` kernel
+  transform the engine memoizes as V.
 
 The compile itself is observable: a ``codelet.compile`` span, build /
 cache-hit counters and a compile-seconds histogram.
@@ -43,8 +42,7 @@ import numpy as np
 
 from repro.core.blocking import BlockingConfig
 from repro.core.codegen_c import CodeletKey, PlanGeometry, render_source
-from repro.core.convolution import TransformedKernels, WinogradPlan
-from repro.core.layout import ImageLayout, pack_padded
+from repro.core.convolution import WinogradPlan
 from repro.core.toolchain import (  # noqa: F401 - re-exported
     CodeletBuildError,
     CompilerUnavailableError,
@@ -274,114 +272,3 @@ def clear_compiled_caches() -> None:
     clear_probe_cache()
     with _LIBRARIES_LOCK:
         _LIBRARIES.clear()
-
-
-# ----------------------------------------------------------------------
-# Sequential all-compiled executor (backend="compiled")
-# ----------------------------------------------------------------------
-class CompiledWinogradExecutor:
-    """Runs a :class:`WinogradPlan` entirely through the compiled stages.
-
-    Owns persistent pipeline buffers (padded / U / X); :meth:`execute` is
-    serialized internally, so the one workspace serves one request at a
-    time.  ``padded`` is the Table-1 image layout ``(B, C/S,
-    *padded_input, S)``: its zero halo is written once, at allocation,
-    and each call copies the images into its interior
-    (:func:`~repro.core.layout.pack_padded`), so stage 1 reads every tile
-    element as one ``S``-wide vector.  Stage 3 runs the direct variant,
-    writing a fresh output tensor in its final cropped layout -- no
-    ``out_tiles`` buffer and no numpy reassembly.  Stage 2 reads the
-    memoized ``(T, C, C')`` kernel transform (:class:`TransformedKernels`,
-    the engine's FX path) as V directly; raw kernels are transformed by
-    :meth:`WinogradPlan.transform_kernels` first, so both give the same
-    bits.
-    """
-
-    def __init__(
-        self,
-        plan: WinogradPlan,
-        blocking: BlockingConfig,
-        simd_width: int = 16,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.plan = plan
-        self.blocking = blocking
-        self.simd_width = simd_width
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.stages = get_compiled_stages(
-            plan, blocking, simd_width, tracer=self.tracer, metrics=metrics
-        )
-        shapes = self.workspace_shapes(plan, simd_width)
-        dtype = plan.dtype
-        self._padded = np.zeros(shapes["padded"], dtype)
-        self._u = np.empty(shapes["u"], dtype)
-        self._x = np.empty(shapes["x"], dtype)
-        self._out_shape = (plan.batch, plan.c_out) + plan.grid.output_shape
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def workspace_shapes(plan: WinogradPlan, simd_width: int) -> dict[str, tuple[int, ...]]:
-        """Shapes of the persistent buffers, known before any build."""
-        b, c, cp = plan.batch, plan.c_in, plan.c_out
-        t, nb = plan.t_matrices, plan.gemm_rows
-        return {
-            "padded": ImageLayout(
-                b, c, plan.grid.padded_input_shape, simd_width
-            ).stored_shape,
-            "u": (t, nb, c),
-            "x": (t, nb, cp),
-        }
-
-    @property
-    def workspace_nbytes(self) -> int:
-        return sum(a.nbytes for a in (self._padded, self._u, self._x))
-
-    def _timed(self, name: str, fn) -> None:
-        t0 = time.perf_counter()
-        with self.tracer.span(f"compiled.{name}"):
-            fn()
-        if self.metrics is not None:
-            self.metrics.histogram(f"compiled.{name}.seconds").observe(
-                time.perf_counter() - t0
-            )
-
-    def execute(
-        self, images: np.ndarray, kernels: np.ndarray | TransformedKernels
-    ) -> np.ndarray:
-        plan = self.plan
-        images = np.asarray(images, dtype=plan.dtype)
-        if tuple(images.shape) != plan.input_shape:
-            raise ValueError(f"images shape {images.shape} != {plan.input_shape}")
-        if not isinstance(kernels, TransformedKernels):
-            kernels = plan.transform_kernels(np.asarray(kernels))
-        if kernels.spec != plan.spec or kernels.c != plan.c_in \
-                or kernels.cprime != plan.c_out:
-            raise ValueError(
-                "transformed kernels do not match the plan "
-                f"({kernels.spec}, C={kernels.c}, C'={kernels.cprime})"
-            )
-        v = np.ascontiguousarray(kernels.data, dtype=plan.dtype)
-        with self._lock:
-            # No stage writes `padded`, so its halo is still zero.
-            pack_padded(
-                images, plan.padding, plan.grid.padded_input_shape,
-                self.simd_width, out=self._padded,
-            )
-            self._timed("stage1", lambda: self.stages.stage1(self._padded, self._u))
-            self._timed("stage2", lambda: self.stages.stage2(self._u, v, self._x))
-            # Fresh (not persistent): the caller owns the result, and
-            # stage3_direct writes every element, so np.empty is safe.
-            out = np.empty(self._out_shape, plan.dtype)
-            self._timed("stage3", lambda: self.stages.stage3_direct(self._x, out))
-            return out
-
-    def shutdown(self) -> None:  # symmetry with the other executors
-        pass
-
-    def __enter__(self) -> "CompiledWinogradExecutor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

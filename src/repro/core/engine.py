@@ -23,9 +23,10 @@ Three cooperating pieces:
 
 * :class:`WorkspaceArena` -- one reusable aligned byte buffer sized by
   the maximum workspace the arena has seen (the paper's "same buffer
-  ... reused for every layer"), vending U/V/X/output-tile views for a
-  single execution.  Concurrent executions lease independent buffers
-  from a small pool, so the engine is thread-safe.
+  ... reused for every layer"), vending the padded-input/U/X views of
+  a single execution on both Winograd backends, and the graph's
+  inter-layer activations.  Concurrent executions lease independent
+  buffers from a small pool, so the engine is thread-safe.
 
 * :class:`ConvolutionEngine` -- the facade.  :meth:`~ConvolutionEngine.
   resolve` is the one place the request rules live: the ``auto``
@@ -45,16 +46,18 @@ element is one contiguous run of channels.  It copies its input from,
 and writes its result into, whatever memory order those arrays have;
 the graph executor passes channels-last ``out=`` views to keep
 activations in that layout between layers (see :mod:`repro.graph`).
+The compiled entry's stage 3 writes NCHW: straight into a C-contiguous
+``out``, through one copy into any other.
 
 The cache and arena are an explicit *extension beyond the paper* (which
 restarts its binary per layer benchmark); see DESIGN.md.
 
 A process loads only the code its plans run: the compiled backend and
-its code generator are imported when a compiled plan entry is built,
-nested Winograd when a nested one is, the autotuner's wisdom keys when
-a compiled plan is resolved, and the KNL cost model (with the codelet,
-JIT-GEMM and scheduling simulators it drives) by the ``auto`` decision
-and ``tile_policy="model"``.  No request imports anything.
+its code generator are imported when a compiled plan entry binds its
+stages, nested Winograd when a nested entry is built, the autotuner's
+wisdom keys when a compiled plan is resolved, and the KNL cost model
+(with the codelet, JIT-GEMM and scheduling simulators it drives) by the
+``auto`` decision.  No warm request imports anything.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ def _fallback_key(key: PlanKey) -> PlanKey:
 def parallel_simd_width(c_in: int, c_out: int) -> int:
     """Largest power-of-two SIMD group dividing both channel counts.
 
-    The compiled and parallel executors require ``C`` and ``C'``
+    The compiled backend and the parallel executor require ``C`` and ``C'``
     divisible by ``S``; shrinking ``S`` (rather than rejecting the
     layer) keeps the compiled backend available for arbitrary channel
     counts at the cost of shorter vector groups.
@@ -184,7 +187,7 @@ def parallel_simd_width(c_in: int, c_out: int) -> int:
 
 
 def default_parallel_blocking(c_in: int, c_out: int, simd: int) -> BlockingConfig:
-    """A valid stage-2 blocking for the compiled and parallel executors.
+    """A valid stage-2 blocking for the compiled backend and the parallel executor.
 
     Largest channel blocks <= 128 that divide the channel counts and are
     multiples of ``simd`` -- correctness-first defaults when no wisdom
@@ -415,17 +418,13 @@ class PlanCache:
             if entry is None:
                 return False
             self._recount()
-        entry.release()
         return True
 
     def clear(self) -> None:
         with self._lock:
-            dropped = list(self._entries.values())
             self._entries.clear()
             self._owners.clear()
             self.stats.bytes_cached = 0
-        for entry in dropped:
-            entry.release()
 
     # -- multi-tenant accounting ---------------------------------------
     def tenant_of(self, key: PlanKey) -> str | None:
@@ -450,7 +449,7 @@ class PlanCache:
         out (that remains the job of the global LRU budget).  Returns
         the number of entries evicted.
         """
-        victims: list[PlanEntry] = []
+        evicted = 0
         with self._lock:
             owned = [k for k in self._entries if self._owners.get(k) == tenant]
             used = sum(self._entries[k].nbytes() for k in owned)
@@ -460,16 +459,14 @@ class PlanCache:
                 entry = self._entries.pop(key)
                 self._owners.pop(key, None)
                 used -= entry.nbytes()
-                victims.append(entry)
+                evicted += 1
                 self.stats.evictions += 1
                 self._bump("evictions")
                 if self.metrics is not None:
                     self.metrics.counter("plan_cache.tenant_evictions").inc()
-            if victims:
+            if evicted:
                 self._recount()
-        for entry in victims:
-            entry.release()
-        return len(victims)
+        return evicted
 
     # -- internal (callers hold the lock) ------------------------------
     def _recount(self) -> None:
@@ -484,9 +481,8 @@ class PlanCache:
         ):
             if len(self._entries) == 1 and len(self._entries) <= self.max_plans:
                 break  # never evict the sole (and only legal) resident
-            key, entry = self._entries.popitem(last=False)
+            key, _ = self._entries.popitem(last=False)
             self._owners.pop(key, None)
-            entry.release()  # drop compiled-executor workspaces
             self.stats.evictions += 1
             self._bump("evictions")
             self._recount()
@@ -526,6 +522,9 @@ class WorkspaceArena:
     the plans it has seen -- the buffer only ever grows, to
     ``max_workspace_bytes`` over the executed plans.  A small pool (one
     buffer per concurrent lease) keeps concurrent executions isolated.
+    A lease takes the smallest pooled buffer that fits, so leases nested
+    inside one another -- the graph's activation lease around each
+    conv's workspace -- settle on one buffer each.
     """
 
     def __init__(
@@ -562,18 +561,18 @@ class WorkspaceArena:
         with self._lock:
             self.leases += 1
             self.high_water_bytes = max(self.high_water_bytes, nbytes)
-            buf: np.ndarray | None = None
-            if self._free:
-                # Pop by index, never list.remove(): removal by value
-                # would compare ndarrays elementwise, which raises as
-                # soon as the pool holds buffers of different sizes
-                # (e.g. a stale pre-growth buffer behind a grown one).
-                idx = max(
-                    range(len(self._free)),
-                    key=lambda i: self._free[i].nbytes,
-                )
-                buf = self._free.pop(idx)
-            if buf is None or buf.nbytes < need:
+            # The smallest pooled buffer that fits, so a small lease
+            # nested around a large one leaves the large buffer to it.
+            # Pop by index, never list.remove(): removal by value would
+            # compare ndarrays elementwise, which raises as soon as the
+            # pool holds buffers of different sizes.
+            by_size = sorted(range(len(self._free)), key=lambda i: self._free[i].nbytes)
+            fits = [i for i in by_size if self._free[i].nbytes >= need]
+            if fits:
+                buf = self._free.pop(fits[0])
+            else:
+                if by_size:  # replace the largest pooled buffer
+                    self._free.pop(by_size[-1])
                 buf = np.empty(max(need, self.capacity_bytes), dtype=np.uint8)
                 self.grows += 1
                 if self.metrics is not None:
@@ -635,9 +634,6 @@ class PlanEntry:
 
     def execute(self, images, prepared, out=None, epilogue=None) -> np.ndarray:
         raise NotImplementedError
-
-    def release(self) -> None:
-        """Drop pooled buffers on eviction/clear; idempotent."""
 
     def nbytes(self) -> int:
         """Memoized preparations plus the kernel copies kept beside them."""
@@ -737,21 +733,11 @@ class FusedEntry(PlanEntry):
         )
         self.const_bytes = self.bk.nbytes + self.ak.nbytes
 
-        # Stage 1 geometry.  The interior takes the input; the halo --
-        # conv padding plus the grid's zero-extension -- is the slabs
-        # below and above it along each spatial axis.
-        lo = plan.padding
-        hi = tuple(p + s for p, s in zip(lo, plan.input_shape[2:]))
-        self._interior = (slice(None),) + tuple(map(slice, lo, hi)) + (slice(None),)
+        # Stage 1 geometry: (B, *padded_input, C).
+        self._interior, self._halo = _padded_regions(plan, lead=1)
         # (B, C, *spatial) <-> (B, *spatial, C) axis orders.
         self._to_last = (0, *range(2, nd + 2), 1)
         self._to_first = (0, nd + 1, *range(1, nd + 1))
-        self._halo = [
-            (slice(None),) * (1 + d) + (part,)
-            for d in range(nd)
-            for part in (slice(0, lo[d]), slice(hi[d], pin[d]))
-            if part.start < part.stop
-        ]
         # The tile gather's source: (B, *tile, *counts, C) over the
         # C-contiguous padded buffer, tile axes at the spatial strides
         # and tile-count axes at m times them.
@@ -878,43 +864,59 @@ class FusedEntry(PlanEntry):
 class CompiledEntry(PlanEntry):
     """A plan run through generated C codelets (``backend="compiled"``).
 
-    Kernels are prepared as the same ``(T, C, C')`` transform the fused
-    path memoizes -- it *is* the V layout stage 2 consumes, so the
-    generated library needs no kernel-transform entry point.  The
-    executor owns its workspace, so ``lease_bytes`` reports that
-    workspace from the plan's shapes without building anything.  The
-    compiled result is a private heap array, delivered through ``out``
-    by a copy.  Building this entry is what imports the compiled
-    backend and its code generator.
+    Shaped like :class:`FusedEntry`: every call leases its workspace
+    from the engine's arena -- ``padded``, the paper's Table-1 image
+    layout ``(B, C/S, *padded_input, S)``, then U ``(T, N, C)`` and X
+    ``(T, N, C')`` -- and ``lease_bytes`` is exactly that lease,
+    computed from the plan's shapes without building anything.  The
+    arena memory is recycled, so each call zeroes the halo slabs of
+    ``padded`` and copies the images into its interior; stage 1 then
+    reads every tile element as one ``S``-wide vector.  Kernels are
+    prepared as the same ``(T, C, C')`` transform the fused path
+    memoizes -- it *is* the V stage 2 consumes.  Stage 3 writes the
+    cropped result straight into ``out`` when ``out`` is a C-contiguous
+    ``(B, C', *output)`` array (a fresh one when ``out`` is None); any
+    other ``out`` gets one copy through a temporary.  Binding the stages
+    is what imports the compiled backend and its code generator.
     """
 
     def __init__(
         self,
         key: PlanKey,
-        tracer: Tracer | None = None,
+        arena: WorkspaceArena,
+        tracer: Tracer,
         metrics: MetricsRegistry | None = None,
     ):
-        from repro.core.compiled_backend import CompiledWinogradExecutor
-
         super().__init__(key)
-        self.plan = _winograd_plan(key)
-        self.tracer, self.metrics = tracer, metrics
-        self.lease_bytes = self.plan.dtype.itemsize * sum(
-            prod(shape)
-            for shape in CompiledWinogradExecutor.workspace_shapes(
-                self.plan, key.blocking.simd_width
-            ).values()
+        self.arena, self.tracer, self.metrics = arena, tracer, metrics
+        self.plan = plan = _winograd_plan(key)
+        s = key.blocking.simd_width
+        b, c, cp = plan.batch, plan.c_in, plan.c_out
+        t, rows = plan.t_matrices, plan.gemm_rows
+        self._shapes = {
+            "padded": (b, c // s) + plan.grid.padded_input_shape + (s,),
+            "u": (t, rows, c),
+            "x": (t, rows, cp),
+        }
+        self.lease_bytes = sum(
+            round_up(prod(shape) * plan.dtype.itemsize, CACHE_LINE_BYTES)
+            for shape in self._shapes.values()
         )
-        self._compiled = None
+        self.out_shape = (b, cp) + plan.grid.output_shape
+        # The images, channels split into (C/S, S) blocks, land in the
+        # interior of `padded` (B, C/S, *padded_input, S).
+        self._blocked = (b, c // s, s) + plan.input_shape[2:]
+        self._interior, self._halo = _padded_regions(plan, lead=2)
+        self._stages = None
         self._build_error: str | None = None
         self.lock = threading.Lock()
 
-    def executor(self):
-        """Lazily built compiled-C executor for this plan.
+    def stages(self):
+        """The plan's compiled stage entry points, bound on first use.
 
-        First build binds the plan to its codelet key's stage library:
-        already loaded by another plan with the same key, found in the
-        disk build cache, or compiled now; raises
+        The first call binds the plan to its codelet key's stage
+        library: already loaded by another plan with the same key, found
+        in the disk build cache, or compiled now; raises
         :class:`CompilerUnavailableError` / :class:`CodeletBuildError`
         on hosts without a toolchain, which the engine's fallback chain
         absorbs.  A failed build is remembered on this entry: later
@@ -926,52 +928,60 @@ class CompiledEntry(PlanEntry):
         with self.lock:
             if self._build_error is not None:
                 raise CodeletBuildError(self._build_error)
-            if self._compiled is None:
-                from repro.core.compiled_backend import CompiledWinogradExecutor
+            if self._stages is None:
+                from repro.core.compiled_backend import get_compiled_stages
 
+                blocking = self.key.blocking
                 try:
-                    self._compiled = CompiledWinogradExecutor(
-                        plan=self.plan,
-                        blocking=self.key.blocking,
-                        simd_width=self.key.blocking.simd_width,
-                        tracer=self.tracer,
-                        metrics=self.metrics,
+                    self._stages = get_compiled_stages(
+                        self.plan, blocking, blocking.simd_width,
+                        tracer=self.tracer, metrics=self.metrics,
                     )
                 except CodeletBuildError as exc:
                     self._build_error = str(exc)
                     raise
-            return self._compiled
+            return self._stages
 
     def prepare_kernels(self, kernels: np.ndarray) -> TransformedKernels:
-        # The executor first: a build that fails reroutes the request
+        # The stages first: a build that fails reroutes the request
         # before any kernel work is done or memoized.
-        self.executor()
+        self.stages()
         return self.plan.transform_kernels(kernels)
 
+    def _timed(self, name: str, fn, *args) -> None:
+        t0 = time.perf_counter()
+        with self.tracer.span(f"compiled.{name}"):
+            fn(*args)
+        if self.metrics is not None:
+            self.metrics.histogram(f"compiled.{name}.seconds").observe(
+                time.perf_counter() - t0
+            )
+
     def execute(self, images, w, out=None, epilogue=None) -> np.ndarray:
-        result = self.executor().execute(images, w)
-        if out is not None:
-            np.copyto(_result_buffer(out, result.shape, result.dtype), result)
-            result = out
+        stages = self.stages()
+        dtype = self.plan.dtype
+        result = _result_buffer(out, self.out_shape, dtype)
+        direct = result.flags.c_contiguous
+        with self.arena.lease(self.lease_bytes) as lease:
+            padded = lease.take(self._shapes["padded"], dtype)
+            u = lease.take(self._shapes["u"], dtype)
+            x = lease.take(self._shapes["x"], dtype)
+            for halo in self._halo:
+                padded[halo] = 0
+            padded[self._interior] = np.moveaxis(
+                images.reshape(self._blocked), 2, -1
+            )
+            self._timed("stage1", stages.stage1, padded, u)
+            self._timed("stage2", stages.stage2, u, w.data, x)
+            # stage3_direct writes every element of a C-contiguous
+            # (B, C', *output) array in its final cropped layout.
+            dest = result if direct else np.empty(self.out_shape, dtype)
+            self._timed("stage3", stages.stage3_direct, x, dest)
+        if not direct:
+            np.copyto(result, dest)
         if epilogue is not None:
-            epilogue(result)  # a private heap array: safe to mutate
+            epilogue(result)
         return result
-
-    def release(self) -> None:
-        """Drop the compiled executor's workspace buffers.
-
-        The dlopen'd stage library itself stays in the process-wide
-        registry (it is content-addressed and a few kilobytes); only the
-        per-plan workspace is dropped here.
-        """
-        with self.lock:
-            self._compiled = None
-
-    def nbytes(self) -> int:
-        n = super().nbytes()
-        if self._compiled is not None:
-            n += self._compiled.workspace_nbytes
-        return n
 
 
 class BaselineEntry(PlanEntry):
@@ -1034,6 +1044,23 @@ class NestedEntry(PlanEntry):
             )
 
 
+def _padded_regions(plan: WinogradPlan, lead: int):
+    """Index tuples of a padded input buffer: the interior the images
+    land in, and the halo -- conv padding plus the grid's zero-extension
+    -- as the slabs below and above it along each spatial axis.  The
+    buffer's spatial axes follow ``lead`` axes and precede one more."""
+    lo, pin = plan.padding, plan.grid.padded_input_shape
+    hi = tuple(p + n for p, n in zip(lo, plan.input_shape[2:]))
+    interior = (slice(None),) * lead + tuple(map(slice, lo, hi)) + (slice(None),)
+    halo = [
+        (slice(None),) * (lead + d) + (part,)
+        for d in range(len(pin))
+        for part in (slice(0, lo[d]), slice(hi[d], pin[d]))
+        if part.start < part.stop
+    ]
+    return interior, halo
+
+
 def _interleave(counts: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
     out: tuple[int, ...] = ()
     for n, mm in zip(counts, m):
@@ -1075,17 +1102,11 @@ class ConvolutionEngine:
         Tuned-blocking and portfolio-decision persistence (paper Sec.
         4.3.2).  When ``wisdom_path`` names an existing file it is
         loaded; call :meth:`save_wisdom` to persist new entries.
-    tile_policy:
-        How ``F(m, r)`` is chosen when a call does not pin it:
-        ``"fixed"`` (the paper's workhorse sizes, no model evaluation)
-        or ``"model"`` (cost-model ranking via
-        :func:`repro.core.tile_selection.select_tile_size`).
     backend:
         Default execution backend for :meth:`run`: ``"fused"`` (the
         Kronecker fast path) or ``"compiled"`` (generated C codelets;
-        needs a C toolchain).  Cached compiled plans own workspace
-        buffers; call :meth:`close` (or use the engine as a context
-        manager) to release them.
+        needs a C toolchain).  Both lease their workspace from the one
+        arena and write into ``out=``.
     algorithm:
         Default convolution *algorithm* for :meth:`run`:
         ``"winograd"`` (every backend above), one of the portfolio
@@ -1118,14 +1139,11 @@ class ConvolutionEngine:
         max_cache_bytes: int = 512 << 20,
         wisdom: Wisdom | None = None,
         wisdom_path: str | Path | None = None,
-        tile_policy: str = "fixed",
         backend: str = "fused",
         algorithm: str = "winograd",
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        if tile_policy not in ("fixed", "model"):
-            raise ValueError(f"tile_policy must be 'fixed' or 'model', got {tile_policy!r}")
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         if algorithm not in ("auto",) + ALGORITHMS:
@@ -1150,7 +1168,6 @@ class ConvolutionEngine:
             max_plans=max_plans, max_bytes=max_cache_bytes, metrics=self.metrics
         )
         self.arena = WorkspaceArena(metrics=self.metrics)
-        self.tile_policy = tile_policy
         self.wisdom_path = Path(wisdom_path) if wisdom_path is not None else None
         if wisdom is not None:
             self.wisdom = wisdom
@@ -1254,7 +1271,7 @@ class ConvolutionEngine:
         """Build the plan entry for ``key`` (the plan cache's factory)."""
         if key.algorithm == "winograd":
             if key.backend == "compiled":
-                return CompiledEntry(key, self.tracer, self.metrics)
+                return CompiledEntry(key, self.arena, self.tracer, self.metrics)
             return FusedEntry(key, self.arena, self.tracer)
         layer = _layer_spec(key.input_shape, key.c_out, key.kernel, key.padding)
         if key.algorithm == "nested":
@@ -1393,9 +1410,9 @@ class ConvolutionEngine:
 
         * fused Winograd: its exact arena lease (padded input, tiles, U,
           X, Y and, when the grid overhangs, the crop buffer);
-        * compiled Winograd: the workspace its executor allocates
-          (blocked padded input, U, V, X), computed from the plan's
-          shapes without building codelets;
+        * compiled Winograd: its exact arena lease (blocked padded
+          input, U, X), computed from the plan's shapes without
+          building codelets;
         * nested: the stacked-input lease; the inner r = 3 request
           leases its own on top;
         * fft / direct / im2col: 0 -- they lease nothing from the arena.
@@ -1434,8 +1451,8 @@ class ConvolutionEngine:
           algorithm rejects both (``"nested"`` takes ``backend`` for its
           inner r = 3 problem but picks its own inner ``F(m, 3)``, so it
           rejects ``fmr``);
-        * ``backend`` defaults to the engine's, and ``fmr`` to the
-          engine's tile policy;
+        * ``backend`` defaults to the engine's, and ``fmr`` to
+          :meth:`_select_spec`'s fixed rule;
         * a compiled plan's blocking comes from wisdom when it fits the
           channel counts, else from :func:`default_parallel_blocking`.
 
@@ -1572,13 +1589,6 @@ class ConvolutionEngine:
         """Pick ``F(m, r)`` for an unpinned request."""
         r = kernel_shape[2:]
         out = output_shape(input_shape[2:], r, padding)
-        if self.tile_policy == "model":
-            from repro.core.tile_selection import select_tile_size
-
-            layer = _layer_spec(input_shape, kernel_shape[1], r, padding)
-            return select_tile_size(
-                layer, self.machine, mode="train", wisdom=self.wisdom, top_k=1
-            )[0].spec
         # The paper's workhorse sizes: m = 4 per dimension when the
         # fp32 accuracy budget allows (alpha <= 8 keeps Table-3
         # error small) and the output extent amortizes the tile;
@@ -1593,7 +1603,7 @@ class ConvolutionEngine:
         """Blocking for the compiled backend.
 
         Prefers a tuned wisdom entry when it satisfies the compiled
-        executor's divisibility constraints (``C``/``C'`` multiples of
+        backend's divisibility constraints (``C``/``C'`` multiples of
         the SIMD group and of the channel blocks); otherwise falls back
         to correctness-first defaults sized by the channel counts --
         autotuning is never triggered from the request path.
@@ -1616,9 +1626,8 @@ class ConvolutionEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the workspaces held by cached plans.
+        """Drop the cached plans and their kernel preparations.
 
-        Dropping the plan cache frees every compiled executor's buffers.
         The engine stays usable afterwards -- plans simply rebuild on the
         next call.
         """

@@ -114,22 +114,17 @@ def pack_padded(
     padding: tuple[int, ...],
     padded_input: tuple[int, ...],
     simd_width: int,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Zero-padded images in the Table-1 input layout.
 
     ``(B, C, *spatial)`` images land at offset ``padding`` of an
     ``ImageLayout(B, C, padded_input, S)`` buffer, i.e.
-    ``(B, C/S, *padded_input, S)``, zero everywhere else.  Given ``out``
-    (a buffer an earlier call returned), only that interior is
-    rewritten: the halo keeps the zeros it was allocated with.
+    ``(B, C/S, *padded_input, S)``, zero everywhere else.
     """
     b, c, *spatial = images.shape
-    shape = ImageLayout(b, c, padded_input, simd_width).stored_shape
-    if out is None:
-        out = np.zeros(shape, images.dtype)
-    elif out.shape != shape:
-        raise ValueError(f"padded buffer shape {out.shape} != {shape}")
+    out = np.zeros(
+        ImageLayout(b, c, padded_input, simd_width).stored_shape, images.dtype
+    )
     interior = (slice(None), slice(None)) + tuple(
         slice(p, p + n) for p, n in zip(padding, spatial)
     )

@@ -4,11 +4,12 @@ Three evaluators, one set of op semantics:
 
 * :class:`GraphExecutor` runs a :class:`~repro.graph.planner.GraphPlan`
   -- convs through the engine with folded epilogues applied on the
-  stage-3 result buffer, intermediate activations written straight into
-  one :class:`~repro.core.engine.WorkspaceArena` lease held across the
-  whole pass (the paper's Sec. 4.1 "no data reshuffling between
-  layers", extended to a DAG).  Results the plan marks channels-last
-  are leased ``(B, *spatial, C)`` and handed to ``engine.run`` as their
+  stage-3 result buffer, every non-output conv (on either Winograd
+  backend or a baseline) writing its activation straight into one
+  :class:`~repro.core.engine.WorkspaceArena` lease held across the
+  whole pass via ``out=`` (the paper's Sec. 4.1 "no data reshuffling
+  between layers", extended to a DAG).  Results the plan marks
+  channels-last are leased ``(B, *spatial, C)`` and handed to ``engine.run`` as their
   ``(B, C, *spatial)`` view (``out=``); pools and elementwise ops keep
   their input's memory order, so the layout flows to the next conv;
 * :func:`execute_plan_naive` replays the *same* plan node-at-a-time --
@@ -221,31 +222,22 @@ class GraphExecutor:
             chain = [node.name] + list(np_.epilogues[:-1])
             epilogue = _make_epilogue(steps, chain, env)
             engine.metrics.counter("graph.fused_epilogues").inc(len(steps))
-        dest = None
-        if np_.writes_in_place:
-            shape = plan.shapes[np_.result]
-            if np_.is_output:
-                dest = np.empty(shape, plan.dtype)
-            elif np_.channels_last:
-                buf = lease.take((shape[0],) + shape[2:] + (shape[1],), plan.dtype)
-                dest = buf.transpose(0, -1, *range(1, buf.ndim - 1))
-                leased.add(id(dest))
-            else:
-                dest = lease.take(shape, plan.dtype)
-                leased.add(id(dest))
-        result = engine.run(
+        shape = plan.shapes[np_.result]
+        if np_.is_output:
+            dest = np.empty(shape, plan.dtype)
+        elif np_.channels_last:
+            buf = lease.take((shape[0],) + shape[2:] + (shape[1],), plan.dtype)
+            dest = buf.transpose(0, -1, *range(1, buf.ndim - 1))
+            leased.add(id(dest))
+        else:
+            dest = lease.take(shape, plan.dtype)
+            leased.add(id(dest))
+        env[np_.result] = engine.run(
             x, node.attrs["weights"], fmr=np_.fmr,
             padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
             backend=np_.backend, algorithm=np_.algorithm,
             tenant=self.tenant, out=dest, epilogue=epilogue,
         )
-        if dest is None and np_.feeds_downstream:
-            # The conv landed in a private heap array the engine
-            # allocated (non-in-place backend) and a later node must
-            # read it back: that is one inter-layer copy the fused
-            # arena path avoids.
-            engine.metrics.counter("graph.interlayer_copies").inc()
-        env[np_.result] = result
 
 
 # ----------------------------------------------------------------------

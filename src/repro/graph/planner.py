@@ -22,12 +22,11 @@ into an executable :class:`GraphPlan`:
   materialized before the conv executes (so diamond merges fold only
   when the sibling branch is already done) and never crosses a
   declared graph output or a fan-out (>1 consumer) edge.
-* **Arena placement.**  Conv outputs that stay inside the graph are
-  written straight into one :class:`~repro.core.engine.WorkspaceArena`
-  lease via ``out=`` on in-place-capable paths (every path but the
-  compiled backend), so activations flow conv-to-conv without
-  leaving the workspace; graph outputs get fresh heap arrays that are
-  safe to return after the lease is released.
+* **Arena placement.**  Every conv honours ``out=``, so conv outputs
+  that stay inside the graph are written straight into one
+  :class:`~repro.core.engine.WorkspaceArena` lease and activations flow
+  conv-to-conv without leaving the workspace; graph outputs get fresh
+  heap arrays that are safe to return after the lease is released.
 * **Channels-last activations.**  The layout between layers is the
   arrays' memory order, not an option (PyTorch's ``channels_last``
   memory format is the precedent).  An arena-placed result every one of
@@ -38,7 +37,8 @@ into an executable :class:`GraphPlan`:
   order, and the next conv copies it into its own buffers.  A result
   that reaches ``gap``, ``gemm`` or a graph output stays C-contiguous,
   because a numpy reduction's rounding follows its iteration order and
-  graph outputs are returned NCHW.
+  graph outputs are returned NCHW; so does a compiled conv's, whose
+  stage 3 writes NCHW.
 
 The plan is also the contract the differential tests hold execution
 to: the naive node-at-a-time reference replays the *same* plan without
@@ -80,17 +80,11 @@ class NodePlan:
     epilogues: tuple[str, ...]
     #: Tensor name the conv's (epilogue-applied) result is stored under.
     result: str
-    #: True when the conv can write straight into a caller buffer
-    #: (every path but the compiled backend, whose result is a private
-    #: heap array).
-    writes_in_place: bool
-    #: True when the result is consumed by a later node in this plan.
-    feeds_downstream: bool
     #: True when the result is a declared graph output.
     is_output: bool
     #: True when the result is stored channels-last, ``(B, *spatial, C)``
-    #: in memory: arena-placed, and read only by convs through
-    #: :data:`LAYOUT_OPS` chains.
+    #: in memory: arena-placed, produced by a non-compiled conv, and
+    #: read only by convs through :data:`LAYOUT_OPS` chains.
     channels_last: bool
 
 
@@ -126,7 +120,6 @@ class GraphPlan:
                     "backend": np_.backend or "-",
                     "source": np_.source,
                     "epilogues": "+".join(np_.epilogues) or "-",
-                    "in_place": np_.writes_in_place,
                     "channels_last": np_.channels_last,
                     "shape": self.shapes[node.name],
                 }
@@ -207,12 +200,6 @@ def plan_graph(
                 epilogues.append(nxt.name)
                 tensor = nxt.name
 
-        # The chain stopped at `tensor`, so none of its consumers were
-        # folded into THIS conv; consumers folded into a *later* conv
-        # still read the stored value as an epilogue operand.  Any
-        # consumer at all therefore means the result must survive.
-        feeds_downstream = bool(consumers.get(tensor))
-        writes_in_place = key.name != "compiled"
         node_plans[node.name] = NodePlan(
             name=node.name,
             algorithm=key.algorithm,
@@ -221,10 +208,8 @@ def plan_graph(
             source=key.source,
             epilogues=tuple(epilogues),
             result=tensor,
-            writes_in_place=writes_in_place,
-            feeds_downstream=feeds_downstream,
             is_output=tensor in outputs,
-            channels_last=writes_in_place and feeds_convs(tensor),
+            channels_last=key.name != "compiled" and feeds_convs(tensor),
         )
         materialized.add(tensor)
 
@@ -232,7 +217,7 @@ def plan_graph(
     arena_bytes = sum(
         round_up(tensor_nbytes(shapes[p.result], dtype), align)
         for p in node_plans.values()
-        if p.writes_in_place and not p.is_output
+        if not p.is_output
     )
     return GraphPlan(
         graph=graph,

@@ -228,7 +228,7 @@ class TestCliRunGraph:
         assert main(["run-graph", "--network", "vgg", "--check"]) == 0
         out = capsys.readouterr().out
         assert "graph    : VGG-s" in out
-        assert "interlayer_copies=0" in out
+        assert "metrics  : fused_epilogues=3 " in out
         assert "bitwise-vs-naive=True" in out
         assert "max |err| vs oracle" in out
 

@@ -1,15 +1,15 @@
 """Unit tests for the compiled-C codelet backend.
 
 The differential harness (``test_differential.py``) pins the compiled
-executors' *outputs* to every other executor; this module tests the
+backend's *outputs* to every other executor; this module tests the
 machinery itself: source generation determinism and its dependence on
 the codelet key alone, the library's three entry points, the
 disk/in-process build caches and the one library plans of a key share,
-raw vs pre-transformed kernels, bitwise reproducibility across runs and
-between the executor and the engine's compiled backend, engine
-plan-cache eviction, the engine's wisdom-tuned blocking, the
-channel-blocked ``padded`` workspace (its packing and its reuse across
-calls), the narrow ``S`` that odd channel counts get, and the
+bitwise reproducibility across runs and between the engine's compiled
+plan entry and its three stages driven by hand, engine plan-cache
+eviction, the engine's wisdom-tuned blocking, the channel-blocked
+``padded`` workspace (its packing, and its halo re-zeroed on recycled
+arena memory), the narrow ``S`` that odd channel counts get, and the
 no-toolchain error surface.
 
 Everything except the error-surface tests is skipped on hosts without
@@ -31,7 +31,6 @@ from repro.core.autotune import layer_key
 from repro.core.blocking import BlockingConfig
 from repro.core.codegen_c import CodeletKey, render_source
 from repro.core.compiled_backend import (
-    CompiledWinogradExecutor,
     CompilerUnavailableError,
     build_cache_dir,
     clear_compiled_caches,
@@ -83,6 +82,32 @@ def _data(plan, seed=0):
         rng.standard_normal((plan.c_in, plan.c_out) + plan.spec.r) * 0.2
     ).astype(plan.dtype)
     return img, ker
+
+
+def _run_stages(plan, blocking, img, ker):
+    """The three compiled stages driven by hand on fresh buffers: the
+    zero-padded Table-1 input, U, X and the cropped output."""
+    simd = blocking.simd_width
+    stages = get_compiled_stages(plan, blocking, simd)
+    padded = pack_padded(img, plan.padding, plan.grid.padded_input_shape, simd)
+    u = np.empty((plan.t_matrices, plan.gemm_rows, plan.c_in), plan.dtype)
+    x = np.empty((plan.t_matrices, plan.gemm_rows, plan.c_out), plan.dtype)
+    y = np.empty((plan.batch, plan.c_out) + plan.grid.output_shape, plan.dtype)
+    stages.stage1(padded, u)
+    stages.stage2(u, plan.transform_kernels(ker).data, x)
+    stages.stage3_direct(x, y)
+    return y
+
+
+def _run_engine(plan, img, ker, **engine_kw):
+    """``img`` through a fresh engine's compiled backend, pinned to the
+    plan's tile; returns the result and the plan key it ran under."""
+    with ConvolutionEngine(**engine_kw) as engine:
+        y = engine.run(img, ker, fmr=plan.spec, padding=plan.padding,
+                       dtype=plan.dtype, backend="compiled")
+        assert engine.metrics.counter_value("engine.fallbacks") == 0
+        (key,) = engine.plans.keys()
+    return y, key
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +222,8 @@ def test_plans_sharing_a_key_build_once(tmp_path, monkeypatch):
                 simd = parallel_simd_width(input_shape[1], c_out)
                 blk = default_parallel_blocking(input_shape[1], c_out, simd)
                 img, ker = _data(plan, seed=n_plan)
-                with CompiledWinogradExecutor(
-                    plan=plan, blocking=blk, simd_width=simd, metrics=metrics,
-                ) as ex:
-                    y = ex.execute(img, ker)
+                y, key = _run_engine(plan, img, ker, metrics=metrics)
+                assert key.blocking == blk
                 assert metrics.counter_value("codelet_compile.builds") == n_key
                 ref = direct_convolution(
                     img.astype(np.float64), ker.astype(np.float64), padding
@@ -225,15 +248,12 @@ def test_shared_library_is_a_disk_hit_for_another_shape(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
     clear_compiled_caches()
     try:
-        get_compiled_stages(_plan(), BLK, 8)
+        _run_engine(_plan(), *_data(_plan()))
         clear_compiled_caches()
         metrics = MetricsRegistry()
         plan = _plan(spatial=(14, 11), c_out=32)
         img, ker = _data(plan, seed=3)
-        with CompiledWinogradExecutor(
-            plan=plan, blocking=BLK, simd_width=8, metrics=metrics,
-        ) as ex:
-            y = ex.execute(img, ker)
+        y, _ = _run_engine(plan, img, ker, metrics=metrics)
         assert metrics.counter_value("codelet_compile.disk_hits") == 1
         assert metrics.counter_value("codelet_compile.builds") == 0
         ref = direct_convolution(img.astype(np.float64), ker.astype(np.float64), (1, 1))
@@ -266,27 +286,26 @@ def test_c3d_graph_builds_one_library(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Executor semantics
+# Compiled plan entry semantics
 # ----------------------------------------------------------------------
 @needs_cc
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_raw_and_transformed_kernels_agree_bitwise(dtype):
-    """Raw kernels go through :meth:`WinogradPlan.transform_kernels`,
-    the transform the engine memoizes, so they give bitwise what the
-    pre-transformed (FX) kernels give."""
+    """The engine prepares raw kernels with
+    :meth:`WinogradPlan.transform_kernels` and memoizes the result as
+    stage 2's V, so its compiled result is bitwise the three stages
+    driven by hand on that transform."""
     plan = _plan(dtype)
     img, ker = _data(plan)
-    with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
-        y_raw = ex.execute(img, ker)
-        y_fx = ex.execute(img, plan.transform_kernels(ker))
-    np.testing.assert_array_equal(y_raw, y_fx)
-    assert y_fx.shape == (plan.batch, plan.c_out) + plan.grid.output_shape
+    y, key = _run_engine(plan, img, ker)
+    np.testing.assert_array_equal(y, _run_stages(plan, key.blocking, img, ker))
+    assert y.shape == (plan.batch, plan.c_out) + plan.grid.output_shape
 
 
 @needs_cc
 def test_library_exports_the_three_engine_entry_points(tmp_path, monkeypatch):
     """A codelet library holds exactly the entry points the compiled
-    executor calls -- every extra one is compile time in a cold build --
+    plan entry calls -- every extra one is compile time in a cold build --
     and the bound stages expose exactly those."""
     monkeypatch.setenv("REPRO_CODELET_CACHE", str(tmp_path / "codelets"))
     clear_compiled_caches()
@@ -313,23 +332,17 @@ def test_library_exports_the_three_engine_entry_points(tmp_path, monkeypatch):
 @needs_cc
 def test_repeat_and_cross_executor_bitwise():
     """Same translation unit, fixed arithmetic order: repeated runs
-    agree to the bit, and so do the executor and the engine's compiled
-    backend when they share the plan's blocking and library."""
+    agree to the bit, and so do the engine's compiled backend and the
+    three stages driven by hand with the plan's blocking and library."""
     plan = _plan()
     img, ker = _data(plan, seed=5)
-    with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
-        y1 = ex.execute(img, ker)
-        y2 = ex.execute(img, ker)
-    np.testing.assert_array_equal(y1, y2)
-
-    with ConvolutionEngine(metrics=MetricsRegistry()) as engine:
-        y_engine = engine.run(img, ker, fmr=SPEC, padding=(1, 1), backend="compiled")
+    with ConvolutionEngine() as engine:
+        run = dict(fmr=SPEC, padding=(1, 1), backend="compiled")
+        y1 = engine.run(img, ker, **run)
+        np.testing.assert_array_equal(engine.run(img, ker, **run), y1)
         assert engine.metrics.counter_value("engine.fallbacks") == 0
         (key,) = engine.plans.keys()
-    with CompiledWinogradExecutor(
-        plan=plan, blocking=key.blocking, simd_width=key.blocking.simd_width,
-    ) as ex:
-        np.testing.assert_array_equal(ex.execute(img, ker), y_engine)
+    np.testing.assert_array_equal(_run_stages(plan, key.blocking, img, ker), y1)
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +350,7 @@ def test_repeat_and_cross_executor_bitwise():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("simd", [1, 4, 16])
 def test_pack_padded_matches_image_layout(simd):
-    """The copy both executors make is the Table-1 packing of the
+    """The thread executor's input copy is the Table-1 packing of the
     zero-padded images, bit for bit."""
     rng = np.random.default_rng(simd)
     img = rng.standard_normal((2, 16, 5, 7)).astype(np.float32)
@@ -356,26 +369,28 @@ def test_pack_padded_matches_image_layout(simd):
     (FmrSpec(m=(4, 4), r=(3, 3)), (2, 16, 9, 11), (2, 1)),
     (FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), (1, 16, 5, 6, 4), (1, 2, 3)),
 ], ids=["2d", "3d"])
-def test_workspace_persists_across_calls(spec, input_shape, padding):
-    """The executor keeps ``padded`` and refreshes only its interior:
-    image B after image A gives bitwise what a fresh executor gives for
-    B, and the halo (padding plus the grid's extension) stays zero."""
+def test_recycled_workspace_halo_is_rezeroed(spec, input_shape, padding):
+    """The compiled entry leases ``padded`` from recycled arena memory
+    and zeroes its halo (padding plus the grid's extension) each call:
+    with every pooled arena buffer filled with NaN between two calls,
+    image B after image A gives bitwise what a fresh engine gives for B."""
     plan = WinogradPlan(
         spec=spec, input_shape=input_shape, c_out=16, padding=padding,
         dtype=np.dtype(np.float32),
     )
+    assert plan.grid.padded_output_shape != plan.grid.output_shape  # overhang
     img_a, ker = _data(plan, seed=1)
     img_b, _ = _data(plan, seed=2)
-    with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
-        ex.execute(img_a, ker)
-        y_b = ex.execute(img_b, ker)
-        halo = ex._padded.copy()
-    with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as fresh:
-        np.testing.assert_array_equal(y_b, fresh.execute(img_b, ker))
-    halo[(slice(None), slice(None)) + tuple(
-        slice(p, p + n) for p, n in zip(padding, input_shape[2:])
-    )] = 0
-    assert not halo.any(), "the workspace halo was written"
+    run = dict(fmr=spec, padding=padding, backend="compiled")
+    with ConvolutionEngine() as engine:
+        engine.run(img_a, ker, **run)
+        assert engine.arena.as_dict()["pooled_buffers"] > 0
+        for buf in engine.arena._free:
+            buf[:] = 0xFF  # all-ones bytes: NaN as float32
+        y_b = engine.run(img_b, ker, **run)
+        assert engine.metrics.counter_value("engine.fallbacks") == 0
+    assert not np.isnan(y_b).any()
+    np.testing.assert_array_equal(y_b, _run_engine(plan, img_b, ker)[0])
 
 
 @needs_cc
@@ -383,8 +398,9 @@ def test_workspace_persists_across_calls(spec, input_shape, padding):
 @pytest.mark.parametrize("ndim", [2, 3])
 def test_narrow_simd_widths(ndim, c_in, c_out):
     """Odd channel counts make the engine pick S = 1, 2 or 4: the
-    compiled backend stays right against the oracle, and the executor
-    built with the same blocking agrees with it to the bit."""
+    compiled backend stays right against the oracle, and the three
+    stages driven by hand with the same blocking agree with it to the
+    bit."""
     simd = parallel_simd_width(c_in, c_out)
     assert simd == {3: 1, 6: 2, 12: 4}[c_in]
     spec = FmrSpec.uniform(ndim, 2, 3)
@@ -405,15 +421,14 @@ def test_narrow_simd_widths(ndim, c_in, c_out):
     np.testing.assert_allclose(y.astype(np.float64), ref, atol=5e-4 * scale, rtol=0)
 
     blk = default_parallel_blocking(c_in, c_out, simd)
-    with CompiledWinogradExecutor(plan=plan, blocking=blk, simd_width=simd) as ex:
-        np.testing.assert_array_equal(ex.execute(img, ker), y)
+    np.testing.assert_array_equal(_run_stages(plan, blk, img, ker), y)
 
 
 @needs_cc
 def test_engine_backend_and_eviction():
-    """backend="compiled" flows through the engine's plan cache; evicting
-    the entry releases the executor workspace and a re-request rebuilds
-    it from the (memoized) library without recompiling."""
+    """backend="compiled" flows through the engine's plan cache; dropping
+    the entry and re-requesting rebuilds it from the (memoized) library
+    without recompiling."""
     metrics = MetricsRegistry()
     with ConvolutionEngine(metrics=metrics) as engine:
         plan = _plan()
@@ -425,7 +440,7 @@ def test_engine_backend_and_eviction():
         before = engine.plans.stats.bytes_cached
         assert before > 0
 
-        engine.plans.clear()  # eviction path: entry.release()
+        engine.plans.clear()
         assert engine.plans.stats.bytes_cached == 0
 
         y2 = engine.run(
@@ -477,13 +492,18 @@ def test_engine_takes_blocking_from_wisdom(c_blk, cprime_blk, honoured):
 
 @needs_cc
 def test_executor_rejects_bad_shapes():
+    """The compiled path refuses kernels whose channels do not match the
+    images and an ``out`` of the wrong shape -- as errors, not as a
+    fallback to the fused path."""
     plan = _plan()
     img, ker = _data(plan)
-    with CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8) as ex:
-        with pytest.raises(ValueError, match="images shape"):
-            ex.execute(img[:, :, :-1], ker)
+    run = dict(fmr=SPEC, padding=(1, 1), backend="compiled")
+    with ConvolutionEngine() as engine:
         with pytest.raises(ValueError, match="kernels shape"):
-            ex.execute(img, ker[:, :, :-1])
+            engine.run(img, ker[:8], **run)
+        with pytest.raises(ValueError, match="out buffer"):
+            engine.run(img, ker, out=np.empty((2, 16, 9, 10), np.float32), **run)
+        assert engine.metrics.counter_value("engine.fallbacks") == 0
 
 
 # ----------------------------------------------------------------------
@@ -491,8 +511,8 @@ def test_executor_rejects_bad_shapes():
 # ----------------------------------------------------------------------
 def test_masked_toolchain_raises(monkeypatch):
     """CC=/bin/false deterministically masks the toolchain: the probe
-    fails, direct construction raises, and availability is False --
-    without disturbing the real probe result afterwards."""
+    fails, binding stages raises, and availability is False -- without
+    disturbing the real probe result afterwards."""
     monkeypatch.setenv("CC", "/bin/false")
     clear_compiled_caches()
     try:
@@ -501,8 +521,6 @@ def test_masked_toolchain_raises(monkeypatch):
         plan = _plan()
         with pytest.raises(CompilerUnavailableError):
             get_compiled_stages(plan, BLK, 8)
-        with pytest.raises(CompilerUnavailableError):
-            CompiledWinogradExecutor(plan=plan, blocking=BLK, simd_width=8)
     finally:
         clear_compiled_caches()
 

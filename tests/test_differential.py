@@ -10,8 +10,8 @@ The repo has five ways to evaluate the same convolution:
 3. the engine's fused Kronecker fast path,
 4. the thread-parallel executor (static GCD schedule on a fork-join
    thread pool -- the paper's Sec. 4.5 runtime), and
-5. the compiled-C sequential executor (generated codelets, cffi),
-   which joins the matrix only on hosts with a C toolchain.
+5. the engine's compiled backend (generated codelets, cffi), which
+   joins the matrix only on hosts with a C toolchain.
 
 This matrix pins them to each other across dimensionality, odd edge
 tiles, anisotropic tiles and dtypes.  Two tolerance classes:
@@ -29,7 +29,7 @@ tiles, anisotropic tiles and dtypes.  Two tolerance classes:
   same math in a different rounding order.
 
 The ``slow``-marked fuzz test drives the thread-parallel executor --
-and the compiled executor, when a toolchain exists -- against the
+and the compiled backend, when a toolchain exists -- against the
 direct-convolution oracle on randomized shapes (hypothesis when
 available, seeded stdlib ``random`` otherwise).
 
@@ -48,7 +48,6 @@ import pytest
 from repro.core.blocked_pipeline import BlockedWinogradExecutor
 from repro.core.blocking import BlockingConfig
 from repro.core.compiled_backend import (
-    CompiledWinogradExecutor,
     clear_compiled_caches,
     compiled_available,
     get_compiled_stages,
@@ -113,21 +112,21 @@ def _thread(plan, img, ker, n_threads, blocking=BLK, simd=8):
 def _all_executors(spec, img, ker, padding, dtype):
     """Run every executor, return {name: output}.
 
-    The compiled executor joins only when the host can build codelets;
+    The compiled backend joins only when the host can build codelets;
     on toolchain-less hosts the matrix is the other four.
     """
     plan = _plan(spec, img, ker, padding, dtype)
     outs = {"sequential": plan.execute(img, plan.transform_kernels(ker))}
     with ConvolutionEngine() as engine:
         outs["fused"] = engine.run(img, ker, fmr=spec, padding=padding, dtype=dtype)
+        if compiled_available():
+            outs["compiled"] = engine.run(
+                img, ker, fmr=spec, padding=padding, dtype=dtype, backend="compiled"
+            )
+            assert engine.metrics.counter_value("engine.fallbacks") == 0
     outs["blocked"] = BlockedWinogradExecutor(plan=plan, blocking=BLK).execute(img, ker)
     outs["thread"] = _thread(plan, img, ker, 2)
     outs["thread@1"] = _thread(plan, img, ker, 1)
-    if compiled_available():
-        with CompiledWinogradExecutor(
-            plan=plan, blocking=BLK, simd_width=8
-        ) as comp:
-            outs["compiled"] = comp.execute(img, ker)
     return outs
 
 
@@ -462,10 +461,9 @@ def _fuzz_one(ndim, m, channels, c_out, batch, size, pad):
         # Same shapes through the generated C: the codegen has its own
         # edge cases (cropped tails, the narrow S of odd channel
         # counts), so the fuzzer drives it against the oracle too.
-        with CompiledWinogradExecutor(
-            plan=plan, blocking=blocking, simd_width=simd
-        ) as comp:
-            yc = comp.execute(img, ker)
+        with ConvolutionEngine(backend="compiled") as engine:
+            yc = engine.run(img, ker, fmr=spec, padding=padding)
+            assert engine.metrics.counter_value("engine.fallbacks") == 0
         np.testing.assert_allclose(
             yc.astype(np.float64), ref, atol=5e-4 * scale, rtol=0,
             err_msg=f"compiled backend vs oracle: {shape_msg}",

@@ -273,6 +273,20 @@ class TestWorkspaceArena:
             lease.take((50000,), np.uint8)
         assert arena.grows == 2  # no fresh allocation on the reacquire
 
+    def test_small_lease_around_large_one_keeps_both_buffers(self):
+        """A lease takes the smallest pooled buffer that fits: a small
+        lease nested around a large one -- the graph's activation lease
+        around each conv's workspace -- leaves the large buffer to the
+        inner lease, so repeated rounds allocate nothing new."""
+        arena = WorkspaceArena()
+        for _ in range(4):
+            with arena.lease(1000):
+                with arena.lease(50000):
+                    pass
+        assert arena.grows == 2
+        sizes = sorted(buf.nbytes for buf in arena._free)
+        assert len(sizes) == 2 and sizes[0] < 50000 <= sizes[1]
+
 
 class TestEngineCorrectness:
     def _compare(self, engine, img, ker, padding, **kwargs):
@@ -390,6 +404,9 @@ class TestChannelsLastMemoryOrder:
         assert engine.run(_channels_last(img), ker, **run).flags.c_contiguous
 
     def test_compiled_reads_channels_last_input(self, monkeypatch, tmp_path):
+        """The compiled entry packs either memory order into its blocked
+        input, and writes into ``out`` in either: a C-contiguous one
+        directly, a channels-last one through one copy."""
         from repro.core.compiled_backend import compiled_available
 
         if not compiled_available():
@@ -399,8 +416,13 @@ class TestChannelsLastMemoryOrder:
         img = RNG.standard_normal((2, 8, 9, 9)).astype(np.float32)
         ker = RNG.standard_normal((8, 8, 3, 3)).astype(np.float32)
         want = engine.run(img, ker, padding=(1, 1))
-        got = engine.run(_channels_last(img), ker, padding=(1, 1))
-        np.testing.assert_array_equal(got, want)
+        assert want.flags.c_contiguous
+        for src in (img, _channels_last(img)):
+            np.testing.assert_array_equal(engine.run(src, ker, padding=(1, 1)), want)
+            for dest in (np.empty_like(want), _channels_last(np.empty_like(want))):
+                got = engine.run(src, ker, padding=(1, 1), out=dest)
+                assert got is dest
+                np.testing.assert_array_equal(got, want)
         assert engine.metrics.counter_value("engine.fallbacks") == 0
 
 
@@ -454,8 +476,6 @@ class TestEngineCaching:
             ConvolutionEngine().save_wisdom()
 
     def test_invalid_modes_rejected(self):
-        with pytest.raises(ValueError):
-            ConvolutionEngine(tile_policy="vibes")
         # The Table-1 executor is library-only, not an engine backend.
         both = r"\('fused', 'compiled'\), got 'blocked'"
         with pytest.raises(ValueError, match=both):

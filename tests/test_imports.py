@@ -43,7 +43,7 @@ FUSED_FORBIDDEN = (
 #: What a compiled graph may add to the fused set.
 COMPILED_ALLOWED = {
     "repro.core.compiled_backend", "repro.core.codegen_c",
-    "repro.core.codelets", "repro.core.layout", "repro.core.autotune",
+    "repro.core.codelets", "repro.core.autotune",
 }
 
 _RUN_GRAPH = """
