@@ -79,6 +79,11 @@ class DirectConvBaseline(ConvImplementation):
         )
         return self.finish(result, out)
 
+    def execute_prepared(self, images, prepared, layer, out=None):
+        # The serving path computes in the request's dtype.
+        result = direct_convolution(images, prepared, padding=layer.padding)
+        return self.finish(result, out)
+
 
 def mkldnn_direct(machine: MachineSpec = KNL_7210) -> DirectConvBaseline:
     """MKL-DNN's direct convolution (nChw16c layout)."""

@@ -146,12 +146,12 @@ class FftConvBaseline(ConvImplementation):
         padded = tuple(
             i + 2 * p for i, p in zip(layer.image, layer.padding)
         )
-        return kernel_spectrum(np.asarray(kernels, dtype=np.float32), padded)
+        return kernel_spectrum(np.asarray(kernels), padded)
 
     def execute_prepared(self, images, prepared, layer, out=None):
         return fft_convolution(
-            images.astype(np.float32, copy=False), padding=layer.padding,
-            spectrum=prepared, kernel=layer.kernel, out=out,
+            images, padding=layer.padding, spectrum=prepared,
+            kernel=layer.kernel, out=out,
         )
 
     def execute(self, images, kernels, layer, out=None):

@@ -21,10 +21,11 @@ from repro.nets.reference import output_shape, pad_images
 
 
 def im2col(images: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
-    """Lower ``(B, C, *spatial)`` to the patch matrix.
+    """Lower ``(B, C, *spatial)`` to per-sample patch matrices.
 
-    Returns ``(B * prod(out), C * prod(kernel))`` where row ``(b, pos)``
-    holds the receptive field of output position ``pos``.
+    Returns ``(B, C * prod(kernel), prod(out))`` where column ``pos`` of
+    sample ``b`` holds the receptive field of output position ``pos``;
+    its transpose is that sample's ``(P, C * prod(kernel))`` patch matrix.
     """
     ndim = images.ndim - 2
     if len(kernel) != ndim:
@@ -38,10 +39,7 @@ def im2col(images: np.ndarray, kernel: tuple[int, ...]) -> np.ndarray:
             + tuple(slice(o, o + e) for o, e in zip(offset, out))
         ]
         cols[:, :, idx, :] = window.reshape(b, c, -1)
-    # (B, C, K, P) -> (B, P, C*K) -> (B*P, C*K)
-    return (
-        cols.transpose(0, 3, 1, 2).reshape(b * prod(out), c * prod(kernel))
-    )
+    return cols.reshape(b, c * prod(kernel), prod(out))
 
 
 def gemm_operand(kernels: np.ndarray) -> np.ndarray:
@@ -68,11 +66,16 @@ def im2col_convolution(
     kernel: tuple[int, ...] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Convolution by explicit lowering + one GEMM.
+    """Convolution by explicit lowering + one GEMM per sample.
 
-    A precomputed ``operand`` (from :func:`gemm_operand`, with the
-    matching ``kernel`` extent) skips the kernel reshape; ``out``
-    receives the result in place.
+    Each sample is one ``(P, C*K) @ (C*K, C')`` GEMM on the transposed
+    view of its patch columns, so neither a GEMM's shape nor its operand
+    layout depends on the batch size: BLAS kernel selection varies with
+    both, and a batch-folded GEMM can round differently than the same
+    sample computed alone.  Batched results are therefore bitwise
+    identical to per-sample runs.  A precomputed ``operand`` (from
+    :func:`gemm_operand`, with the matching ``kernel`` extent) skips the
+    kernel reshape; ``out`` receives the result in place.
     """
     ndim = images.ndim - 2
     if padding is None:
@@ -92,8 +95,10 @@ def im2col_convolution(
         w = operand
     out_spatial = output_shape(padded.shape[2:], r)
     b = images.shape[0]
-    patches = im2col(padded, r)  # (B*P, C*K)
-    flat = patches @ w  # (B*P, C')
+    cols = im2col(padded, r)  # (B, C*K, P)
+    flat = np.empty((b, cols.shape[2], cprime), np.result_type(cols, w))
+    for i in range(b):
+        np.matmul(cols[i].T, w, out=flat[i])  # (P, C*K) @ (C*K, C')
     result = np.moveaxis(flat.reshape((b,) + out_spatial + (cprime,)), -1, 1)
     return ConvImplementation.finish(result, out)
 
@@ -127,12 +132,12 @@ class Im2colBaseline(ConvImplementation):
         return max(compute_s, traffic.seconds(self.machine))
 
     def prepare_kernels(self, kernels: np.ndarray, layer: ConvLayerSpec):
-        return gemm_operand(np.asarray(kernels, dtype=np.float32))
+        return gemm_operand(np.asarray(kernels))
 
     def execute_prepared(self, images, prepared, layer, out=None):
         return im2col_convolution(
-            images.astype(np.float32, copy=False), padding=layer.padding,
-            operand=prepared, kernel=layer.kernel, out=out,
+            images, padding=layer.padding, operand=prepared,
+            kernel=layer.kernel, out=out,
         )
 
     def execute(self, images, kernels, layer, out=None):

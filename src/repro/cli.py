@@ -500,9 +500,9 @@ def cmd_wisdom(args) -> int:
     """Wisdom-file hygiene: per-fingerprint entry counts and staleness.
 
     Multi-profile wisdom files hold one decision bucket per machine
-    fingerprint; this prints each bucket's entry count, algorithm mix
-    and calibration (labelling fingerprints that match a registered
-    profile), plus how many stale-schema entries the load dropped.
+    fingerprint; this prints each bucket's entry count and algorithm mix
+    (labelling fingerprints that match a registered profile), plus how
+    many stale-schema entries the load dropped.
     """
     from pathlib import Path
 
@@ -523,12 +523,8 @@ def cmd_wisdom(args) -> int:
     rows = []
     for fp, info in summary["fingerprints"].items():
         algos = " ".join(f"{a}={n}" for a, n in info["algorithms"].items()) or "-"
-        cal = info["calibration"]
-        rows.append([
-            fp, labels.get(fp, "-"), info["entries"],
-            f"{cal:.3g}" if cal is not None else "-", algos,
-        ])
-    _print_table(["fingerprint", "profile", "entries", "calibration", "algorithms"], rows)
+        rows.append([fp, labels.get(fp, "-"), info["entries"], algos])
+    _print_table(["fingerprint", "profile", "entries", "algorithms"], rows)
     return 0
 
 
@@ -672,8 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     wz = sub.add_parser(
         "wisdom",
-        help="inspect a wisdom file: per-fingerprint entry counts, "
-             "calibration, dropped-stale counters",
+        help="inspect a wisdom file: per-fingerprint entry counts and "
+             "dropped-stale counters",
     )
     wz.add_argument("--file", required=True, help="wisdom JSON file to inspect")
     wz.set_defaults(fn=cmd_wisdom)

@@ -84,6 +84,7 @@ from repro.core.portfolio import (
     AlgorithmChoice,
     PortfolioPlanner,
     make_baseline,
+    portfolio_key,
 )
 from repro.core.toolchain import (
     CodeletBuildError,
@@ -987,9 +988,10 @@ class CompiledEntry(PlanEntry):
 class BaselineEntry(PlanEntry):
     """A non-Winograd portfolio algorithm (FFT / direct / im2col).
 
-    Kernels are prepared as the implementation's own precomputation
-    (FFT spectra, the im2col GEMM operand; direct has none).  Baselines
-    allocate their scratch themselves, so ``lease_bytes`` is 0.
+    Kernels are prepared, in the key's dtype, as the implementation's
+    own precomputation (FFT spectra, the im2col GEMM operand; direct has
+    none).  Baselines allocate their scratch themselves, so
+    ``lease_bytes`` is 0.
     """
 
     def __init__(self, key: PlanKey, impl, layer: ConvLayerSpec):
@@ -998,7 +1000,9 @@ class BaselineEntry(PlanEntry):
         self.layer = layer
 
     def prepare_kernels(self, kernels: np.ndarray):
-        return self.impl.prepare_kernels(kernels, self.layer)
+        return self.impl.prepare_kernels(
+            kernels.astype(self.key.dtype, copy=False), self.layer
+        )
 
     def execute(self, images, prepared, out=None, epilogue=None) -> np.ndarray:
         result = self.impl.execute_prepared(images, prepared, self.layer, out=out)
@@ -1179,7 +1183,7 @@ class ConvolutionEngine:
             machine, self.wisdom, tracer=self.tracer, metrics=self.metrics
         )
         self._keys: dict[tuple, PlanKey] = {}
-        self._algo_cache: dict[tuple, AlgorithmChoice] = {}
+        self._algo_cache: dict[str, AlgorithmChoice] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -1308,11 +1312,11 @@ class ConvolutionEngine:
         arbitrary depths touches a bounded set of plan keys instead of
         one per observed batch size.
 
-        Numerics: every executor computes output samples independently
-        (batched GEMMs iterate per-sample sub-matrices, never reductions
-        across samples), so batched results are **bitwise
-        identical** to per-request :meth:`run` results -- asserted
-        across all backends by ``tests/test_differential.py``.
+        Numerics: every algorithm computes samples independently
+        (per-sample GEMMs, never reductions across samples), so batched
+        results are **bitwise identical** to per-request :meth:`run`
+        results -- asserted for every algorithm by
+        ``tests/test_differential.py``.
         """
         reqs = [np.asarray(im) for im in images_list]
         if not reqs:
@@ -1444,7 +1448,7 @@ class ConvolutionEngine:
         through it, memoized per signature:
 
         * ``algorithm`` defaults to the engine's; ``"auto"`` engages the
-          portfolio planner (memoized per shape; see
+          portfolio planner (one decision per signature; see
           :meth:`_decide_algorithm`);
         * ``backend`` and ``fmr`` apply to the Winograd family only:
           either one pins ``"auto"`` to Winograd, and a baseline
@@ -1522,9 +1526,9 @@ class ConvolutionEngine:
         return replace(key, spec=spec, blocking=blocking, backend=backend, kernel=None)
 
     def _decide_algorithm(self, input_shape, kernel_shape, padding, dtype) -> AlgorithmChoice:
-        """Portfolio decision for this shape (memoized).
+        """Portfolio decision, memoized by :func:`portfolio_key`.
 
-        The in-engine memo makes a decided shape one dict lookup; the
+        The key leaves out the batch, so no later batch size probes; the
         planner underneath additionally consults/records the persistent
         wisdom so decisions survive the process.  Probes run on arrays
         of ones -- a convolution's time does not depend on its values,
@@ -1536,12 +1540,12 @@ class ConvolutionEngine:
         rebuilds the winner's.  (An entry a concurrent request built
         while a probe ran may go with them; it is only rebuilt.)
         """
-        cache_key = (input_shape, kernel_shape, padding, dtype.name)
+        layer = _layer_spec(input_shape, kernel_shape[1], kernel_shape[2:], padding)
+        signature = portfolio_key(layer, dtype.name)
         with self._lock:
-            cached = self._algo_cache.get(cache_key)
+            cached = self._algo_cache.get(signature)
         if cached is not None:
             return cached
-        layer = _layer_spec(input_shape, kernel_shape[1], kernel_shape[2:], padding)
         images = np.ones(input_shape, dtype)
         kernels = np.ones(kernel_shape, dtype)
         built: set[PlanKey] = set()
@@ -1566,11 +1570,11 @@ class ConvolutionEngine:
             built.update(set(self.plans.keys()) - before)
             return elapsed
 
-        choice = self.portfolio.decide(layer, dtype.name, probe_once)
+        choice = self.portfolio.decide(layer, dtype.name, runner=probe_once)
         for key in built:
             self.plans.discard(key)
         with self._lock:
-            self._algo_cache[cache_key] = choice
+            self._algo_cache[signature] = choice
         return choice
 
     def _resolve_spec(self, fmr, input_shape, kernel_shape, padding) -> FmrSpec:
@@ -1648,19 +1652,10 @@ class ConvolutionEngine:
         self.wisdom.save(path)
 
     def algorithm_decisions(self) -> list[dict[str, object]]:
-        """Portfolio decisions this engine has made, JSON-friendly."""
+        """Portfolio decisions this engine has made, one per signature."""
         with self._lock:
             snapshot = dict(self._algo_cache)
-        return [
-            {
-                "input_shape": list(k[0]),
-                "kernel_shape": list(k[1]),
-                "padding": list(k[2]),
-                "dtype": k[3],
-                **choice.as_dict(),
-            }
-            for k, choice in snapshot.items()
-        ]
+        return [{"signature": k, **c.as_dict()} for k, c in snapshot.items()]
 
     def stats(self) -> dict[str, object]:
         """Cache + arena counters for reporting/monitoring."""

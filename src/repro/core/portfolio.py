@@ -16,22 +16,23 @@ FFT world has used for decades (FFTW's planner):
    (:func:`repro.machine.cost.predict_algorithm_seconds`, imported by
    the first decision, so an engine that never decides never loads the
    model).
-2. **Probe** -- optionally confirm the ranking by *measuring* the top
-   predicted candidates plus Winograd (always probed, so ``auto`` can
-   never lose to the default by more than noise) under a small time
-   budget.  Probes run through the engine's real dispatch path, so they
-   measure exactly what serving will pay.
+2. **Probe** -- confirm the ranking by *measuring* the top two
+   predicted candidates plus the Winograd family (always probed, so
+   ``auto`` can never lose to the default by more than noise), best of
+   :data:`PROBE_REPEATS` under a :data:`PROBE_BUDGET_SECONDS` budget.
+   Probes run through the engine's real dispatch path, so they measure
+   exactly what serving will pay; the fastest probe wins.
 3. **Remember** -- record the winner in the persistent
    :class:`~repro.util.wisdom.Wisdom` store, namespaced by the
    machine fingerprint and stamped with the schema version, so the next
    process skips both steps.
 
-Calibration: the cost model predicts seconds *on the modeled machine*
-(KNL by default), while probes measure the host.  The first decision
-that has both numbers for the same algorithm records the one-shot
-``host / model`` scale (:func:`calibrate_scale`) in the wisdom store;
-later predictions are multiplied by it, making the two columns of an
-:class:`~repro.util.wisdom.AlgoWisdomEntry` directly comparable.
+One decision serves a layer *signature* (:func:`portfolio_key`): the
+batch is not part of it, because samples never mix (Sec. 3.3 -- the
+batch only adds rows to the stage-2 GEMM), so every batch size runs the
+first decision.  Predictions stay in model seconds on the modeled
+machine (KNL by default); recorded beside the host measurements they
+show the model's real per-layer gap rather than hiding it in a scale.
 """
 
 from __future__ import annotations
@@ -65,23 +66,31 @@ ENGINE_EXECUTED = ("winograd", "nested")
 #: (``nested`` covers that regime within the r = 3 error budget).
 MAX_SINGLE_LEVEL_R = 5
 
+#: Soft wall-clock budget for one decision's probes: every shortlisted
+#: algorithm is measured at least once, and *repeat* measurements (noise
+#: reduction) stop when the budget is spent.
+PROBE_BUDGET_SECONDS = 0.5
+
+#: Measurements per probed candidate (best-of); the first one per
+#: candidate is exempt from the budget.
+PROBE_REPEATS = 3
+
 
 def portfolio_key(layer: ConvLayerSpec, dtype: str = "float32") -> str:
-    """Canonical wisdom key for one portfolio decision.
+    """The layer signature one portfolio decision serves.
 
-    Everything the decision depends on and nothing else: the full shape
-    signature (batch, channels, image, padding, *kernel extent* -- the
-    crossover driver) and the dtype.  The machine is *not* part of the
-    key; it namespaces the wisdom bucket instead (fingerprint), so a
+    Everything the decision depends on and nothing else: channels,
+    image, padding, *kernel extent* (the crossover driver) and dtype.
+    The batch is not part of it -- every batch size reuses the one
+    decision.  The engine memoizes its decisions under this key and the
+    wisdom store records them under it.  The machine is *not* part of
+    the key; it namespaces the wisdom bucket instead (fingerprint), so a
     winner measured on one host is invisible on another.
     """
     img = "x".join(map(str, layer.image))
     pad = "x".join(map(str, layer.padding))
     ker = "x".join(map(str, layer.kernel))
-    return (
-        f"algo|B{layer.batch}|C{layer.c_in}|Cp{layer.c_out}"
-        f"|I{img}|P{pad}|R{ker}|{dtype}"
-    )
+    return f"algo|C{layer.c_in}|Cp{layer.c_out}|I{img}|P{pad}|R{ker}|{dtype}"
 
 
 def make_baseline(algorithm: str, machine: MachineSpec) -> ConvImplementation:
@@ -109,29 +118,12 @@ def make_baseline(algorithm: str, machine: MachineSpec) -> ConvImplementation:
     )
 
 
-def calibrate_scale(model_seconds: float, host_seconds: float) -> float:
-    """One-shot model-seconds -> host-seconds scale factor.
-
-    Ratio of a *measured* host runtime to the cost model's prediction
-    for the same algorithm and layer.  Applied uniformly it cannot
-    change the predicted ranking -- it only moves predictions into host
-    units so they are comparable with probe measurements (and so the
-    recorded wisdom entries mean something on re-read).
-    """
-    if not model_seconds > 0 or not host_seconds > 0:
-        raise ValueError(
-            f"calibration needs positive times, got model={model_seconds} "
-            f"host={host_seconds}"
-        )
-    return host_seconds / model_seconds
-
-
 @dataclass(frozen=True)
 class AlgorithmChoice:
     """The outcome of one portfolio decision (what the engine caches)."""
 
     algorithm: str
-    source: str  # "wisdom" | "predicted" | "probed" | "forced"
+    source: str  # "wisdom" | "probed"
     predicted: dict[str, float] = field(default_factory=dict)
     measured: dict[str, float] = field(default_factory=dict)
 
@@ -145,7 +137,7 @@ class AlgorithmChoice:
 
 
 class PortfolioPlanner:
-    """Predict -> probe -> remember, per layer shape and machine.
+    """Predict -> probe -> remember, per layer signature and machine.
 
     Parameters
     ----------
@@ -153,20 +145,11 @@ class PortfolioPlanner:
         The modeled machine; its :meth:`~repro.machine.spec.MachineSpec.
         fingerprint` namespaces every recorded decision.
     wisdom:
-        Shared persistent store (the engine's).  Decisions and the
-        calibration scale are recorded here; ``save_wisdom`` persists
-        them.
-    probe:
-        When ``False`` decisions stop at the prediction ranking (no
-        measurement) -- the mode for tests and for hosts where probe
-        noise exceeds the stakes.
-    probe_budget_seconds:
-        Soft wall-clock budget for one decision's probes.  Every
-        shortlisted algorithm is measured at least once; *repeat*
-        measurements (noise reduction) stop when the budget is spent.
-    probe_repeats:
-        Measurement repeats per candidate (best-of); the first repeat
-        per candidate is exempt from the budget.
+        Shared persistent store (the engine's).  Decisions are recorded
+        here; ``save_wisdom`` persists them.
+    tracer, metrics:
+        Observability hooks: one ``portfolio.probe`` span and one
+        ``portfolio.probe_seconds`` sample per probed decision.
     """
 
     def __init__(
@@ -176,28 +159,17 @@ class PortfolioPlanner:
         *,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        probe: bool = True,
-        probe_budget_seconds: float = 0.5,
-        probe_repeats: int = 3,
     ):
-        if probe_budget_seconds <= 0:
-            raise ValueError(
-                f"probe_budget_seconds must be > 0, got {probe_budget_seconds}"
-            )
-        if probe_repeats < 1:
-            raise ValueError(f"probe_repeats must be >= 1, got {probe_repeats}")
         self.machine = machine
         self.wisdom = wisdom
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.probe = probe
-        self.probe_budget_seconds = probe_budget_seconds
-        self.probe_repeats = probe_repeats
         self.fingerprint = machine.fingerprint()
 
     # ------------------------------------------------------------------
     def candidates(self, layer: ConvLayerSpec) -> dict[str, float]:
-        """Calibrated model predictions per *supported* algorithm.
+        """Model predictions, seconds on the modeled machine, per
+        *supported* algorithm.
 
         The first call imports the KNL cost model, and with it the
         codelet, JIT-GEMM and scheduling simulators it drives: only an
@@ -207,7 +179,6 @@ class PortfolioPlanner:
         from repro.core.nested import nested_supported
         from repro.machine.cost import predict_algorithm_seconds
 
-        scale = self.wisdom.get_calibration(self.fingerprint) or 1.0
         preds: dict[str, float] = {}
         for algo in ALGORITHMS:
             if algo == "winograd":
@@ -223,24 +194,22 @@ class PortfolioPlanner:
                     make_baseline(algo, self.machine).supports(layer)
                 except UnsupportedLayer:
                     continue
-            preds[algo] = scale * predict_algorithm_seconds(
-                algo, layer, self.machine
-            )
+            preds[algo] = predict_algorithm_seconds(algo, layer, self.machine)
         return preds
 
     def decide(
         self,
         layer: ConvLayerSpec,
         dtype: str = "float32",
-        runner: Callable[[str], float] | None = None,
+        *,
+        runner: Callable[[str], float],
     ) -> AlgorithmChoice:
-        """Choose the algorithm for ``layer`` on this machine.
+        """Choose the algorithm for ``layer``'s signature on this machine.
 
         ``runner(algorithm)`` executes one warm request under the forced
         algorithm and returns its wall-clock seconds; the engine passes
-        a closure over the live request's arrays so probes measure the
-        true dispatch path.  Without a runner (or with ``probe=False``)
-        the decision is prediction-only.
+        a closure over arrays of the request's shapes so probes measure
+        the true dispatch path.
         """
         key = portfolio_key(layer, dtype)
         stored = self.wisdom.algo_get(self.fingerprint, key)
@@ -254,34 +223,18 @@ class PortfolioPlanner:
 
         preds = self.candidates(layer)
         ranked = sorted(preds, key=preds.__getitem__)
-        measured: dict[str, float] = {}
-        if self.probe and runner is not None and len(ranked) > 1:
-            # The shortlist always carries the Winograd-family candidates
-            # the layer supports (one-level and/or nested), so ``auto``
-            # can never lose to the paper's default by more than noise.
-            family = [a for a in ENGINE_EXECUTED if a in preds]
-            shortlist = list(dict.fromkeys(ranked[:2] + family))
-            shortlist = [a for a in shortlist if a in preds]
-            measured = self._probe(shortlist, runner)
-        if measured:
-            winner = min(measured, key=measured.__getitem__)
-            source = "probed"
-            self._update_calibration(layer, measured)
-            # Re-read predictions under the (possibly new) calibration
-            # so the recorded entry's two columns share units.
-            preds = self.candidates(layer)
-        else:
-            winner = ranked[0]
-            source = "predicted"
+        # The shortlist always carries the Winograd-family candidates
+        # the layer supports (one-level and/or nested), so ``auto`` can
+        # never lose to the paper's default by more than noise.
+        family = [a for a in ENGINE_EXECUTED if a in preds]
+        measured = self._probe(list(dict.fromkeys(ranked[:2] + family)), runner)
+        winner = min(measured, key=measured.__getitem__)
         choice = AlgorithmChoice(
-            algorithm=winner, source=source, predicted=preds, measured=measured
+            algorithm=winner, source="probed", predicted=preds, measured=measured
         )
         self.wisdom.algo_put(
             self.fingerprint, key,
-            AlgoWisdomEntry(
-                algorithm=winner, source=source, predicted=preds,
-                measured=measured,
-            ),
+            AlgoWisdomEntry(algorithm=winner, predicted=preds, measured=measured),
         )
         self._count(choice)
         return choice
@@ -298,8 +251,8 @@ class PortfolioPlanner:
         ) as span:
             for algo in shortlist:
                 best = runner(algo)  # first measurement is budget-exempt
-                for _ in range(self.probe_repeats - 1):
-                    if time.perf_counter() - t0 > self.probe_budget_seconds:
+                for _ in range(PROBE_REPEATS - 1):
+                    if time.perf_counter() - t0 > PROBE_BUDGET_SECONDS:
                         break
                     best = min(best, runner(algo))
                 measured[algo] = best
@@ -308,22 +261,6 @@ class PortfolioPlanner:
             time.perf_counter() - t0
         )
         return measured
-
-    def _update_calibration(
-        self, layer: ConvLayerSpec, measured: dict[str, float]
-    ) -> None:
-        """Record the one-shot model->host scale on first measurement."""
-        if self.wisdom.get_calibration(self.fingerprint) is not None:
-            return
-        from repro.machine.cost import predict_algorithm_seconds
-
-        for algo, host_s in measured.items():
-            model_s = predict_algorithm_seconds(algo, layer, self.machine)
-            if model_s > 0 and host_s > 0:
-                self.wisdom.set_calibration(
-                    self.fingerprint, calibrate_scale(model_s, host_s)
-                )
-                return
 
     def _count(self, choice: AlgorithmChoice) -> None:
         self.metrics.counter(

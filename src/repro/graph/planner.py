@@ -74,7 +74,7 @@ class NodePlan:
     #: The node's ``F(m, r)``; None unless the algorithm is winograd.
     fmr: FmrSpec | None
     #: Where the algorithm came from: forced | default, or the portfolio
-    #: decision's source (predicted | probed | wisdom).
+    #: decision's source (probed | wisdom).
     source: str
     #: Names of epilogue nodes folded into this conv's stage-3 write.
     epilogues: tuple[str, ...]

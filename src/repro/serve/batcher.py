@@ -12,9 +12,12 @@ batch.
 
 Batch sizes are padded up to power-of-two buckets (``1, 2, 4, ...,
 max_batch``) so a queue draining at arbitrary depths exercises a bounded
-set of plan-cache keys; the padded samples are zeros whose outputs are
-discarded (sample independence makes the real outputs bitwise identical
-either way -- the differential suite asserts this).
+set of plan-cache keys -- plans are still keyed with the batch; the
+padded samples are zeros whose outputs are discarded.  Every algorithm
+computes samples independently, so the real outputs are bitwise
+identical to lone requests whatever the bucket (the differential suite
+asserts this per algorithm), and an ``auto`` engine decides a signature
+once: every bucket runs the first bucket's decision.
 
 Admission control is two-layered and fails fast with retry hints:
 
@@ -102,7 +105,6 @@ class DynamicBatcher:
         window_ms: float = 2.0,
         max_pending: int = 1024,
         max_queue_per_key: int = 256,
-        bucket_pad: bool = True,
         dispatch_threads: int = 2,
         idle_key_seconds: float = 30.0,
         tenants: TenantManager | None = None,
@@ -118,7 +120,6 @@ class DynamicBatcher:
         self.window_s = max(0.0, window_ms) / 1e3
         self.max_pending = max_pending
         self.max_queue_per_key = max_queue_per_key
-        self.bucket_pad = bucket_pad
         self.idle_key_seconds = idle_key_seconds
         self.tenants = tenants if tenants is not None else TenantManager()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -277,7 +278,7 @@ class DynamicBatcher:
         total = sum(im.shape[0] for im in images_list)
         pad_to = (
             batch_bucket(total, max(self.max_batch, total))
-            if self.bucket_pad and self.max_batch > 1
+            if self.max_batch > 1
             else None
         )
         stacked_b = pad_to if pad_to is not None else total

@@ -10,19 +10,16 @@ A wisdom file is a JSON mapping from a canonical layer-shape key to the
 chosen :class:`WisdomEntry`.  Corrupt or partially-written files are
 rejected loudly rather than silently ignored.
 
-Format version 2 adds two per-machine sections on top of the version-1
-blocking entries (which load unchanged):
-
-* **algorithm choices** (:class:`AlgoWisdomEntry`) -- the winner of the
-  engine's algorithm-portfolio stage per layer shape, namespaced by
-  :meth:`~repro.machine.spec.MachineSpec.fingerprint` so a choice
-  measured on one machine is never replayed on another, and stamped with
-  :data:`ALGO_SCHEMA_VERSION` so entries written by an older scheme are
-  *dropped on load* (counted in :attr:`Wisdom.stale_dropped`) rather
-  than crashing or silently winning;
-* **calibration scales** -- the one-shot measured model-seconds ->
-  host-seconds factor per machine fingerprint (see
-  :func:`repro.core.portfolio.calibrate_scale`).
+Format version 2 adds a per-machine section on top of the version-1
+blocking entries (which load unchanged): **algorithm choices**
+(:class:`AlgoWisdomEntry`) -- the winner of the engine's
+algorithm-portfolio stage per layer signature, namespaced by
+:meth:`~repro.machine.spec.MachineSpec.fingerprint` so a choice measured
+on one machine is never replayed on another, and stamped with
+:data:`ALGO_SCHEMA_VERSION` so entries written by an older scheme are
+*dropped on load* (counted in :attr:`Wisdom.stale_dropped`) rather than
+crashing or silently winning.  Files that still carry the retired
+``calibration`` section load; the section is ignored.
 """
 
 from __future__ import annotations
@@ -34,8 +31,11 @@ from pathlib import Path
 
 #: Schema of the per-machine algorithm-choice entries.  Bump when the
 #: decision semantics change (e.g. different probe protocol) so stale
-#: recorded winners are re-derived instead of trusted.
-ALGO_SCHEMA_VERSION = 1
+#: recorded winners are re-derived instead of trusted.  Version 2 keys
+#: decisions by the batch-free layer signature
+#: (:func:`repro.core.portfolio.portfolio_key`), so version-1 entries,
+#: keyed with the batch, are dropped.
+ALGO_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -72,28 +72,23 @@ class WisdomEntry:
 
 @dataclass(frozen=True)
 class AlgoWisdomEntry:
-    """The recorded winner of one algorithm-portfolio decision.
+    """The recorded winner of one probed algorithm-portfolio decision.
 
     Attributes
     ----------
     algorithm:
         Winning algorithm name (``winograd``/``fft``/``direct``/``im2col``).
-    source:
-        How the winner was chosen: ``"predicted"`` (cost-model ranking
-        only) or ``"probed"`` (measured confirmation of the top
-        candidates).
     predicted:
-        Calibrated model predictions, seconds, per candidate considered.
+        Model predictions, seconds on the modeled machine, per candidate
+        considered -- shown beside the measurements, not scaled to them.
     measured:
-        Probe measurements, seconds, per candidate probed (empty when the
-        decision was prediction-only).
+        Probe measurements, host seconds, per candidate probed.
     schema:
         :data:`ALGO_SCHEMA_VERSION` at write time; mismatching entries
         are dropped on load.
     """
 
     algorithm: str
-    source: str = "predicted"
     predicted: dict[str, float] = field(default_factory=dict)
     measured: dict[str, float] = field(default_factory=dict)
     schema: int = ALGO_SCHEMA_VERSION
@@ -101,15 +96,6 @@ class AlgoWisdomEntry:
     def __post_init__(self) -> None:
         if not self.algorithm:
             raise ValueError("algorithm must be a non-empty string")
-        if self.source not in ("predicted", "probed", "forced"):
-            raise ValueError(f"unknown decision source {self.source!r}")
-
-    @property
-    def winner_seconds(self) -> float:
-        """Best evidence for the winner's runtime (measured over predicted)."""
-        if self.algorithm in self.measured:
-            return self.measured[self.algorithm]
-        return self.predicted.get(self.algorithm, float("inf"))
 
 
 class Wisdom:
@@ -122,15 +108,13 @@ class Wisdom:
 
     FORMAT_VERSION = 2
     #: Versions :meth:`load` accepts.  Version-1 files simply lack the
-    #: per-machine algorithm/calibration sections.
+    #: per-machine algorithm section.
     READABLE_VERSIONS = (1, 2)
 
     def __init__(self) -> None:
         self._entries: dict[str, WisdomEntry] = {}
         #: machine fingerprint -> layer key -> algorithm choice.
         self._algos: dict[str, dict[str, AlgoWisdomEntry]] = {}
-        #: machine fingerprint -> model-seconds -> host-seconds scale.
-        self._calibration: dict[str, float] = {}
         #: Entries discarded on load because their schema version did not
         #: match :data:`ALGO_SCHEMA_VERSION` (stale-wisdom hazard).
         self.stale_dropped = 0
@@ -186,21 +170,19 @@ class Wisdom:
         """Introspection snapshot for hygiene tooling (``repro wisdom``).
 
         Per-fingerprint algorithm-decision counts (with the algorithms'
-        tallies), calibration presence, blocking-entry count and the
-        dropped-stale counter -- everything needed to debug a
-        multi-profile wisdom file without reading its JSON by hand.
+        tallies), blocking-entry count and the dropped-stale counter --
+        everything needed to debug a multi-profile wisdom file without
+        reading its JSON by hand.
         """
         with self._lock:
             fingerprints = {}
-            for fp in sorted(set(self._algos) | set(self._calibration)):
-                bucket = self._algos.get(fp, {})
+            for fp, bucket in sorted(self._algos.items()):
                 algos: dict[str, int] = {}
                 for entry in bucket.values():
                     algos[entry.algorithm] = algos.get(entry.algorithm, 0) + 1
                 fingerprints[fp] = {
                     "entries": len(bucket),
                     "algorithms": dict(sorted(algos.items())),
-                    "calibration": self._calibration.get(fp),
                 }
             return {
                 "blocking_entries": len(self._entries),
@@ -214,62 +196,6 @@ class Wisdom:
         with self._lock:
             return sum(len(d) for d in self._algos.values())
 
-    # -- per-machine calibration ---------------------------------------
-    def get_calibration(self, fingerprint: str) -> float | None:
-        with self._lock:
-            return self._calibration.get(fingerprint)
-
-    def set_calibration(self, fingerprint: str, scale: float) -> None:
-        scale = float(scale)
-        if not scale > 0:
-            raise ValueError(f"calibration scale must be > 0, got {scale}")
-        with self._lock:
-            self._calibration[fingerprint] = scale
-
-    def merge(self, other: "Wisdom", prefer: str = "faster") -> int:
-        """Fold ``other``'s entries into this store; returns entries taken.
-
-        ``prefer`` resolves key collisions: ``"faster"`` keeps whichever
-        entry has the lower ``predicted_time`` (merging tuning results
-        from parallel workers), ``"theirs"`` always takes ``other``'s,
-        ``"ours"`` keeps existing entries.
-        """
-        if prefer not in ("faster", "theirs", "ours"):
-            raise ValueError(f"prefer must be 'faster', 'theirs' or 'ours', got {prefer!r}")
-        with other._lock:
-            incoming = dict(other._entries)
-            incoming_algos = {fp: dict(d) for fp, d in other._algos.items()}
-            incoming_cal = dict(other._calibration)
-        taken = 0
-        with self._lock:
-            for key, entry in incoming.items():
-                mine = self._entries.get(key)
-                if (
-                    mine is None
-                    or prefer == "theirs"
-                    or (prefer == "faster" and entry.predicted_time < mine.predicted_time)
-                ):
-                    self._entries[key] = entry
-                    taken += 1
-            for fp, entries in incoming_algos.items():
-                bucket = self._algos.setdefault(fp, {})
-                for key, entry in entries.items():
-                    mine = bucket.get(key)
-                    if (
-                        mine is None
-                        or prefer == "theirs"
-                        or (
-                            prefer == "faster"
-                            and entry.winner_seconds < mine.winner_seconds
-                        )
-                    ):
-                        bucket[key] = entry
-                        taken += 1
-            for fp, scale in incoming_cal.items():
-                if fp not in self._calibration or prefer == "theirs":
-                    self._calibration[fp] = scale
-        return taken
-
     def save(self, path: str | Path) -> None:
         """Write the wisdom store to ``path`` as JSON (atomic rename)."""
         path = Path(path)
@@ -280,15 +206,12 @@ class Wisdom:
                 for fp, d in self._algos.items()
                 if d
             }
-            calibration = dict(self._calibration)
         payload: dict[str, object] = {
             "version": self.FORMAT_VERSION,
             "entries": snapshot,
         }
         if algos:
             payload["algos"] = algos
-        if calibration:
-            payload["calibration"] = calibration
         tmp = path.with_suffix(path.suffix + ".tmp")
         tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
         tmp.replace(path)
@@ -303,7 +226,8 @@ class Wisdom:
         not match :data:`ALGO_SCHEMA_VERSION` -- or that does not parse
         at all -- is *dropped* and counted in :attr:`stale_dropped`,
         because a stale recorded winner must neither crash the engine nor
-        silently beat a fresh decision.
+        silently beat a fresh decision.  Any other section (such as a
+        retired ``calibration``) is ignored.
         """
         path = Path(path)
         try:
@@ -341,14 +265,4 @@ class Wisdom:
                     wisdom.stale_dropped += 1
                     continue
                 wisdom.algo_put(fp, key, entry)
-        calibration = payload.get("calibration", {})
-        if not isinstance(calibration, dict):
-            raise ValueError(
-                f"corrupt wisdom file {path}: 'calibration' is not a mapping"
-            )
-        for fp, scale in calibration.items():
-            try:
-                wisdom.set_calibration(fp, scale)
-            except (TypeError, ValueError):
-                wisdom.stale_dropped += 1
         return wisdom

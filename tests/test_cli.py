@@ -239,7 +239,7 @@ class TestCliRunGraph:
         # Plan table has one row per conv with a resolved algorithm.
         for conv in ("c1", "c2", "c3"):
             assert conv in out
-        assert "probed" in out or "predicted" in out or "remembered" in out
+        assert "probed" in out or "wisdom" in out
 
     def test_run_graph_no_fuse(self, capsys):
         assert main(["run-graph", "--network", "residual",

@@ -55,7 +55,9 @@ from repro.core.compiled_backend import (
 from repro.core.convolution import WinogradPlan
 from repro.core.engine import BACKENDS, ConvolutionEngine, parallel_simd_width
 from repro.core.fmr import FmrSpec
+from repro.core.nested import nested_supported
 from repro.core.parallel_convolution import ParallelWinogradExecutor
+from repro.core.portfolio import ALGORITHMS, MAX_SINGLE_LEVEL_R
 from repro.core.stages import (
     STAGE_BUFFERS,
     NumpyStages,
@@ -309,57 +311,87 @@ def test_compiled_fallback_is_visible_and_correct(monkeypatch):
 # size) and executes them as ONE dispatch.  The contract the serving
 # front-end sells is that coalescing is *invisible*: every request's
 # output is bitwise identical to what a lone ``run`` call would have
-# produced.  That holds because every executor computes output samples
+# produced.  That holds because every algorithm computes output samples
 # independently -- per-sample stage-1 and stage-3 GEMMs in the fused
-# path, per-tile block-K loops everywhere else -- and these tests pin it
-# across all backends, tile sizes up to the VGG workload's F(4x4,3x3),
-# an N-D case, and randomly composed mixed-shape queues.
+# path, per-tile block-K loops in the compiled one, per-sample GEMMs in
+# im2col -- and these tests pin it for every algorithm that supports
+# the layer (Winograd on both backends), tile sizes up to the VGG
+# workload's F(4x4,3x3), N-D and large-kernel cases, and randomly
+# composed mixed-shape queues.
 # ----------------------------------------------------------------------
 ENGINE_BACKENDS = BACKENDS
 
-#: (id suffix, fmr, spatial) of the batch-invariance layers, all with
-#: 16 -> 16 channels and padding 1; the first keeps the bare backend id.
+#: How a request is pinned to each algorithm (and Winograd backend).
+#: Winograd runs the layer's pinned ``fmr``; the others pick their own.
+ENGINE_MODES = {
+    **{b: dict(algorithm="winograd", backend=b) for b in ENGINE_BACKENDS},
+    **{a: dict(algorithm=a) for a in ALGORITHMS if a != "winograd"},
+}
+
+
+def _supports(algorithm: str, kernel: tuple[int, ...]) -> bool:
+    """Whether ``algorithm`` takes a layer with this kernel."""
+    if algorithm == "nested":
+        return nested_supported(kernel)
+    return algorithm != "winograd" or max(kernel) <= MAX_SINGLE_LEVEL_R
+
+
+def _mode_kwargs(mode: str, spec: FmrSpec | None = None) -> dict:
+    if mode == "compiled" and not compiled_available():
+        pytest.skip("no C toolchain")
+    kwargs = dict(ENGINE_MODES[mode])
+    if kwargs["algorithm"] == "winograd" and spec is not None:
+        kwargs["fmr"] = spec
+    return kwargs
+
+
+#: (id suffix, fmr, channels, spatial) of the batch-invariance layers,
+#: C -> C channels and padding 1; the first keeps the bare mode id.
+#: The 8-channel layers are shapes on which a batch-folded im2col GEMM
+#: rounds differently than a lone sample's.
 RUN_MANY_LAYERS = (
-    ("", FmrSpec(m=(2, 2), r=(3, 3)), (10, 10)),
-    ("F(4x4,3x3)", FmrSpec(m=(4, 4), r=(3, 3)), (10, 10)),
-    ("F(2x2x2,3x3x3)", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), (6, 5, 6)),
+    ("", FmrSpec(m=(2, 2), r=(3, 3)), 16, (10, 10)),
+    ("F(4x4,3x3)", FmrSpec(m=(4, 4), r=(3, 3)), 16, (10, 10)),
+    ("F(2x2x2,3x3x3)", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), 16, (6, 5, 6)),
+    ("8ch-7x7", FmrSpec(m=(2, 2), r=(3, 3)), 8, (7, 7)),
+    ("8ch-6x5x6", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), 8, (6, 5, 6)),
+    ("F(2x2,5x5)", FmrSpec(m=(2, 2), r=(5, 5)), 8, (9, 9)),
 )
 
 
-@pytest.mark.parametrize("backend, spec, spatial", [
-    pytest.param(backend, spec, spatial, id="-".join(filter(None, (backend, name))))
-    for name, spec, spatial in RUN_MANY_LAYERS
-    for backend in ENGINE_BACKENDS
+@pytest.mark.parametrize("mode, spec, channels, spatial", [
+    pytest.param(mode, spec, c, spatial, id="-".join(filter(None, (mode, name))))
+    for name, spec, c, spatial in RUN_MANY_LAYERS
+    for mode, pin in ENGINE_MODES.items()
+    if _supports(pin["algorithm"], spec.r)
 ])
-def test_run_many_bitwise_equals_run(backend, spec, spatial):
-    if backend == "compiled" and not compiled_available():
-        pytest.skip("no C toolchain")
+def test_run_many_bitwise_equals_run(mode, spec, channels, spatial):
+    kwargs = dict(padding=(1,) * spec.ndim, dtype=np.float32,
+                  **_mode_kwargs(mode, spec))
     rng = np.random.default_rng(11)
-    ker = (rng.standard_normal((16, 16) + spec.r) * 0.2).astype(np.float32)
+    ker = (rng.standard_normal((channels, channels) + spec.r) * 0.2).astype(np.float32)
     # Mixed per-request batch sizes, coalesced total 5, bucketed to 8.
     reqs = [
-        rng.standard_normal((b, 16) + spatial).astype(np.float32)
+        rng.standard_normal((b, channels) + spatial).astype(np.float32)
         for b in (1, 2, 1, 1)
     ]
-    padding = (1,) * spec.ndim
-    kwargs = dict(fmr=spec, padding=padding, dtype=np.float32, backend=backend)
     with ConvolutionEngine() as engine:
         batched = engine.run_many(reqs, ker, pad_to=8, **kwargs)
         singles = [engine.run(im, ker, **kwargs) for im in reqs]
     for i, (one, many) in enumerate(zip(singles, batched)):
         np.testing.assert_array_equal(
             one, many,
-            err_msg=f"{backend}: request {i} batched != per-request",
+            err_msg=f"{mode}: request {i} batched != per-request",
         )
     # And the batch is still the right convolution.
     for im, many in zip(reqs, batched):
         ref = direct_convolution(
-            im.astype(np.float64), ker.astype(np.float64), padding
+            im.astype(np.float64), ker.astype(np.float64), kwargs["padding"]
         )
         scale = float(np.abs(ref).max())
         np.testing.assert_allclose(
             many.astype(np.float64), ref, atol=5e-4 * scale, rtol=0,
-            err_msg=f"{backend}: batched result vs direct oracle",
+            err_msg=f"{mode}: batched result vs direct oracle",
         )
 
 
@@ -383,9 +415,10 @@ def test_fuzz_mixed_shape_queue_batching(seed):
     Emulates the server's shape-keyed coalescing: a shuffled queue of
     requests over several (C, *spatial) signatures is grouped by
     signature, each group runs as one bucketed ``run_many`` dispatch
-    on a SHARED engine (so groups contend for the same plan cache and
-    arena, as they do in the server), and every output is compared
-    bitwise against a lone ``run`` of the same request.
+    under every algorithm that supports it, on a SHARED engine (so
+    groups contend for the same plan cache and arena, as they do in the
+    server), and every output is compared bitwise against a lone ``run``
+    of the same request.
     """
     r = random.Random(4200 + seed)
     rng = np.random.default_rng(4200 + seed)
@@ -415,16 +448,56 @@ def test_fuzz_mixed_shape_queue_batching(seed):
             ker = kernels[(c, spatial)]
             total = sum(im.shape[0] for im in reqs)
             pad_to = 1 << (total - 1).bit_length()  # power-of-two bucket
-            batched = engine.run_many(
-                reqs, ker, padding=(1,) * nd, pad_to=pad_to
-            )
-            for i, (im, many) in enumerate(zip(reqs, batched)):
-                one = engine.run(im, ker, padding=(1,) * nd)
-                np.testing.assert_array_equal(
-                    one, many,
-                    err_msg=(f"seed={seed} sig=({c},{spatial}) request {i}: "
-                             f"batched != per-request"),
-                )
+            for mode, pin in ENGINE_MODES.items():
+                if not _supports(pin["algorithm"], ker.shape[2:]) or (
+                    mode == "compiled" and not compiled_available()
+                ):
+                    continue
+                kwargs = dict(padding=(1,) * nd, **pin)
+                batched = engine.run_many(reqs, ker, pad_to=pad_to, **kwargs)
+                for i, (im, many) in enumerate(zip(reqs, batched)):
+                    one = engine.run(im, ker, **kwargs)
+                    np.testing.assert_array_equal(
+                        one, many,
+                        err_msg=(f"seed={seed} sig=({c},{spatial}) {mode} "
+                                 f"request {i}: batched != per-request"),
+                    )
+
+
+# ----------------------------------------------------------------------
+# Dtype axis: a request's dtype is the dtype it is computed in.
+#
+# A float64 request must come back float64 at float64 accuracy under
+# every algorithm that supports the layer -- with a fresh result and
+# with a float64 ``out=`` -- so an ``auto`` decision times every
+# candidate at the precision it will serve.
+# ----------------------------------------------------------------------
+#: (id, kernel) of the dtype-axis layers: batch 2, 8 -> 8 on 12x12,
+#: "same" padding; the 5x5 layer brings in nested Winograd.
+DTYPE_LAYERS = (("3x3", (3, 3)), ("5x5", (5, 5)))
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])
+@pytest.mark.parametrize("algorithm, kernel", [
+    pytest.param(algo, kernel, id=f"{algo}-{name}")
+    for name, kernel in DTYPE_LAYERS
+    for algo in ALGORITHMS
+    if _supports(algo, kernel)
+])
+def test_float64_request_computes_in_float64(algorithm, kernel, with_out):
+    rng = np.random.default_rng(5)
+    img = rng.standard_normal((2, 8, 12, 12))
+    ker = rng.standard_normal((8, 8) + kernel) * 0.2
+    padding = tuple(r // 2 for r in kernel)
+    ref = direct_convolution(img, ker, padding)
+    out = np.empty_like(ref) if with_out else None
+    with ConvolutionEngine() as engine:
+        got = engine.run(img, ker, padding=padding, dtype=np.float64,
+                         algorithm=algorithm, out=out)
+    assert got.dtype == np.float64
+    assert out is None or got is out
+    err = float(np.abs(got - ref).max() / np.abs(ref).max())
+    assert err < 1e-10, f"{algorithm}: relative error {err:.1e} vs float64 oracle"
 
 
 # ----------------------------------------------------------------------

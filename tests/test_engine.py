@@ -21,7 +21,6 @@ from repro.core.engine import (
 )
 from repro.core.fmr import FmrSpec
 from repro.nets.reference import direct_convolution
-from repro.util.wisdom import Wisdom
 
 RNG = np.random.default_rng(42)
 
@@ -484,32 +483,6 @@ class TestEngineCaching:
         ker = np.zeros((4, 4, 3, 3), np.float32)
         with pytest.raises(ValueError, match=both):
             ConvolutionEngine().run(img, ker, backend="blocked")
-
-
-class TestWisdomMerge:
-    def _entry(self, t):
-        from repro.util.wisdom import WisdomEntry
-
-        return WisdomEntry(
-            n_blk=6, c_blk=32, cprime_blk=32, threads_per_core=1, predicted_time=t
-        )
-
-    def test_merge_prefers_faster(self):
-        a, b = Wisdom(), Wisdom()
-        a.put("k", self._entry(2.0))
-        b.put("k", self._entry(1.0))
-        b.put("only-b", self._entry(3.0))
-        taken = a.merge(b)
-        assert taken == 2
-        assert a.get("k").predicted_time == 1.0
-        assert "only-b" in a
-
-    def test_merge_ours_keeps_existing(self):
-        a, b = Wisdom(), Wisdom()
-        a.put("k", self._entry(2.0))
-        b.put("k", self._entry(1.0))
-        assert a.merge(b, prefer="ours") == 0
-        assert a.get("k").predicted_time == 2.0
 
 
 class TestTransformMemoization:

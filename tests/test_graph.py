@@ -280,7 +280,7 @@ class TestDifferential:
             ex = _assert_graph_faithful(eng, g, algorithm="auto")
         algos = {p.name: p.algorithm for p in ex.plan.conv_plans}
         assert set(algos.values()) <= set(ALGORITHMS)
-        assert all(p.source in ("predicted", "probed", "remembered", "forced", "default")
+        assert all(p.source in ("probed", "wisdom", "forced", "default")
                    for p in ex.plan.conv_plans)
 
     def test_pinned_nodes_keep_their_pin_under_auto(self):

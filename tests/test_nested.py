@@ -277,14 +277,20 @@ class TestProfiles:
 class TestWisdomCli:
     def test_prints_per_fingerprint_buckets(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.util.wisdom import AlgoWisdomEntry, Wisdom
+        from repro.core.portfolio import PortfolioPlanner
+        from repro.util.wisdom import Wisdom
 
+        # One layer decided under two profiles, by fake hosts on which
+        # nested (edge) and the FFT (manycore) measure fastest.
         w = Wisdom()
-        neon_fp = EDGE_NEON.fingerprint()
-        knl_fp = KNL_7210.fingerprint()
-        w.algo_put(neon_fp, "k1", AlgoWisdomEntry("nested"))
-        w.algo_put(knl_fp, "k1", AlgoWisdomEntry("fft"))
-        w.set_calibration(neon_fp, 1.5)
+        layer = ConvLayerSpec(
+            network="t", name="r7", batch=1, c_in=16, c_out=16,
+            image=(16, 16), padding=(3, 3), kernel=(7, 7),
+        )
+        for machine, fastest in ((EDGE_NEON, "nested"), (KNL_7210, "fft")):
+            PortfolioPlanner(machine, w).decide(
+                layer, runner=lambda algo, f=fastest: 1e-4 if algo == f else 1e-3
+            )
         path = tmp_path / "wisdom.json"
         w.save(path)
 

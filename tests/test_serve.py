@@ -21,7 +21,9 @@ from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import direct_convolution
 from repro.obs.metrics import MetricsRegistry, labeled
 from repro.serve import (
+    BatchKey,
     ConvServer,
+    DynamicBatcher,
     ModelRegistry,
     ProtocolError,
     QuotaExceeded,
@@ -251,6 +253,40 @@ class TestAdmission:
                 assert lease == engine.arena.high_water_bytes > 0
             fallbacks = engine.metrics.counter_value("engine.fallbacks")
             assert fallbacks == (2 if case.endswith("no-toolchain") else 0)
+
+    def test_served_signature_decides_once_across_buckets(self):
+        """An ``auto`` engine behind the batcher: bursts of 1, 2, 4 and 8
+        requests on one signature coalesce into buckets 1, 2, 4 and 8.
+        The first bucket decides the signature; the others reuse that
+        decision -- one decision, one wisdom entry, one probe span --
+        and every bucket runs the decided algorithm."""
+        kernels = (RNG.standard_normal((8, 16, 3, 3)) * 0.2).astype(np.float32)
+        models = ModelRegistry()
+        models.register("t", "m", kernels, (1, 1))
+        key = BatchKey(tenant="t", model="m", signature=(8, 12, 12), dtype="float32")
+
+        async def scenario(batcher):
+            padded = []
+            for burst in (1, 2, 4, 8):
+                # Every submit enqueues before the drain task first runs,
+                # and the window outlasts the burst: one batch per burst.
+                results = await asyncio.gather(*(
+                    batcher.submit(key, RNG.standard_normal((1, 8, 12, 12))
+                                   .astype(np.float32))
+                    for _ in range(burst)
+                ))
+                padded.append({r.padded_to for r in results})
+            await batcher.stop()
+            return padded
+
+        with ConvolutionEngine(algorithm="auto") as engine:
+            batcher = DynamicBatcher(engine, models, max_batch=8, window_ms=20.0)
+            assert asyncio.run(scenario(batcher)) == [{1}, {2}, {4}, {8}]
+            (decision,) = engine.algorithm_decisions()
+            assert engine.wisdom.algo_count == 1
+            assert len(engine.tracer.spans("portfolio.probe")) == 1
+            runs = {k.input_shape[0]: k.algorithm for k in engine.plans.keys()}
+            assert runs == dict.fromkeys((1, 2, 4, 8), decision["algorithm"])
 
     def test_admission_attributes_the_plan_to_the_tenant(self):
         """Admission builds the plan entry the batch runs, so the entry
