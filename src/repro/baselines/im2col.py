@@ -73,14 +73,15 @@ def im2col_convolution(
     layout depends on the batch size: BLAS kernel selection varies with
     both, and a batch-folded GEMM can round differently than the same
     sample computed alone.  Batched results are therefore bitwise
-    identical to per-sample runs.  A precomputed ``operand`` (from
-    :func:`gemm_operand`, with the matching ``kernel`` extent) skips the
-    kernel reshape; ``out`` receives the result in place.
+    identical to per-sample runs.  A 1x1 kernel without padding skips
+    the lowering (see :func:`pointwise_convolution`).  A precomputed
+    ``operand`` (from :func:`gemm_operand`, with the matching ``kernel``
+    extent) skips the kernel reshape; ``out`` receives the result in
+    place.
     """
     ndim = images.ndim - 2
     if padding is None:
         padding = (0,) * ndim
-    padded = pad_images(images, padding)
     if operand is None:
         if kernels is None:
             raise ValueError("need kernels or a precomputed GEMM operand")
@@ -93,6 +94,9 @@ def im2col_convolution(
         r = tuple(kernel)
         cprime = operand.shape[1]
         w = operand
+    if not any(padding) and all(k == 1 for k in r):
+        return pointwise_convolution(images, w, out)
+    padded = pad_images(images, padding)
     out_spatial = output_shape(padded.shape[2:], r)
     b = images.shape[0]
     cols = im2col(padded, r)  # (B, C*K, P)
@@ -100,6 +104,49 @@ def im2col_convolution(
     for i in range(b):
         np.matmul(cols[i].T, w, out=flat[i])  # (P, C*K) @ (C*K, C')
     result = np.moveaxis(flat.reshape((b,) + out_spatial + (cprime,)), -1, 1)
+    return ConvImplementation.finish(result, out)
+
+
+def pointwise_convolution(
+    images: np.ndarray, operand: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """A 1x1 unpadded convolution: one GEMM per sample, no lowering.
+
+    Such a layer's patch matrix is the activation itself, so each sample
+    is one ``(C', C) @ (C, P)`` GEMM on its activation's ``(C, P)``
+    view, which is no copy for a C-contiguous or a channels-last sample,
+    with ``operand`` the ``(C, C')`` :func:`gemm_operand` through its
+    ``.T`` view.  The GEMM always writes a C-contiguous ``(C', P)``
+    sample: ``out`` itself when ``out`` is C-contiguous (or a fresh
+    array when ``out`` is None), else a temporary copied into ``out``
+    once.
+
+    The bits do not depend on memory order.  The orientation is fixed,
+    because which side of the GEMM ``P`` lies on changes how OpenBLAS
+    rounds; with ``C' > 1`` it was measured to sum alike for C- and
+    F-ordered ``(C, P)`` views (DESIGN.md, E26 note), which the
+    memory-order tests hold.  A ``C' = 1`` layer is a matrix-vector
+    product, whose summation order follows the matrix's memory order, so
+    it, like any view in neither order, reads a C-ordered copy.
+    """
+    b, c = images.shape[:2]
+    cprime = operand.shape[1]
+    shape = (b, cprime) + images.shape[2:]
+    dtype = np.result_type(images, operand)
+    direct = out is not None and out.flags.c_contiguous and out.dtype == dtype
+    if direct and out.shape != shape:
+        raise ValueError(f"out buffer has shape {out.shape}, expected {shape}")
+    result = out if direct else np.empty(shape, dtype)
+    p = prod(images.shape[2:])
+    samples = images.reshape(b, c, p)  # a view unless the layout cannot flatten
+    first = samples[:1].flags  # the (C, P) layout every sample shares
+    if cprime == 1 or not (first.c_contiguous or first.f_contiguous):
+        samples = np.ascontiguousarray(samples)
+    dest = result.reshape(b, cprime, p)
+    for i in range(b):
+        np.matmul(operand.T, samples[i], out=dest[i])
+    if out is None or direct:
+        return result
     return ConvImplementation.finish(result, out)
 
 

@@ -66,11 +66,11 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from math import prod
 from pathlib import Path
+from weakref import WeakKeyDictionary
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -95,7 +95,7 @@ from repro.core.transforms import clear_transform_caches
 from repro.machine.spec import MachineSpec
 from repro.nets.layers import ConvLayerSpec
 from repro.nets.reference import output_shape
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import InstrumentCache, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.util.alignment import CACHE_LINE_BYTES, round_up
 from repro.util.wisdom import Wisdom
@@ -127,24 +127,25 @@ class KernelMemo:
     ``id`` of the array object the memo was last requested with.
     """
 
-    __slots__ = ("value", "kernels", "last_id")
+    __slots__ = ("value", "kernels", "last_id", "_words")
 
     def __init__(self, value, kernels: np.ndarray, last_id: int):
         self.value = value
         self.kernels = kernels
         self.last_id = last_id
+        # Compared as 8-byte words, or bytes if the size is not a multiple.
+        word = np.uint64 if kernels.nbytes % 8 == 0 else np.uint8
+        self._words = kernels.reshape(-1).view(word)
 
     def holds(self, kernels: np.ndarray) -> bool:
         """Whether ``kernels`` has exactly this memo's shape, dtype and
-        bytes (a bitwise test: ``-0.0`` is not ``0.0``, NaN is NaN)."""
+        bits (``-0.0`` is not ``0.0``, and NaNs match by payload)."""
         kept = self.kernels
-        return (
-            kept.shape == kernels.shape
-            and kept.dtype == kernels.dtype
-            and np.array_equal(
-                kept.view(np.uint8), np.ascontiguousarray(kernels).view(np.uint8)
-            )
-        )
+        if kept.shape != kernels.shape or kept.dtype != kernels.dtype:
+            return False
+        words = self._words
+        other = np.ascontiguousarray(kernels).reshape(-1).view(words.dtype)
+        return bool((other == words).all())
 
     @property
     def nbytes(self) -> int:
@@ -307,12 +308,13 @@ class PlanCache:
         # by anonymous (in-process) callers carry no owner and are only
         # subject to the global LRU/byte budget.
         self._owners: dict[PlanKey, str] = {}
+        self._kept = InstrumentCache(metrics) if metrics is not None else None
         self._lock = threading.RLock()
 
     def _bump(self, name: str) -> None:
         """Mirror a CacheStats increment into the shared metrics registry."""
         if self.metrics is not None:
-            self.metrics.counter(f"plan_cache.{name}").inc()
+            self._kept.counter(f"plan_cache.{name}").inc()
 
     def __len__(self) -> int:
         with self._lock:
@@ -375,15 +377,18 @@ class PlanCache:
 
         A repeat request with the same array object, unchanged, is
         recognised by one exact comparison against the copy kept beside
-        its preparation -- no hashing.  Any other array (new, or mutated
+        its preparation -- no hashing; the entry's last-used memo is
+        tried before its others.  Any other array (new, or mutated
         in place since) is digested whole by :func:`kernel_fingerprint`
         and looked up by content; only a new content is prepared.
         """
         ident = id(kernels)
-        with self._lock:
-            memo = next(
-                (m for m in entry.prepared.values() if m.last_id == ident), None
-            )
+        memo = entry.last_memo
+        if memo is None or memo.last_id != ident:
+            with self._lock:
+                memo = next(
+                    (m for m in entry.prepared.values() if m.last_id == ident), None
+                )
         if memo is None or not memo.holds(kernels):
             fp = kernel_fingerprint(kernels)
             with self._lock:
@@ -395,6 +400,7 @@ class PlanCache:
                 with self._lock:
                     memo = entry.prepared.setdefault(fp, memo)
                     memo.last_id = ident
+                    entry.last_memo = memo
                     self.stats.kernel_misses += 1
                     self._bump("kernel_misses")
                     self._recount()
@@ -402,6 +408,7 @@ class PlanCache:
                 return memo.value
         with self._lock:
             memo.last_id = ident
+            entry.last_memo = memo
             self.stats.kernel_hits += 1
             self._bump("kernel_hits")
         return memo.value
@@ -464,7 +471,7 @@ class PlanCache:
                 self.stats.evictions += 1
                 self._bump("evictions")
                 if self.metrics is not None:
-                    self.metrics.counter("plan_cache.tenant_evictions").inc()
+                    self._kept.counter("plan_cache.tenant_evictions").inc()
             if evicted:
                 self._recount()
         return evicted
@@ -473,7 +480,7 @@ class PlanCache:
     def _recount(self) -> None:
         self.stats.bytes_cached = sum(e.nbytes() for e in self._entries.values())
         if self.metrics is not None:
-            self.metrics.gauge("plan_cache.bytes").set(self.stats.bytes_cached)
+            self._kept.gauge("plan_cache.bytes").set(self.stats.bytes_cached)
 
     def _evict(self) -> None:
         while self._entries and (
@@ -493,13 +500,26 @@ class PlanCache:
 # Workspace arena
 # ----------------------------------------------------------------------
 class ArenaLease:
-    """A borrowed slice of arena memory; carve aligned views with ``take``."""
+    """A borrowed slice of arena memory; carve aligned views with ``take``.
 
-    def __init__(self, buf: np.ndarray, alignment: int):
-        self._buf = buf
-        self._alignment = alignment
+    ``views`` is the buffer's memo of views carved from it, keyed weakly
+    by the plan entry that carved them; it dies with the buffer.
+    """
+
+    def __init__(self, arena: WorkspaceArena, nbytes: int):
+        self._arena = arena
+        self._nbytes = nbytes
+
+    def __enter__(self) -> ArenaLease:
+        arena = self._arena
+        self._buf = buf = arena._acquire(self._nbytes)
+        self.views: WeakKeyDictionary = arena._views[id(buf)]
         # First view starts at the first aligned address inside the buffer.
-        self._offset = (-buf.ctypes.data) % alignment
+        self._offset = (-buf.ctypes.data) % arena.alignment
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._arena._release(self._buf)
 
     def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Vend an aligned, C-contiguous view of the leased buffer."""
@@ -511,7 +531,7 @@ class ArenaLease:
                 f"arena lease exhausted: need {end} bytes, have {self._buf.nbytes}"
             )
         view = self._buf[self._offset : end].view(dtype).reshape(shape)
-        self._offset = self._offset + round_up(nbytes, self._alignment)
+        self._offset = self._offset + round_up(nbytes, self._arena.alignment)
         return view
 
 
@@ -523,9 +543,10 @@ class WorkspaceArena:
     the plans it has seen -- the buffer only ever grows, to
     ``max_workspace_bytes`` over the executed plans.  A small pool (one
     buffer per concurrent lease) keeps concurrent executions isolated.
-    A lease takes the smallest pooled buffer that fits, so leases nested
-    inside one another -- the graph's activation lease around each
-    conv's workspace -- settle on one buffer each.
+    A lease takes the smallest pooled buffer that fits and, among equal
+    sizes, the one released last, so leases nested inside one another
+    -- the graph's activation lease around each conv's workspace --
+    keep one buffer each from run to run.
     """
 
     def __init__(
@@ -545,16 +566,13 @@ class WorkspaceArena:
         self.grows = 0
         self.discards = 0
         self._free: list[np.ndarray] = []
+        self._views: dict[int, WeakKeyDictionary] = {}  # by id(live buffer)
+        self._kept = InstrumentCache(metrics) if metrics is not None else None
         self._lock = threading.Lock()
 
-    @contextmanager
-    def lease(self, nbytes: int):
+    def lease(self, nbytes: int) -> ArenaLease:
         """Borrow ``nbytes`` of workspace as an :class:`ArenaLease`."""
-        buf = self._acquire(nbytes)
-        try:
-            yield ArenaLease(buf, self.alignment)
-        finally:
-            self._release(buf)
+        return ArenaLease(self, nbytes)
 
     def _acquire(self, nbytes: int) -> np.ndarray:
         # Slack for the base-address alignment shift plus per-take padding.
@@ -567,21 +585,23 @@ class WorkspaceArena:
             # Pop by index, never list.remove(): removal by value would
             # compare ndarrays elementwise, which raises as soon as the
             # pool holds buffers of different sizes.
-            by_size = sorted(range(len(self._free)), key=lambda i: self._free[i].nbytes)
-            fits = [i for i in by_size if self._free[i].nbytes >= need]
+            free = self._free
+            fits = [i for i, pooled in enumerate(free) if pooled.nbytes >= need]
             if fits:
-                buf = self._free.pop(fits[0])
+                buf = free.pop(min(fits, key=lambda i: (free[i].nbytes, -i)))
             else:
-                if by_size:  # replace the largest pooled buffer
-                    self._free.pop(by_size[-1])
+                if free:  # replace the largest pooled buffer
+                    largest = max(range(len(free)), key=lambda i: (free[i].nbytes, i))
+                    del self._views[id(free.pop(largest))]
                 buf = np.empty(max(need, self.capacity_bytes), dtype=np.uint8)
+                self._views[id(buf)] = WeakKeyDictionary()
                 self.grows += 1
                 if self.metrics is not None:
-                    self.metrics.counter("arena.grows").inc()
+                    self._kept.counter("arena.grows").inc()
             self.capacity_bytes = max(self.capacity_bytes, buf.nbytes)
             if self.metrics is not None:
-                self.metrics.counter("arena.leases").inc()
-                self.metrics.gauge("arena.capacity_bytes").set(self.capacity_bytes)
+                self._kept.counter("arena.leases").inc()
+                self._kept.gauge("arena.capacity_bytes").set(self.capacity_bytes)
             return buf
 
     def _release(self, buf: np.ndarray) -> None:
@@ -589,9 +609,10 @@ class WorkspaceArena:
             if len(self._free) < self.max_pooled:
                 self._free.append(buf)
             else:
+                del self._views[id(buf)]
                 self.discards += 1
                 if self.metrics is not None:
-                    self.metrics.counter("arena.discards").inc()
+                    self._kept.counter("arena.discards").inc()
 
     def as_dict(self) -> dict[str, int]:
         with self._lock:
@@ -629,6 +650,8 @@ class PlanEntry:
     def __init__(self, key: PlanKey):
         self.key = key
         self.prepared: dict[str, KernelMemo] = {}
+        #: The memo that served the latest request.
+        self.last_memo: KernelMemo | None = None
 
     def prepare_kernels(self, kernels: np.ndarray):
         raise NotImplementedError
@@ -691,7 +714,8 @@ class FusedEntry(PlanEntry):
     float tolerance by ``tests/test_engine.py``; the input's and the
     result's memory order never change a value.  Kernels are prepared
     as the memoized ``(T, C, C')`` transform; ``lease_bytes`` is the
-    exact arena lease of one execution.
+    exact arena lease of one execution, its views carved once per
+    arena buffer (:class:`_FusedViews`).
     """
 
     def __init__(
@@ -741,15 +765,8 @@ class FusedEntry(PlanEntry):
         self._to_first = (0, nd + 1, *range(1, nd + 1))
         # The tile gather's source: (B, *tile, *counts, C) over the
         # C-contiguous padded buffer, tile axes at the spatial strides
-        # and tile-count axes at m times them.
-        strides = [itemsize * prod(self._shapes["padded"][i + 1:])
-                   for i in range(nd + 2)]
-        spatial = strides[1:-1]
+        # and tile-count axes at m times them (see _FusedViews).
         self._gather_shape = (b,) + spec.tile_shape + counts + (c,)
-        self._gather_strides = (
-            (strides[0],) + tuple(spatial)
-            + tuple(s * mm for s, mm in zip(spatial, m)) + (strides[-1],)
-        )
 
         # Stage 3 assembly: y_tiles (B, m_1..m_N, n_1..n_N, C') permuted
         # to the result split as (B, C', n_1, m_1, ..., n_N, m_N), or to
@@ -758,7 +775,8 @@ class FusedEntry(PlanEntry):
         pairs = [ax for d in range(nd) for ax in (nd + 1 + d, 1 + d)]
         self._to_result = (0, 2 * nd + 1, *pairs)
         self._to_pout = (0, *pairs, 2 * nd + 1)
-        split = _interleave(counts, m)
+        split = tuple(e for pair in zip(counts, m) for e in pair)  # n_1, m_1, ...
+        self._result_shape = (b, cp) + self.out_shape
         self._result_split = (b, cp) + split
         self._pout_split = (b,) + split + (cp,)
         self._crop = (slice(None),) * 2 + tuple(slice(0, o) for o in self.out_shape)
@@ -777,82 +795,58 @@ class FusedEntry(PlanEntry):
         epilogue=None,
     ) -> np.ndarray:
         with self.arena.lease(self.lease_bytes) as lease:
-            return self._run(images, w, lease, out, epilogue)
+            views = lease.views.get(self)
+            if views is None:
+                views = lease.views[self] = _FusedViews(self, lease)
+            return self._run(images, w, views, out, epilogue)
 
-    def _run(self, images, w, lease: ArenaLease, out, epilogue) -> np.ndarray:
-        plan = self.plan
-        dtype = plan.dtype
-        b, cp = plan.batch, plan.c_out
+    def _run(self, images, w, views: _FusedViews, out, epilogue) -> np.ndarray:
         tracer = self.tracer
-
-        buf_padded = lease.take(self._shapes["padded"], dtype)
-        buf_tiles = lease.take(self._shapes["tiles"], dtype)
-        buf_u = lease.take(self._shapes["u"], dtype)
-        buf_x = lease.take(self._shapes["x"], dtype)
-        buf_y = lease.take(self._shapes["y"], dtype)
 
         with tracer.span("fused.stage1"):
             # Stage 0: conv padding + grid zero-extension in one buffer.
             # The arena memory is recycled across plans, so the halo is
             # re-zeroed each run; the interior is overwritten whole.
-            for halo in self._halo:
-                buf_padded[halo] = 0
-            buf_padded[self._interior] = images.transpose(self._to_last)
+            for halo in views.halo:
+                halo.fill(0)
+            np.copyto(views.interior, images.transpose(self._to_last))
 
             # Stage 1a: overlapping tiles as one zero-copy strided view,
             # gathered into (B, K, N, C) in runs of C values.
-            view = as_strided(
-                buf_padded, self._gather_shape, self._gather_strides,
-                writeable=False,
-            )
-            np.copyto(buf_tiles.reshape(self._gather_shape), view)
+            np.copyto(views.tiles, views.gather)
 
             # Stage 1b: U = B_kron @ tiles, one (T, K) @ (K, N*C) GEMM
-            # per sample into U's row-strided (T, N*C) sub-matrix.  The
-            # per-sample loop (rather than one (T, K) @ (K, B*N*C) GEMM)
-            # keeps every GEMM's shape independent of the batch size:
-            # BLAS kernel selection varies with matrix dimensions, so a
-            # batch-folded GEMM can round differently than the same
-            # sample computed alone.  Per-sample GEMMs make batched
-            # results bitwise identical to per-request runs -- the
-            # invariant the serving batcher and the differential suite's
-            # batch axis rely on.
-            for i in range(b):
-                np.matmul(
-                    self.bk,
-                    buf_tiles[i].reshape(self.bk.shape[1], -1),
-                    out=buf_u[:, i].reshape(self.bk.shape[0], -1),
-                )
+            # per sample into U's row-strided (T, N*C) sub-matrix, never
+            # one batch-folded GEMM: BLAS rounding varies with matrix
+            # dimensions, and per-sample GEMMs keep batched results
+            # bitwise those of per-request runs (the invariant the
+            # serving batcher and the differential suite rely on).
+            for tiles, u in views.stage1:
+                np.matmul(self.bk, tiles, out=u)
 
         with tracer.span("fused.stage2"):
             # Stage 2: T x B batched GEMMs (N, C) @ (C, C').
-            np.matmul(buf_u, w.data[:, None], out=buf_x)
+            np.matmul(views.u, w.data[:, None], out=views.x)
 
         with tracer.span("fused.stage3"):
             # Stage 3: Y = A_kron @ X per sample (batch-independent shapes,
             # as in stage 1) on X's row-strided (T, N*C') view -- BLAS-native,
             # no transpose pass -- then one assemble of output tiles.
-            for i in range(b):
-                np.matmul(self.ak, buf_x[:, i].reshape(self.ak.shape[1], -1),
-                          out=buf_y[i].reshape(self.ak.shape[0], -1))
+            for x, y in views.stage3:
+                np.matmul(self.ak, x, out=y)
 
             # The assemble writes through a split-axis view of the result
             # (or of the crop buffer), in that array's own memory order;
             # copy=False makes a split that would need a copy raise
             # instead of writing into a temporary.
-            y_tiles = buf_y.reshape(self._y_tiles)
-            result = _result_buffer(out, (b, cp) + self.out_shape, dtype)
+            result = _result_buffer(out, self._result_shape, self.plan.dtype)
             if self.crop:
-                buf_pout = lease.take(self._shapes["pout"], dtype)
-                np.copyto(
-                    buf_pout.reshape(self._pout_split),
-                    y_tiles.transpose(self._to_pout),
-                )
-                np.copyto(result, buf_pout.transpose(self._to_first)[self._crop])
+                np.copyto(views.pout, views.assemble)
+                np.copyto(result, views.cropped)
             else:
                 np.copyto(
                     np.reshape(result, self._result_split, copy=False),
-                    y_tiles.transpose(self._to_result),
+                    views.assemble,
                 )
             if epilogue is not None:
                 # Fused graph epilogue (ReLU/BN/add/mul chain) applied on
@@ -860,6 +854,40 @@ class FusedEntry(PlanEntry):
                 # activation never takes a separate read-modify-write pass.
                 epilogue(result)
         return result
+
+
+class _FusedViews:
+    """Every view one :class:`FusedEntry` execution works through --
+    halo and interior, tile gather, per-sample GEMM operands, assemble
+    source and crop -- carved once per arena buffer, in its memo."""
+
+    def __init__(self, entry: FusedEntry, lease: ArenaLease):
+        shapes, dtype = entry._shapes, entry.plan.dtype
+        padded = lease.take(shapes["padded"], dtype)
+        tiles = lease.take(shapes["tiles"], dtype)
+        u = self.u = lease.take(shapes["u"], dtype)
+        x = self.x = lease.take(shapes["x"], dtype)
+        y = lease.take(shapes["y"], dtype)
+        self.halo = [padded[halo] for halo in entry._halo]
+        self.interior = padded[entry._interior]
+        sb, *spatial, sc = padded.strides
+        counts = [s * m for s, m in zip(spatial, entry.plan.spec.m)]
+        self.gather = as_strided(
+            padded, entry._gather_shape, (sb, *spatial, *counts, sc), writeable=False
+        )
+        self.tiles = tiles.reshape(entry._gather_shape)
+        (t, k), (l, _) = entry.bk.shape, entry.ak.shape
+        batch = range(entry.plan.batch)
+        self.stage1 = [(tiles[i].reshape(k, -1), u[:, i].reshape(t, -1)) for i in batch]
+        self.stage3 = [(x[:, i].reshape(t, -1), y[i].reshape(l, -1)) for i in batch]
+        y_tiles = y.reshape(entry._y_tiles)
+        if entry.crop:
+            pout = lease.take(shapes["pout"], dtype)
+            self.assemble = y_tiles.transpose(entry._to_pout)
+            self.pout = pout.reshape(entry._pout_split)
+            self.cropped = pout.transpose(entry._to_first)[entry._crop]
+        else:
+            self.assemble = y_tiles.transpose(entry._to_result)
 
 
 class CompiledEntry(PlanEntry):
@@ -1011,43 +1039,6 @@ class BaselineEntry(PlanEntry):
         return result
 
 
-class NestedEntry(PlanEntry):
-    """Nested Winograd: an r > 3 layer as one stacked r = 3 problem.
-
-    :mod:`repro.core.nested` reduces the kernel to ONE channel-stacked
-    r = 3 convolution: kernels are prepared as the stacked bank, the
-    stacked input is gathered into an arena lease of ``lease_bytes``, and
-    the inner convolution re-enters ``engine.run`` on the key's Winograd
-    backend -- with its own plan, kernel memo, spans and fallback chain,
-    attributed to the tenant that owns this entry, and honoring ``out=``
-    and the epilogue.
-    """
-
-    def __init__(self, key: PlanKey, engine: "ConvolutionEngine", layer: ConvLayerSpec):
-        from repro.core.nested import NestedWinogradExecutor
-
-        super().__init__(key)
-        self.engine = engine
-        self.nested = NestedWinogradExecutor(layer)
-        self.lease_bytes = self.nested.stacked_nbytes(key.dtype)
-
-    def prepare_kernels(self, kernels: np.ndarray) -> np.ndarray:
-        return self.nested.prepare_kernels(kernels)
-
-    def execute(self, images, stacked_kernels, out=None, epilogue=None) -> np.ndarray:
-        engine, nested, key = self.engine, self.nested, self.key
-        with engine.arena.lease(self.lease_bytes) as lease:
-            buf = lease.take(nested.stacked_shape, key.dtype)
-            with engine.tracer.span("nested.stack"):
-                nested.stack_input(images, out=buf)
-            return engine.run(
-                buf, stacked_kernels,
-                padding=nested.inner_padding, dtype=key.dtype,
-                backend=key.backend, algorithm="winograd",
-                tenant=engine.plans.tenant_of(key), out=out, epilogue=epilogue,
-            )
-
-
 def _padded_regions(plan: WinogradPlan, lead: int):
     """Index tuples of a padded input buffer: the interior the images
     land in, and the halo -- conv padding plus the grid's zero-extension
@@ -1063,13 +1054,6 @@ def _padded_regions(plan: WinogradPlan, lead: int):
         if part.start < part.stop
     ]
     return interior, halo
-
-
-def _interleave(counts: tuple[int, ...], m: tuple[int, ...]) -> tuple[int, ...]:
-    out: tuple[int, ...] = ()
-    for n, mm in zip(counts, m):
-        out += (n, mm)
-    return out
 
 
 def _result_buffer(out, shape, dtype) -> np.ndarray:
@@ -1168,6 +1152,7 @@ class ConvolutionEngine:
         # instances to aggregate across engines).
         self.tracer = tracer if tracer is not None else Tracer()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._kept = InstrumentCache(self.metrics)
         self.plans = PlanCache(
             max_plans=max_plans, max_bytes=max_cache_bytes, metrics=self.metrics
         )
@@ -1228,7 +1213,7 @@ class ConvolutionEngine:
             images.shape, kernels.shape, fmr=fmr, padding=padding,
             dtype=dtype, backend=backend, algorithm=algorithm,
         )
-        self.metrics.counter(f"engine.requests.{key.name}").inc()
+        self._kept.counter(f"engine.requests.{key.name}").inc()
         if key.name == "compiled" and not compiled_available():
             # No C toolchain (or no cffi): reroute up front -- visibly,
             # via the same fallback counters/events the chain uses --
@@ -1259,7 +1244,7 @@ class ConvolutionEngine:
                         key = self._fall_back(key, type(exc).__name__)
                         req.attrs["fallback"] = f"{source}->{key.name}"
             finally:
-                self.metrics.histogram("engine.request_seconds").observe(
+                self._kept.histogram("engine.request_seconds").observe(
                     time.perf_counter() - t0
                 )
 
@@ -1279,6 +1264,8 @@ class ConvolutionEngine:
             return FusedEntry(key, self.arena, self.tracer)
         layer = _layer_spec(key.input_shape, key.c_out, key.kernel, key.padding)
         if key.algorithm == "nested":
+            from repro.core.nested import NestedEntry
+
             return NestedEntry(key, self, layer)
         return BaselineEntry(key, make_baseline(key.algorithm, self.machine), layer)
 

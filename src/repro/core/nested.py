@@ -39,13 +39,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, prod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.baselines.base import UnsupportedLayer
+from repro.core.engine import PlanEntry
 from repro.core.fmr import FmrSpec
 from repro.nets.reference import output_shape
+
+if TYPE_CHECKING:
+    from repro.core.engine import ConvolutionEngine, PlanKey
+    from repro.nets.layers import ConvLayerSpec
 
 #: Extent of every sub-kernel; the only kernel size with exact, cheap,
 #: well-conditioned Winograd transforms across the m range used here.
@@ -187,7 +192,7 @@ class NestedWinogradExecutor:
     """Plan-cache resident executor for one nested layer shape.
 
     The shape algebra and the stacking steps behind the engine's
-    ``NestedEntry`` (``prepare_kernels``, ``stack_input``,
+    :class:`NestedEntry` (``prepare_kernels``, ``stack_input``,
     ``stacked_shape``); the actual convolution is dispatched back
     through the engine's Winograd path — the stacked r = 3 problem runs
     on whatever backend the request asked for.
@@ -224,6 +229,41 @@ class NestedWinogradExecutor:
         self, images: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         return stack_input(images, self.geom, tuple(self.layer.padding), out=out)
+
+
+class NestedEntry(PlanEntry):
+    """Nested Winograd: an r > 3 layer as one stacked r = 3 problem.
+
+    :mod:`repro.core.nested` reduces the kernel to ONE channel-stacked
+    r = 3 convolution: kernels are prepared as the stacked bank, the
+    stacked input is gathered into an arena lease of ``lease_bytes``, and
+    the inner convolution re-enters ``engine.run`` on the key's Winograd
+    backend -- with its own plan, kernel memo, spans and fallback chain,
+    attributed to the tenant that owns this entry, and honoring ``out=``
+    and the epilogue.
+    """
+
+    def __init__(self, key: PlanKey, engine: ConvolutionEngine, layer: ConvLayerSpec):
+        super().__init__(key)
+        self.engine = engine
+        self.nested = NestedWinogradExecutor(layer)
+        self.lease_bytes = self.nested.stacked_nbytes(key.dtype)
+
+    def prepare_kernels(self, kernels: np.ndarray) -> np.ndarray:
+        return self.nested.prepare_kernels(kernels)
+
+    def execute(self, images, stacked_kernels, out=None, epilogue=None) -> np.ndarray:
+        engine, nested, key = self.engine, self.nested, self.key
+        with engine.arena.lease(self.lease_bytes) as lease:
+            buf = lease.take(nested.stacked_shape, key.dtype)
+            with engine.tracer.span("nested.stack"):
+                nested.stack_input(images, out=buf)
+            return engine.run(
+                buf, stacked_kernels,
+                padding=nested.inner_padding, dtype=key.dtype,
+                backend=key.backend, algorithm="winograd",
+                tenant=engine.plans.tenant_of(key), out=out, epilogue=epilogue,
+            )
 
 
 def nested_convolution(

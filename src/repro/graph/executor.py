@@ -39,6 +39,7 @@ import numpy as np
 from repro.graph.ir import Graph, GraphError, Node
 from repro.graph.planner import GraphPlan, NodePlan, plan_graph
 from repro.nets.reference import direct_convolution
+from repro.obs.metrics import InstrumentCache
 
 
 # ----------------------------------------------------------------------
@@ -132,24 +133,52 @@ def _normalize_feeds(graph: Graph, feeds, dtype) -> dict[str, np.ndarray]:
     return env
 
 
-def _make_epilogue(steps: list[Node], chain: list[str], env):
-    """Closure applying folded nodes in place on the conv result.
+def _epilogue_steps(graph: Graph, conv: Node, names) -> tuple:
+    """The folded chain ``names`` behind ``conv`` as ``(node, operands)``
+    steps: each operand the tensor name to read, or None for the running
+    result the step consumes."""
+    steps, prev = [], conv.name
+    for name in names:
+        node = graph.node(name)
+        steps.append((node, tuple(None if t == prev else t for t in node.inputs)))
+        prev = name
+    return tuple(steps)
 
-    ``chain[i]`` is the running tensor name step ``i`` consumes; any
-    other operand is resolved from ``env`` now (the planner guaranteed
-    it is already materialized).
+
+def _make_epilogue(steps, env):
+    """Closure applying folded ``steps`` in place on the conv result.
+
+    Every operand other than the running result is resolved from
+    ``env`` now (the planner guaranteed it is already materialized).
     """
-    resolved = []
-    for node, prev in zip(steps, chain):
-        resolved.append(
-            (node, [None if t == prev else env[t] for t in node.inputs])
-        )
+    resolved = [
+        (node, [None if t is None else env[t] for t in operands])
+        for node, operands in steps
+    ]
 
     def epilogue(r: np.ndarray) -> None:
         for node, ops in resolved:
             eval_node(node, [r if o is None else o for o in ops], out=r)
 
     return epilogue
+
+
+class _ConvCall:
+    """One conv node's ``engine.run`` call, built at plan time: its
+    input's name, weights, keyword arguments, folded epilogue steps and
+    node plan (which says where its result goes)."""
+
+    __slots__ = ("input", "weights", "kwargs", "steps", "np_")
+
+    def __init__(self, node: Node, np_: NodePlan, plan: GraphPlan, tenant):
+        self.input = node.inputs[0]
+        self.weights = node.attrs["weights"]
+        self.kwargs = dict(
+            fmr=np_.fmr, padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
+            backend=np_.backend, algorithm=np_.algorithm, tenant=tenant,
+        )
+        self.steps = _epilogue_steps(plan.graph, node, np_.epilogues)
+        self.np_ = np_
 
 
 class GraphExecutor:
@@ -177,6 +206,16 @@ class GraphExecutor:
             graph, engine, backend=backend, algorithm=algorithm,
             dtype=dtype, fuse=fuse,
         )
+        plan = self.plan
+        # What one run executes, in order: each conv with its call built
+        # here, each other unfolded node as itself.
+        self._steps = [
+            (node, _ConvCall(node, plan.node_plans[node.name], plan, tenant)
+             if node.op == "conv" else None)
+            for node in plan.order
+            if node.name not in plan.folded_into
+        ]
+        self._kept = InstrumentCache(engine.metrics)
 
     def run(self, feeds) -> dict[str, np.ndarray]:
         """Execute the plan; returns ``{output name: array}``.
@@ -188,15 +227,12 @@ class GraphExecutor:
         graph = plan.graph
         engine = self.engine
         env = _normalize_feeds(graph, feeds, plan.dtype)
-        metrics = engine.metrics
-        metrics.counter("graph.runs").inc()
+        self._kept.counter("graph.runs").inc()
         leased: set[int] = set()
         with engine.arena.lease(plan.arena_bytes) as lease:
-            for node in plan.order:
-                if node.name in plan.folded_into:
-                    continue
-                if node.op == "conv":
-                    self._run_conv(node, plan.node_plans[node.name], env, lease, leased)
+            for node, call in self._steps:
+                if call is not None:
+                    self._run_conv(call, env, lease, leased)
                 else:
                     env[node.name] = eval_node(
                         node, [env[t] for t in node.inputs]
@@ -210,18 +246,16 @@ class GraphExecutor:
                 outputs[name] = arr.copy() if id(arr) in leased else arr
         return outputs
 
-    def _run_conv(
-        self, node: Node, np_: NodePlan, env, lease, leased: set[int]
-    ) -> None:
+    def _run_conv(self, call: _ConvCall, env, lease, leased: set[int]) -> None:
         plan = self.plan
         engine = self.engine
-        x = env[node.inputs[0]]
+        np_ = call.np_
         epilogue = None
-        if np_.epilogues:
-            steps = [plan.graph.node(nm) for nm in np_.epilogues]
-            chain = [node.name] + list(np_.epilogues[:-1])
-            epilogue = _make_epilogue(steps, chain, env)
-            engine.metrics.counter("graph.fused_epilogues").inc(len(steps))
+        if call.steps:
+            # Bound per run: an operand such as a residual input is this
+            # run's array.
+            epilogue = _make_epilogue(call.steps, env)
+            self._kept.counter("graph.fused_epilogues").inc(len(call.steps))
         shape = plan.shapes[np_.result]
         if np_.is_output:
             dest = np.empty(shape, plan.dtype)
@@ -232,11 +266,10 @@ class GraphExecutor:
         else:
             dest = lease.take(shape, plan.dtype)
             leased.add(id(dest))
+        # engine.run is looked up per call: wrappers installed on the
+        # engine after planning see every conv.
         env[np_.result] = engine.run(
-            x, node.attrs["weights"], fmr=np_.fmr,
-            padding=tuple(node.attrs["padding"]), dtype=plan.dtype,
-            backend=np_.backend, algorithm=np_.algorithm,
-            tenant=self.tenant, out=dest, epilogue=epilogue,
+            env[call.input], call.weights, out=dest, epilogue=epilogue, **call.kwargs
         )
 
 

@@ -208,3 +208,36 @@ class MetricsRegistry:
             "histograms": {n: h.summary() for n, h in sorted(histograms.items())},
             "gauges": {n: g.value for n, g in sorted(gauges.items())},
         }
+
+
+class InstrumentCache:
+    """A registry's instruments as one hot path uses them: each fetched
+    from the registry on first use and kept, so later updates take no
+    registry lock.  Drop-in for the registry's ``counter``,
+    ``histogram`` and (callable-less) ``gauge`` getters; an instrument
+    first appears in the registry exactly when it would without the
+    cache."""
+
+    __slots__ = ("registry", "_kept")
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self._kept: dict[tuple[str, str], Counter | Histogram | Gauge] = {}
+
+    def counter(self, name: str) -> Counter:
+        c = self._kept.get(("counter", name))
+        if c is None:
+            c = self._kept[("counter", name)] = self.registry.counter(name)
+        return c
+
+    def histogram(self, name: str) -> Histogram:
+        h = self._kept.get(("histogram", name))
+        if h is None:
+            h = self._kept[("histogram", name)] = self.registry.histogram(name)
+        return h
+
+    def gauge(self, name: str) -> Gauge:
+        g = self._kept.get(("gauge", name))
+        if g is None:
+            g = self._kept[("gauge", name)] = self.registry.gauge(name)
+        return g

@@ -31,7 +31,6 @@ import json
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 
 
 class Span:
@@ -69,12 +68,52 @@ class Span:
 
 
 class _NullSpan:
-    """Shared sink for disabled tracers: absorbs attribute writes."""
+    """Shared sink for disabled tracers: a ``with`` block that yields
+    itself and absorbs attribute writes."""
 
     __slots__ = ("attrs",)
 
     def __init__(self):
         self.attrs: dict = {}
+
+    def __enter__(self) -> _NullSpan:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        return False
+
+
+class _SpanContext:
+    """The ``with`` block of one :meth:`Tracer.span`: opens the span on
+    entry, closes and records it on exit.  A class rather than a
+    generator-based context manager, because the request path opens
+    several spans per convolution."""
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_stack", "_span")
+
+    def __init__(self, tracer: Tracer, name: str, attrs: dict):
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        stack = self._stack = tracer._stack()
+        parent = stack[-1].span_id if stack else None
+        sp = self._span = Span(
+            self._name, next(tracer._ids), parent, time.perf_counter(), self._attrs
+        )
+        stack.append(sp)
+        return sp
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        sp = self._span
+        if exc_type is not None:
+            sp.attrs.setdefault("error", exc_type.__name__)
+        sp.end = time.perf_counter()
+        self._stack.pop()
+        self._tracer._record(sp)
+        return False
 
 
 class Tracer:
@@ -108,30 +147,17 @@ class Tracer:
             stack = self._local.stack = []
         return stack
 
-    @contextmanager
-    def span(self, name: str, **attrs):
+    def span(self, name: str, **attrs) -> _SpanContext | _NullSpan:
         """Record a nested span around the ``with`` body.
 
         Yields the :class:`Span` so callers can attach attributes that
         are only known mid-flight (e.g. per-worker timings); the dummy
-        span of a disabled tracer accepts the same writes.
+        span of a disabled tracer accepts the same writes.  A span whose
+        body raises records the exception's type name as ``error``.
         """
         if not self.enabled:
-            yield self._null
-            return
-        stack = self._stack()
-        parent = stack[-1].span_id if stack else None
-        sp = Span(name, next(self._ids), parent, time.perf_counter(), attrs)
-        stack.append(sp)
-        try:
-            yield sp
-        except BaseException as exc:
-            sp.attrs.setdefault("error", type(exc).__name__)
-            raise
-        finally:
-            sp.end = time.perf_counter()
-            stack.pop()
-            self._record(sp)
+            return self._null
+        return _SpanContext(self, name, attrs)
 
     def event(self, name: str, **attrs) -> None:
         """Record a zero-duration marker (e.g. a fallback decision)."""

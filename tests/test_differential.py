@@ -345,29 +345,32 @@ def _mode_kwargs(mode: str, spec: FmrSpec | None = None) -> dict:
     return kwargs
 
 
-#: (id suffix, fmr, channels, spatial) of the batch-invariance layers,
-#: C -> C channels and padding 1; the first keeps the bare mode id.
-#: The 8-channel layers are shapes on which a batch-folded im2col GEMM
-#: rounds differently than a lone sample's.
+#: (id suffix, fmr, channels, spatial, padding) of the batch-invariance
+#: layers, C -> C channels; the first keeps the bare mode id.  The
+#: 8-channel layers are shapes on which a batch-folded im2col GEMM
+#: rounds differently than a lone sample's; the unpadded 1x1 layer is
+#: im2col's unlowered GEMM, the padded one its lowering.
 RUN_MANY_LAYERS = (
-    ("", FmrSpec(m=(2, 2), r=(3, 3)), 16, (10, 10)),
-    ("F(4x4,3x3)", FmrSpec(m=(4, 4), r=(3, 3)), 16, (10, 10)),
-    ("F(2x2x2,3x3x3)", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), 16, (6, 5, 6)),
-    ("8ch-7x7", FmrSpec(m=(2, 2), r=(3, 3)), 8, (7, 7)),
-    ("8ch-6x5x6", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), 8, (6, 5, 6)),
-    ("F(2x2,5x5)", FmrSpec(m=(2, 2), r=(5, 5)), 8, (9, 9)),
+    ("", FmrSpec(m=(2, 2), r=(3, 3)), 16, (10, 10), (1, 1)),
+    ("F(4x4,3x3)", FmrSpec(m=(4, 4), r=(3, 3)), 16, (10, 10), (1, 1)),
+    ("F(2x2x2,3x3x3)", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), 16, (6, 5, 6), (1, 1, 1)),
+    ("8ch-7x7", FmrSpec(m=(2, 2), r=(3, 3)), 8, (7, 7), (1, 1)),
+    ("8ch-6x5x6", FmrSpec(m=(2, 2, 2), r=(3, 3, 3)), 8, (6, 5, 6), (1, 1, 1)),
+    ("F(2x2,5x5)", FmrSpec(m=(2, 2), r=(5, 5)), 8, (9, 9), (1, 1)),
+    ("1x1", FmrSpec(m=(2, 2), r=(1, 1)), 12, (9, 7), (0, 0)),
+    ("1x1-pad1", FmrSpec(m=(2, 2), r=(1, 1)), 12, (9, 7), (1, 1)),
 )
 
 
-@pytest.mark.parametrize("mode, spec, channels, spatial", [
-    pytest.param(mode, spec, c, spatial, id="-".join(filter(None, (mode, name))))
-    for name, spec, c, spatial in RUN_MANY_LAYERS
+@pytest.mark.parametrize("mode, spec, channels, spatial, padding", [
+    pytest.param(mode, spec, c, spatial, padding,
+                 id="-".join(filter(None, (mode, name))))
+    for name, spec, c, spatial, padding in RUN_MANY_LAYERS
     for mode, pin in ENGINE_MODES.items()
     if _supports(pin["algorithm"], spec.r)
 ])
-def test_run_many_bitwise_equals_run(mode, spec, channels, spatial):
-    kwargs = dict(padding=(1,) * spec.ndim, dtype=np.float32,
-                  **_mode_kwargs(mode, spec))
+def test_run_many_bitwise_equals_run(mode, spec, channels, spatial, padding):
+    kwargs = dict(padding=padding, dtype=np.float32, **_mode_kwargs(mode, spec))
     rng = np.random.default_rng(11)
     ker = (rng.standard_normal((channels, channels) + spec.r) * 0.2).astype(np.float32)
     # Mixed per-request batch sizes, coalesced total 5, bucketed to 8.
@@ -473,8 +476,9 @@ def test_fuzz_mixed_shape_queue_batching(seed):
 # candidate at the precision it will serve.
 # ----------------------------------------------------------------------
 #: (id, kernel) of the dtype-axis layers: batch 2, 8 -> 8 on 12x12,
-#: "same" padding; the 5x5 layer brings in nested Winograd.
-DTYPE_LAYERS = (("3x3", (3, 3)), ("5x5", (5, 5)))
+#: "same" padding; the 5x5 layer brings in nested Winograd, the 1x1
+#: layer im2col's unlowered GEMM.
+DTYPE_LAYERS = (("3x3", (3, 3)), ("5x5", (5, 5)), ("1x1", (1, 1)))
 
 
 @pytest.mark.parametrize("with_out", [False, True], ids=["fresh", "out"])

@@ -6,7 +6,9 @@ the reference pipeline and direct convolution (2D/3D, crop and no-crop),
 and wisdom persistence.
 """
 
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from repro.core.convolution import winograd_convolution
 from repro.core.engine import (
     ConvolutionEngine,
+    KernelMemo,
     PlanCache,
     PlanKey,
     WorkspaceArena,
@@ -108,6 +111,39 @@ class TestPlanCache:
         np.testing.assert_array_equal(
             w2.data, cache.get_or_create(_key()).prepare_kernels(ker).data
         )
+
+    @pytest.mark.parametrize("case", ["signed-zero", "nan-payload", "odd-size"])
+    def test_memo_holds_every_bit(self, case):
+        """A memo compares 8-byte words, or bytes when the kernels'
+        size is not a multiple of 8: either way one flipped bit -- a
+        zero's sign, a NaN's payload, the last byte of an odd-sized
+        array -- is a different kernel."""
+        if case == "odd-size":
+            kept = RNG.standard_normal((3, 3, 3, 3)).astype(np.float32)
+            assert kept.nbytes % 8 == 4
+            other = kept.copy()
+            other.reshape(-1).view(np.uint8)[-1] ^= 1
+        else:
+            kept = np.zeros((4, 4, 3, 3), np.float32)
+            other = kept.copy()
+            if case == "signed-zero":
+                other[1, 2, 0, 1] = -0.0
+            else:
+                kept[1, 2, 0, 1] = np.nan
+                other = kept.copy()
+                other.view(np.uint32)[1, 2, 0, 1] ^= 1  # another quiet NaN
+        assert np.isnan(other).any() == (case == "nan-payload")
+        memo = KernelMemo(None, kept, id(kept))
+        assert memo.holds(kept.copy())
+        assert not memo.holds(other)
+        if case == "odd-size":  # through the cache: the same array, one bit flipped
+            cache = PlanCache()
+            entry = cache.get_or_create(_key(c=3, cp=3))
+            ker = kept.copy()
+            w1 = cache.prepare(entry, ker)
+            ker.reshape(-1).view(np.uint8)[-1] ^= 1
+            assert cache.prepare(entry, ker) is not w1
+            assert cache.stats.kernel_hits == 0 and cache.stats.kernel_misses == 2
 
     def test_preparation_does_not_alias_caller_kernels(self):
         """A memoized preparation is computed from the cache's own copy:
@@ -287,6 +323,59 @@ class TestWorkspaceArena:
         assert len(sizes) == 2 and sizes[0] < 50000 <= sizes[1]
 
 
+    def test_nested_leases_keep_their_buffers(self):
+        """Among equal-size pooled buffers a lease takes the one released
+        last: an outer small lease around an inner large one -- the
+        graph's activation lease around a conv's workspace -- gets the
+        same buffer for each role on every round."""
+        arena = WorkspaceArena()
+        with arena.lease(50000):
+            with arena.lease(50000):
+                pass
+        sizes = [buf.nbytes for buf in arena._free]
+        assert len(sizes) == 2 and sizes[0] == sizes[1]
+        roles = set()
+        for _ in range(4):
+            with arena.lease(1000) as outer, arena.lease(50000) as inner:
+                roles.add((outer.take((1,), np.uint8).ctypes.data,
+                           inner.take((1,), np.uint8).ctypes.data))
+        assert len(roles) == 1
+        assert arena.grows == 2
+
+    def test_dropped_buffer_takes_its_views_with_it(self):
+        """The fused entry keeps its views in the leased buffer's memo:
+        a buffer the arena replaces or discards is freed, views and
+        all, and the entry's next call binds the buffer it gets."""
+        engine = ConvolutionEngine()
+        arena = engine.arena
+        img = RNG.standard_normal((2, 8, 10, 10)).astype(np.float32)
+        ker = RNG.standard_normal((8, 8, 3, 3)).astype(np.float32)
+        want = engine.run(img, ker, padding=(1, 1))
+
+        def pooled_ref():
+            (buf,) = arena._free
+            return weakref.ref(buf)
+
+        replaced = pooled_ref()
+        with arena.lease(arena.capacity_bytes + 1):  # fits no pooled buffer
+            pass
+        gc.collect()
+        assert replaced() is None
+        np.testing.assert_array_equal(engine.run(img, ker, padding=(1, 1)), want)
+
+        discarded = pooled_ref()
+        with arena.lease(64):  # the pooled buffer, released last ...
+            inner = [arena.lease(64) for _ in range(arena.max_pooled)]
+            for lease in inner:
+                lease.__enter__()
+            for lease in inner:
+                lease.__exit__(None, None, None)  # ... into a full pool
+        gc.collect()
+        assert discarded() is None and arena.discards == 1
+        np.testing.assert_array_equal(engine.run(img, ker, padding=(1, 1)), want)
+        assert len(arena._views) == len(arena._free)
+
+
 class TestEngineCorrectness:
     def _compare(self, engine, img, ker, padding, **kwargs):
         y = engine.run(img, ker, padding=padding, **kwargs)
@@ -373,10 +462,45 @@ MEMORY_ORDER_CASES = [
 ]
 
 
+#: 1x1 layers (input shape, C', padding): unpadded ones run as one GEMM
+#: per sample on the activation as it lies, padded ones are lowered.
+#: C != C' throughout; C' = 1 is a matrix-vector product.
+POINTWISE_CASES = [
+    ((1, 5, 6, 7), 3, (0, 0)),
+    ((3, 4, 5, 6), 7, (0, 0)),
+    ((1, 4, 5, 6), 7, (1, 1)),
+    ((3, 5, 6, 7), 3, (1, 1)),
+    ((2, 6, 4, 5, 3), 1, (0, 0, 0)),
+    ((3, 2, 9), 5, (0,)),
+    ((2, 33, 3, 4), 7, (0, 0)),
+]
+
+
 class TestChannelsLastMemoryOrder:
-    """The fused entry copies its input into channels-last buffers and
-    assembles into ``out`` in ``out``'s own memory order: neither order
+    """Each algorithm reads its input and writes ``out`` in either
+    memory order -- the fused entry copies its input into channels-last
+    buffers and assembles into ``out`` in ``out``'s own order; im2col's
+    1x1 GEMM reads the activation as it lies -- and neither order
     changes a value."""
+
+    @staticmethod
+    def _assert_memory_orders_agree(engine, img, ker, run):
+        """All four input/``out`` memory-order pairs give the bits of a
+        C-contiguous run, which is within tolerance of the float64
+        oracle."""
+        want = engine.run(img, ker, **run)
+        assert want.flags.c_contiguous
+        ref = direct_convolution(
+            img.astype(np.float64), ker.astype(np.float64), run["padding"]
+        )
+        tol = 1e-4 if img.dtype == np.float32 else 1e-10
+        assert np.abs(want - ref).max() / np.abs(ref).max() < tol
+        for src in (img, _channels_last(img)):
+            for dest in (np.empty_like(want), _channels_last(np.empty_like(want))):
+                got = engine.run(src, ker, out=dest, **run)
+                assert got is dest
+                np.testing.assert_array_equal(got, want)
+        assert engine.run(_channels_last(img), ker, **run).flags.c_contiguous
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape,cp,padding,fmr,crop", MEMORY_ORDER_CASES)
@@ -386,21 +510,20 @@ class TestChannelsLastMemoryOrder:
         img = RNG.standard_normal(shape).astype(dtype)
         ker = RNG.standard_normal((shape[1], cp) + (3,) * len(padding)).astype(dtype)
         run = dict(fmr=fmr, padding=padding, dtype=dtype)
-        want = engine.run(img, ker, **run)
-        assert want.flags.c_contiguous
         key = engine.resolve(img.shape, ker.shape, **run)
         assert engine.plans.get_or_create(key).crop is crop  # the cached entry
-        ref = direct_convolution(img.astype(np.float64), ker.astype(np.float64), padding)
-        tol = 1e-4 if dtype == np.float32 else 1e-10
-        assert np.abs(want - ref).max() / np.abs(ref).max() < tol
-        out_shape = want.shape
-        for src in (img, _channels_last(img)):
-            for dest in (np.empty(out_shape, dtype),
-                         _channels_last(np.empty(out_shape, dtype))):
-                got = engine.run(src, ker, out=dest, **run)
-                assert got is dest
-                np.testing.assert_array_equal(got, want)
-        assert engine.run(_channels_last(img), ker, **run).flags.c_contiguous
+        self._assert_memory_orders_agree(engine, img, ker, run)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("algorithm", ["im2col", "winograd", "fft", "direct"])
+    @pytest.mark.parametrize("shape,cp,padding", POINTWISE_CASES)
+    def test_pointwise_bitwise_across_memory_orders(self, shape, cp, padding,
+                                                    algorithm, dtype):
+        engine = ConvolutionEngine()
+        img = RNG.standard_normal(shape).astype(dtype)
+        ker = RNG.standard_normal((shape[1], cp) + (1,) * len(padding)).astype(dtype)
+        run = dict(padding=padding, dtype=dtype, algorithm=algorithm)
+        self._assert_memory_orders_agree(engine, img, ker, run)
 
     def test_compiled_reads_channels_last_input(self, monkeypatch, tmp_path):
         """The compiled entry packs either memory order into its blocked

@@ -275,7 +275,7 @@ class TestDifferential:
 
     def test_auto_algorithm_per_node(self):
         """The portfolio decides per conv node; the result stays faithful."""
-        g = residual_block(c=32, size=16, kind="bottleneck")
+        g = residual_block(c=32, size=16, batch=3, kind="bottleneck")
         with ConvolutionEngine() as eng:
             ex = _assert_graph_faithful(eng, g, algorithm="auto")
         algos = {p.name: p.algorithm for p in ex.plan.conv_plans}
@@ -299,10 +299,15 @@ class TestDifferential:
         ]
 
     def test_forced_baseline_algorithm(self):
-        with ConvolutionEngine() as eng:
-            ex = _assert_graph_faithful(eng, residual_block(c=8, size=8),
-                                        algorithm="im2col")
-        assert all(p.algorithm == "im2col" for p in ex.plan.conv_plans)
+        """Forced im2col, on the basic block and on the bottleneck, whose
+        1x1 convs run unlowered: c1 reads the NCHW input and writes a
+        channels-last activation, c3 the reverse."""
+        for graph in (residual_block(c=8, size=8),
+                      residual_block(c=32, size=16, batch=3, kind="bottleneck")):
+            with ConvolutionEngine() as eng:
+                ex = _assert_graph_faithful(eng, graph, algorithm="im2col")
+            assert all(p.algorithm == "im2col" for p in ex.plan.conv_plans)
+        assert [p.channels_last for p in ex.plan.conv_plans] == [True, True, False]
 
     def test_backend_with_baseline_algorithm_contradiction(self):
         with ConvolutionEngine() as eng:

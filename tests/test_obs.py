@@ -81,12 +81,18 @@ class TestTracer:
 
     def test_exception_marks_span_and_propagates(self):
         tr = Tracer()
-        with pytest.raises(ValueError):
-            with tr.span("boom"):
-                raise ValueError("nope")
-        (rec,) = tr.spans()
+        with tr.span("outer"):
+            with pytest.raises(ValueError):
+                with tr.span("boom"):
+                    raise ValueError("nope")
+            with tr.span("after"):
+                pass
+        rec, after, outer = tr.spans()
         assert rec.attrs["error"] == "ValueError"
         assert rec.end is not None
+        # The raising span still had its parent, and closing it popped it.
+        assert rec.parent_id == after.parent_id == outer.span_id
+        assert "error" not in outer.attrs
 
     def test_event_is_zero_duration(self):
         tr = Tracer()
