@@ -146,13 +146,10 @@ def test_nested_large_kernel(results_dir, bench_header):
     # choice, both sides checked against the float64 direct-convolution
     # oracle.
     # ------------------------------------------------------------------
-    from repro.core.portfolio import PortfolioPlanner
-    from repro.util.wisdom import Wisdom
+    from repro.core.portfolio import candidates
+    from repro.machine.cost import predict_algorithm_seconds
 
-    planners = {
-        name: PortfolioPlanner(get_profile(name), Wisdom())
-        for name in ("manycore-knl", "edge-neon")
-    }
+    profiles = {name: get_profile(name) for name in ("manycore-knl", "edge-neon")}
     sweep = [
         l.scaled(batch=1, channels_divisor=4, image_divisor=4)
         for l in TABLE2_LAYERS
@@ -160,8 +157,11 @@ def test_nested_large_kernel(results_dir, bench_header):
     divergence = []
     for layer in sweep:
         chosen = {}
-        for name, planner in planners.items():
-            preds = planner.candidates(layer)
+        for name, profile in profiles.items():
+            preds = {
+                a: predict_algorithm_seconds(a, layer, profile)
+                for a in candidates(layer)
+            }
             chosen[name] = min(preds, key=preds.__getitem__)
         if len(set(chosen.values())) > 1:
             divergence.append({"layer": layer.label, **chosen})
@@ -176,7 +176,7 @@ def test_nested_large_kernel(results_dir, bench_header):
         )
         images, kernels = _layer_arrays(layer, rng)
         oracle = reference_convolution(images, kernels, padding=layer.padding)
-        for profile_name in planners:
+        for profile_name in profiles:
             algo = entry[profile_name]
             out = engine.run(
                 images, kernels, padding=layer.padding, algorithm=algo

@@ -10,8 +10,8 @@ layers belong to the FFT.  ``auto`` should match Winograd where Winograd
 wins (decision overhead < 2%) and beat it where it does not.
 
 Results land in ``results/BENCH_portfolio.json`` with the per-shape
-decision (algorithm, source, predicted/measured seconds) and the warm
-dispatch-overhead measurement.
+decision (algorithm, source, median probe seconds per candidate) and
+the warm dispatch-overhead measurement.
 
 Gates:
 
@@ -142,7 +142,6 @@ def test_portfolio_auto_vs_winograd(results_dir, bench_header):
             "auto_speedup": speedup,
             "decision": decision["algorithm"],
             "decision_source": decision["source"],
-            "predicted": decision["predicted"],
             "measured": decision["measured"],
         })
         rows.append([

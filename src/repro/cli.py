@@ -595,11 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "falls back to fused without a toolchain)")
     sv.add_argument("--algorithm", choices=["auto"] + list(ENGINE_ALGORITHMS),
                     default="winograd",
-                    help="convolution algorithm; 'auto' lets the portfolio "
-                         "planner pick per shape (predict -> probe -> wisdom)")
+                    help="convolution algorithm; 'auto' probes every algorithm "
+                         "a shape supports and keeps the fastest in wisdom")
     sv.add_argument("--profile", choices=list(list_profiles()), default=None,
-                    help="named machine profile for the cost model and "
-                         "wisdom namespace (default: manycore-knl)")
+                    help="named machine profile: the wisdom namespace "
+                         "(default: manycore-knl)")
     sv.add_argument("--wisdom", help="wisdom file to load")
     sv.add_argument("--stats", action="store_true",
                     help="print a metrics snapshot on shutdown")
@@ -629,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "without a C toolchain)")
     rn.add_argument("--algorithm", choices=["auto"] + list(ENGINE_ALGORITHMS),
                     default="winograd",
-                    help="convolution algorithm; 'auto' engages the portfolio "
-                         "planner")
+                    help="convolution algorithm; 'auto' probes every "
+                         "algorithm the layer supports and runs the fastest")
     rn.add_argument("--profile", choices=list(list_profiles()), default=None,
                     help="named machine profile (portfolio decisions are "
                          "namespaced per profile in wisdom)")
@@ -653,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="engine backend for every conv node")
     rg.add_argument("--algorithm", choices=["auto"] + list(ENGINE_ALGORITHMS),
                     default="winograd",
-                    help="'auto' lets the portfolio planner pick per conv node")
+                    help="'auto' probes every algorithm a conv node supports")
     rg.add_argument("--profile", choices=list(list_profiles()), default=None,
-                    help="named machine profile for per-node planning")
+                    help="named machine profile (wisdom namespace of decisions)")
     rg.add_argument("--seed", type=int, default=0)
     rg.add_argument("--no-fuse", action="store_true",
                     help="disable epilogue fusion (layer-at-a-time shape)")

@@ -54,10 +54,10 @@ restarts its binary per layer benchmark); see DESIGN.md.
 
 A process loads only the code its plans run: the compiled backend and
 its code generator are imported when a compiled plan entry binds its
-stages, nested Winograd when a nested entry is built, the autotuner's
-wisdom keys when a compiled plan is resolved, and the KNL cost model
-(with the codelet, JIT-GEMM and scheduling simulators it drives) by the
-``auto`` decision.  No warm request imports anything.
+stages, nested Winograd when a nested entry is built or an ``auto``
+decision lists its candidates, and the autotuner's wisdom keys when a
+compiled plan is resolved.  Nothing imports the KNL cost model, and no
+warm request imports anything.
 """
 
 from __future__ import annotations
@@ -1075,8 +1075,8 @@ class ConvolutionEngine:
     Parameters
     ----------
     machine:
-        Machine model used for tile selection, portfolio predictions
-        and wisdom keys.
+        Machine spec whose fingerprint namespaces the wisdom: tuned
+        blockings and portfolio decisions.
         Defaults to the ``manycore-knl`` profile's spec.
     profile:
         Named machine profile (:mod:`repro.machine.profiles`) resolved
@@ -1099,8 +1099,8 @@ class ConvolutionEngine:
         Default convolution *algorithm* for :meth:`run`:
         ``"winograd"`` (every backend above), one of the portfolio
         baselines (``"fft"``/``"direct"``/``"im2col"``), or ``"auto"``
-        -- the portfolio planner picks per layer shape (cost-model
-        ranking, measured probes, wisdom persistence; see
+        -- the portfolio planner probes every algorithm the layer
+        supports and keeps the fastest median as wisdom (see
         :mod:`repro.core.portfolio`).  Probes run the first time a
         shape is resolved -- by a request, serve admission or graph
         planning -- and the Winograd-family probes run under

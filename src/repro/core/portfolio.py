@@ -8,31 +8,27 @@ overtakes Winograd's rising transform cost and fp32 error.  A serving
 engine that always runs Winograd therefore leaves performance (and
 robustness) on the table at the edges of the envelope.
 
-:class:`PortfolioPlanner` closes that gap with the three-step scheme the
-FFT world has used for decades (FFTW's planner):
+:class:`PortfolioPlanner` closes that gap the way the paper tunes its
+blockings (Sec. 4.3.2) and FFTW's planner picks a plan -- by
+measurement on the host that will serve:
 
-1. **Predict** -- rank every candidate algorithm with the machine
-   model's unit-comparable warm-path predictions
-   (:func:`repro.machine.cost.predict_algorithm_seconds`, imported by
-   the first decision, so an engine that never decides never loads the
-   model).
-2. **Probe** -- confirm the ranking by *measuring* the top two
-   predicted candidates plus the Winograd family (always probed, so
-   ``auto`` can never lose to the default by more than noise), best of
-   :data:`PROBE_REPEATS` under a :data:`PROBE_BUDGET_SECONDS` budget.
-   Probes run through the engine's real dispatch path, so they measure
-   exactly what serving will pay; the fastest probe wins.
-3. **Remember** -- record the winner in the persistent
+1. **Probe** -- run every algorithm the layer supports
+   (:func:`candidates`) through the engine's real dispatch path, so
+   the probes measure exactly what serving will pay: one discarded
+   warm-up call per candidate, then up to :data:`PROBE_REPEATS`
+   interleaved rounds under a :data:`PROBE_BUDGET_SECONDS` budget.
+   The fastest median wins.
+2. **Remember** -- record the winner in the persistent
    :class:`~repro.util.wisdom.Wisdom` store, namespaced by the
    machine fingerprint and stamped with the schema version, so the next
-   process skips both steps.
+   process probes nothing.
 
-One decision serves a layer *signature* (:func:`portfolio_key`): the
-batch is not part of it, because samples never mix (Sec. 3.3 -- the
-batch only adds rows to the stage-2 GEMM), so every batch size runs the
-first decision.  Predictions stay in model seconds on the modeled
-machine (KNL by default); recorded beside the host measurements they
-show the model's real per-layer gap rather than hiding it in a scale.
+No model ranks or shortlists the candidates: the KNL cost model
+(:mod:`repro.machine.cost`) is not this host, and an ``auto`` process
+never imports it.  One decision serves a layer *signature*
+(:func:`portfolio_key`): the batch is not part of it, because samples
+never mix (Sec. 3.3 -- the batch only adds rows to the stage-2 GEMM),
+so every batch size runs the first decision.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from repro.util.wisdom import AlgoWisdomEntry, Wisdom
 if TYPE_CHECKING:
     from repro.baselines.base import ConvImplementation
 
-#: Candidate algorithms, in preference order for ties.
+#: Every portfolio algorithm; :func:`candidates` probes them in this order.
 ALGORITHMS = ("winograd", "nested", "fft", "direct", "im2col")
 
 #: Algorithms the engine itself executes (through its Winograd pipeline)
@@ -66,14 +62,38 @@ ENGINE_EXECUTED = ("winograd", "nested")
 #: (``nested`` covers that regime within the r = 3 error budget).
 MAX_SINGLE_LEVEL_R = 5
 
-#: Soft wall-clock budget for one decision's probes: every shortlisted
-#: algorithm is measured at least once, and *repeat* measurements (noise
-#: reduction) stop when the budget is spent.
+#: Soft wall-clock budget for one decision's probes: the warm-ups and
+#: the first timed round always run; later rounds (noise reduction)
+#: start only while the budget is not yet spent.
 PROBE_BUDGET_SECONDS = 0.5
 
-#: Measurements per probed candidate (best-of); the first one per
-#: candidate is exempt from the budget.
+#: Timed rounds per decision; each calls every candidate once.
 PROBE_REPEATS = 3
+
+
+def candidates(layer: ConvLayerSpec) -> tuple[str, ...]:
+    """The algorithms ``auto`` probes for ``layer``, in :data:`ALGORITHMS` order.
+
+    * ``winograd`` up to :data:`MAX_SINGLE_LEVEL_R` (the fp32 accuracy
+      gate of Table 3);
+    * ``nested`` where the decomposition applies (some ``r > 3``);
+    * ``fft`` unless every kernel extent is 1: there it runs im2col's
+      channel contraction in complex arithmetic over at least half as
+      many points -- at least twice the multiplies -- plus a forward and
+      an inverse transform, so it cannot win;
+    * ``direct`` and ``im2col`` always.
+    """
+    from repro.core.nested import nested_supported
+
+    kernel = layer.kernel
+    supported = {
+        "winograd": max(kernel) <= MAX_SINGLE_LEVEL_R,
+        "nested": nested_supported(kernel),
+        "fft": max(kernel) > 1,
+        "direct": True,
+        "im2col": True,
+    }
+    return tuple(a for a in ALGORITHMS if supported[a])
 
 
 def portfolio_key(layer: ConvLayerSpec, dtype: str = "float32") -> str:
@@ -124,26 +144,24 @@ class AlgorithmChoice:
 
     algorithm: str
     source: str  # "wisdom" | "probed"
-    predicted: dict[str, float] = field(default_factory=dict)
     measured: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, object]:
         return {
             "algorithm": self.algorithm,
             "source": self.source,
-            "predicted": dict(self.predicted),
             "measured": dict(self.measured),
         }
 
 
 class PortfolioPlanner:
-    """Predict -> probe -> remember, per layer signature and machine.
+    """Probe -> remember, per layer signature and machine.
 
     Parameters
     ----------
     machine:
-        The modeled machine; its :meth:`~repro.machine.spec.MachineSpec.
-        fingerprint` namespaces every recorded decision.
+        The engine's machine spec; its :meth:`~repro.machine.spec.
+        MachineSpec.fingerprint` namespaces every recorded decision.
     wisdom:
         Shared persistent store (the engine's).  Decisions are recorded
         here; ``save_wisdom`` persists them.
@@ -160,43 +178,12 @@ class PortfolioPlanner:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        self.machine = machine
         self.wisdom = wisdom
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.fingerprint = machine.fingerprint()
 
     # ------------------------------------------------------------------
-    def candidates(self, layer: ConvLayerSpec) -> dict[str, float]:
-        """Model predictions, seconds on the modeled machine, per
-        *supported* algorithm.
-
-        The first call imports the KNL cost model, and with it the
-        codelet, JIT-GEMM and scheduling simulators it drives: only an
-        ``auto`` decision pays for them.
-        """
-        from repro.baselines.base import UnsupportedLayer
-        from repro.core.nested import nested_supported
-        from repro.machine.cost import predict_algorithm_seconds
-
-        preds: dict[str, float] = {}
-        for algo in ALGORITHMS:
-            if algo == "winograd":
-                # fp32 accuracy gate: one-level F(m, r) past r = 5 is
-                # numerically unusable (Table 3) -- nested covers it.
-                if max(layer.kernel) > MAX_SINGLE_LEVEL_R:
-                    continue
-            elif algo == "nested":
-                if not nested_supported(layer.kernel):
-                    continue
-            else:
-                try:
-                    make_baseline(algo, self.machine).supports(layer)
-                except UnsupportedLayer:
-                    continue
-            preds[algo] = predict_algorithm_seconds(algo, layer, self.machine)
-        return preds
-
     def decide(
         self,
         layer: ConvLayerSpec,
@@ -206,61 +193,63 @@ class PortfolioPlanner:
     ) -> AlgorithmChoice:
         """Choose the algorithm for ``layer``'s signature on this machine.
 
-        ``runner(algorithm)`` executes one warm request under the forced
+        ``runner(algorithm)`` executes one request under the forced
         algorithm and returns its wall-clock seconds; the engine passes
         a closure over arrays of the request's shapes so probes measure
-        the true dispatch path.
+        the true dispatch path.  A recorded winner is replayed only when
+        it is one of the layer's :func:`candidates`; any other entry is
+        decided afresh and overwritten.
         """
         key = portfolio_key(layer, dtype)
+        supported = candidates(layer)
         stored = self.wisdom.algo_get(self.fingerprint, key)
-        if stored is not None:
+        if stored is not None and stored.algorithm in supported:
             choice = AlgorithmChoice(
                 algorithm=stored.algorithm, source="wisdom",
-                predicted=dict(stored.predicted), measured=dict(stored.measured),
+                measured=dict(stored.measured),
             )
             self._count(choice)
             return choice
 
-        preds = self.candidates(layer)
-        ranked = sorted(preds, key=preds.__getitem__)
-        # The shortlist always carries the Winograd-family candidates
-        # the layer supports (one-level and/or nested), so ``auto`` can
-        # never lose to the paper's default by more than noise.
-        family = [a for a in ENGINE_EXECUTED if a in preds]
-        measured = self._probe(list(dict.fromkeys(ranked[:2] + family)), runner)
+        measured = self._probe(supported, runner)
         winner = min(measured, key=measured.__getitem__)
-        choice = AlgorithmChoice(
-            algorithm=winner, source="probed", predicted=preds, measured=measured
-        )
+        choice = AlgorithmChoice(algorithm=winner, source="probed", measured=measured)
         self.wisdom.algo_put(
-            self.fingerprint, key,
-            AlgoWisdomEntry(algorithm=winner, predicted=preds, measured=measured),
+            self.fingerprint, key, AlgoWisdomEntry(algorithm=winner, measured=measured)
         )
         self._count(choice)
         return choice
 
     # ------------------------------------------------------------------
     def _probe(
-        self, shortlist: list[str], runner: Callable[[str], float]
+        self, algorithms: tuple[str, ...], runner: Callable[[str], float]
     ) -> dict[str, float]:
-        """Best-of-N timed runs per shortlisted algorithm, budgeted."""
-        measured: dict[str, float] = {}
+        """Median host seconds per algorithm.
+
+        One warm-up call per algorithm is discarded: it absorbs the plan
+        build, the kernel preparation and the first call's page faults.
+        Then each round calls every algorithm once, in order; the first
+        round always runs, later ones only while the budget lasts.
+        """
+        from statistics import median  # np.median would import numpy.ma
+
+        samples: dict[str, list[float]] = {algo: [] for algo in algorithms}
         t0 = time.perf_counter()
         with self.tracer.span(
-            "portfolio.probe", candidates=",".join(shortlist)
+            "portfolio.probe", candidates=",".join(algorithms)
         ) as span:
-            for algo in shortlist:
-                best = runner(algo)  # first measurement is budget-exempt
-                for _ in range(PROBE_REPEATS - 1):
-                    if time.perf_counter() - t0 > PROBE_BUDGET_SECONDS:
-                        break
-                    best = min(best, runner(algo))
-                measured[algo] = best
-            span.attrs["probed"] = len(measured)
+            for algo in algorithms:
+                runner(algo)
+            for round_ in range(PROBE_REPEATS):
+                if round_ and time.perf_counter() - t0 > PROBE_BUDGET_SECONDS:
+                    break
+                for algo in algorithms:
+                    samples[algo].append(runner(algo))
+            span.attrs["probed"] = len(samples)
         self.metrics.histogram("portfolio.probe_seconds").observe(
             time.perf_counter() - t0
         )
-        return measured
+        return {algo: median(times) for algo, times in samples.items()}
 
     def _count(self, choice: AlgorithmChoice) -> None:
         self.metrics.counter(

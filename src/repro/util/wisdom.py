@@ -12,14 +12,15 @@ rejected loudly rather than silently ignored.
 
 Format version 2 adds a per-machine section on top of the version-1
 blocking entries (which load unchanged): **algorithm choices**
-(:class:`AlgoWisdomEntry`) -- the winner of the engine's
+(:class:`AlgoWisdomEntry`) -- the measured winner of the engine's
 algorithm-portfolio stage per layer signature, namespaced by
 :meth:`~repro.machine.spec.MachineSpec.fingerprint` so a choice measured
 on one machine is never replayed on another, and stamped with
 :data:`ALGO_SCHEMA_VERSION` so entries written by an older scheme are
 *dropped on load* (counted in :attr:`Wisdom.stale_dropped`) rather than
-crashing or silently winning.  Files that still carry the retired
-``calibration`` section load; the section is ignored.
+crashing or silently winning.  The planner replays an entry only when
+it names one of the layer's candidates.  Files that still carry the
+retired ``calibration`` section load; the section is ignored.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from pathlib import Path
 
 #: Schema of the per-machine algorithm-choice entries.  Bump when the
 #: decision semantics change (e.g. different probe protocol) so stale
-#: recorded winners are re-derived instead of trusted.  Version 2 keys
+#: recorded winners are re-derived instead of trusted.  Version 2 keyed
 #: decisions by the batch-free layer signature
-#: (:func:`repro.core.portfolio.portfolio_key`), so version-1 entries,
-#: keyed with the batch, are dropped.
-ALGO_SCHEMA_VERSION = 2
+#: (:func:`repro.core.portfolio.portfolio_key`); version 3 decides by
+#: measurement only (every candidate probed, medians after a warm-up),
+#: so version-2 entries, probed from a model-ranked shortlist, are
+#: dropped.
+ALGO_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -77,19 +80,16 @@ class AlgoWisdomEntry:
     Attributes
     ----------
     algorithm:
-        Winning algorithm name (``winograd``/``fft``/``direct``/``im2col``).
-    predicted:
-        Model predictions, seconds on the modeled machine, per candidate
-        considered -- shown beside the measurements, not scaled to them.
+        Winning algorithm name (one of
+        :data:`repro.core.portfolio.ALGORITHMS`).
     measured:
-        Probe measurements, host seconds, per candidate probed.
+        Median probe time, host seconds, per candidate probed.
     schema:
         :data:`ALGO_SCHEMA_VERSION` at write time; mismatching entries
         are dropped on load.
     """
 
     algorithm: str
-    predicted: dict[str, float] = field(default_factory=dict)
     measured: dict[str, float] = field(default_factory=dict)
     schema: int = ALGO_SCHEMA_VERSION
 
@@ -149,8 +149,10 @@ class Wisdom:
         """Recorded portfolio winner for ``key`` on machine ``fingerprint``.
 
         Entries recorded under a *different* fingerprint are invisible by
-        construction (the namespace is part of the lookup), and entries
-        with a stale schema never survive :meth:`load`, so a hit is
+        construction (the namespace is part of the lookup), entries with
+        a stale schema never survive :meth:`load`, and the planner
+        replays a hit only when it names one of the layer's candidates
+        (:func:`repro.core.portfolio.candidates`), so a replayed hit is
         always safe to trust.
         """
         with self._lock:

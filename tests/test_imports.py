@@ -4,9 +4,10 @@ The reproduction modules -- the machine model and its simulators, the
 Table-1 executor, the JIT GEMM, the Sec. 4.5 thread runtime, the
 baselines the portfolio does not pick -- stay out of a process that
 serves a fused graph; a compiled graph adds the compiled backend and
-its code generator, and nothing of the cost model; the ``serve`` CLI
-loads neither.  Each case runs in a fresh interpreter and reads its
-``sys.modules``.
+its code generator, and nothing of the cost model; an ``auto`` graph
+adds only the algorithms it probes, never the cost model; the
+``serve`` CLI loads none of them.  Each case runs in a fresh
+interpreter and reads its ``sys.modules``.
 
 The lazy packages (``repro.core``, ``repro.machine``,
 ``repro.baselines``) must still resolve every re-exported name.
@@ -46,13 +47,21 @@ COMPILED_ALLOWED = {
     "repro.core.codelets", "repro.core.autotune",
 }
 
+#: What an ``auto`` graph may add to the fused set: the baselines it
+#: probes (with their shared memory model) and nested Winograd's kernel
+#: check -- decisions are measured, so no cost model or simulator.
+AUTO_ALLOWED = {
+    "repro.baselines.fft", "repro.baselines.direct", "repro.baselines.im2col",
+    "repro.core.nested", "repro.machine.memory",
+}
+
 _RUN_GRAPH = """
 import numpy as np
 from repro.core.engine import ConvolutionEngine
 from repro.graph import GraphExecutor, {builder}
 
-graph = {builder}(batch=1)
-engine = ConvolutionEngine(backend={backend!r})
+graph = {builder}({graph})
+engine = ConvolutionEngine(**{engine!r})
 (shape,) = graph.inputs.values()
 GraphExecutor(graph, engine).run(np.ones(shape, np.float32))
 assert engine.metrics.counter_value("engine.fallbacks") == 0
@@ -76,23 +85,37 @@ def _loaded_after(code: str, tmp_path) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _run_graph(builder: str, backend: str, tmp_path) -> list[str]:
-    return _loaded_after(_RUN_GRAPH.format(builder=builder, backend=backend), tmp_path)
+def _run_graph(builder: str, tmp_path, graph="batch=1", **engine) -> list[str]:
+    code = _RUN_GRAPH.format(builder=builder, graph=graph, engine=engine)
+    return _loaded_after(code, tmp_path)
 
 
 def test_fused_graph_loads_no_reproduction_module(tmp_path):
-    modules = _run_graph("graph_scaled_vgg", "fused", tmp_path)
+    modules = _run_graph("graph_scaled_vgg", tmp_path, backend="fused")
     loaded = sorted(set(FUSED_FORBIDDEN) & set(modules))
     assert loaded == [], f"a fused VGG-s run imported {loaded}"
 
 
 @pytest.mark.skipif(not compiled_available(), reason="no C toolchain/cffi on this host")
 def test_compiled_graph_adds_only_the_compiled_backend(tmp_path):
-    modules = _run_graph("graph_scaled_c3d", "compiled", tmp_path)
+    modules = _run_graph("graph_scaled_c3d", tmp_path, backend="compiled")
     forbidden = set(FUSED_FORBIDDEN) - COMPILED_ALLOWED
     loaded = sorted(forbidden & set(modules))
     assert loaded == [], f"a compiled C3D-s run imported {loaded}"
     assert "repro.core.compiled_backend" in modules
+
+
+def test_auto_graph_loads_no_cost_model(tmp_path):
+    """``auto`` on the bottleneck block (1x1, 3x3, 1x1) probes every
+    candidate of each node; the cost model and its simulators stay out."""
+    modules = _run_graph(
+        "residual_block", tmp_path,
+        graph='c=64, size=32, batch=1, kind="bottleneck"', algorithm="auto",
+    )
+    forbidden = set(FUSED_FORBIDDEN) - AUTO_ALLOWED
+    loaded = sorted(forbidden & set(modules))
+    assert loaded == [], f"an auto bottleneck run imported {loaded}"
+    assert "repro.baselines.im2col" in modules
 
 
 def test_serve_cli_loads_no_reproduction_module(tmp_path):

@@ -2,17 +2,19 @@
 
 Covers the decision pipeline end to end:
 
-* unit-comparable cost entries (``predict_algorithm_seconds``);
-* the planner's predict -> probe -> remember flow: the top-two-plus-
-  Winograd shortlist, best-of-three under the probe budget, and raw
-  model seconds beside the measurements;
+* unit-comparable cost entries (``predict_algorithm_seconds``), which
+  the benchmarks rank with and the planner never consults;
+* the planner's probe -> remember flow: every candidate the layer
+  supports (:func:`candidates`), one discarded warm-up each, then
+  interleaved rounds under the probe budget, the fastest median winning;
 * engine dispatch: forced algorithms, ``"auto"`` (one decision per
   batch-free signature), the baseline plan cache (memoized FFT spectra
   / GEMM operands), and the ``out=`` calling convention;
-* wisdom v2 persistence: round-trip and the stale-wisdom hazard --
+* wisdom persistence: round-trip and the stale-wisdom hazard --
   entries under a different machine fingerprint or schema version
-  (batch-keyed schema-1 files included) must be ignored (not crash, not
-  silently win);
+  (batch-keyed schema-1 and model-shortlisted schema-2 files included),
+  or naming an algorithm the layer does not support, must be ignored
+  (not crash, not silently win);
 * differential correctness of every portfolio member against the
   direct-convolution oracle on fuzzed shapes.
 """
@@ -38,6 +40,7 @@ from repro.core.portfolio import (
     ALGORITHMS,
     PROBE_REPEATS,
     PortfolioPlanner,
+    candidates,
     make_baseline,
     portfolio_key,
 )
@@ -96,6 +99,25 @@ SCHEMA1_WISDOM = {
     "calibration": {KNL_7210.fingerprint(): 1423.18},
 }
 
+#: The same layer's decision as the schema-2 code wrote it: batch-free
+#: key, probed from a model-ranked shortlist, predictions beside the
+#: best-of-3 measurements.
+SCHEMA2_WISDOM = {
+    "version": 2,
+    "entries": {},
+    "algos": {
+        KNL_7210.fingerprint(): {
+            "algo|C16|Cp16|I12x12|P0x0|R1x1|float32": {
+                "algorithm": "direct", "schema": 2,
+                "predicted": {"direct": 1.4e-7, "fft": 6.1e-7,
+                              "im2col": 2.3e-7, "winograd": 3.2e-6},
+                "measured": {"direct": 1.1e-4, "im2col": 1.2e-4,
+                             "winograd": 3.0e-4},
+            },
+        },
+    },
+}
+
 
 # ----------------------------------------------------------------------
 # Cost entries
@@ -152,38 +174,45 @@ class TestPredictAlgorithmSeconds:
 # Planner
 # ----------------------------------------------------------------------
 class TestPortfolioPlanner:
-    def test_candidates_are_raw_model_seconds(self):
+    def test_decision_records_measured_medians_only(self):
         layer = _layer(r=7, c_in=16, c_out=16, img=64)
-        planner = PortfolioPlanner(KNL_7210, Wisdom())
-        preds = planner.candidates(layer)
+        wisdom = Wisdom()
+        choice = PortfolioPlanner(KNL_7210, wisdom).decide(
+            layer, runner=lambda algo: 1.0
+        )
         # r=7 offers the full crossover set minus one-level Winograd
         # (numerically barred) -- nested stands in for the family.
-        assert set(preds) == {"nested", "fft", "direct", "im2col"}
-        for algo, seconds in preds.items():
-            assert seconds == predict_algorithm_seconds(algo, layer, KNL_7210)
-        # A probed decision records them unscaled beside the measurements.
-        choice = planner.decide(layer, runner=lambda algo: 1.0)
-        assert choice.predicted == preds
+        assert set(choice.measured) == {"nested", "fft", "direct", "im2col"}
+        assert choice.as_dict() == {
+            "algorithm": choice.algorithm, "source": "probed",
+            "measured": choice.measured,
+        }
+        entry = wisdom.algo_get(KNL_7210.fingerprint(), portfolio_key(layer))
+        assert entry.measured == choice.measured
+        assert not hasattr(choice, "predicted") and not hasattr(entry, "predicted")
 
-    def test_probes_top_two_plus_family_best_of_three(self):
+    def test_warm_ups_then_interleaved_rounds_median_wins(self):
         layer = _layer(r=5, c_in=16, c_out=16, img=32)
         planner = PortfolioPlanner(KNL_7210, Wisdom())
-        preds = planner.candidates(layer)
-        ranked = sorted(preds, key=preds.__getitem__)
+        supported = candidates(layer)
+        # Per round, nested reads 1, 9, 2 and im2col 3, 3, 3: nested's
+        # median (2) wins although its mean (4) and im2col's best (3)
+        # would not; the warm-ups (100) are discarded.
+        rounds = {"nested": [1e-3, 9e-3, 2e-3]}
         calls: list[str] = []
-        times = iter(np.linspace(1e-3, 1e-4, 64))
 
         def runner(algo):
+            n = calls.count(algo)
             calls.append(algo)
-            return float(next(times))
+            if n == 0:
+                return 0.1
+            return rounds.get(algo, [3e-3] * PROBE_REPEATS)[n - 1]
 
         choice = planner.decide(layer, runner=runner)
-        shortlist = list(dict.fromkeys(ranked[:2] + ["winograd", "nested"]))
-        assert calls == [a for a in shortlist for _ in range(PROBE_REPEATS)]
+        assert calls == list(supported) * (1 + PROBE_REPEATS)
         assert choice.source == "probed"
-        assert set(choice.measured) == set(shortlist)
-        # Times fall call by call: the last candidate's best wins.
-        assert choice.algorithm == shortlist[-1]
+        assert choice.measured == dict.fromkeys(supported, 3e-3) | {"nested": 2e-3}
+        assert choice.algorithm == "nested"
 
     def test_repeats_stop_at_the_probe_budget(self, monkeypatch):
         clock = SimpleNamespace(now=0.0)
@@ -197,15 +226,15 @@ class TestPortfolioPlanner:
             clock.now += 0.6 * portfolio.PROBE_BUDGET_SECONDS
             return 1e-3
 
-        PortfolioPlanner(KNL_7210, Wisdom()).decide(
-            _layer(r=3, c_in=16, c_out=16, img=16), runner=runner
-        )
-        # The first candidate repeats once before the budget is spent;
-        # every later one is measured once (budget-exempt).
-        assert calls[0] == calls[1] and len(calls) == len(set(calls)) + 1
+        layer = _layer(r=3, c_in=16, c_out=16, img=16)
+        PortfolioPlanner(KNL_7210, Wisdom()).decide(layer, runner=runner)
+        # The warm-ups and the first timed round run although the
+        # budget is spent during the warm-ups; no second round starts.
+        assert calls == list(candidates(layer)) * 2
 
     def test_probe_overrides_model_ranking(self):
-        # The fake host inverts the model: winograd measures fastest.
+        # The fake host inverts the model's r=1 ranking: winograd
+        # measures fastest, and the measurement decides.
         planner = PortfolioPlanner(KNL_7210, Wisdom())
         times = {"winograd": 1e-4}
         choice = planner.decide(
@@ -216,8 +245,8 @@ class TestPortfolioPlanner:
         assert choice.algorithm == "winograd"
 
     def test_winograd_is_always_probed(self):
-        # Even when the model ranks winograd last, it must be in the
-        # probe shortlist -- the no-regression guarantee for "auto".
+        # Even where the model ranks winograd last (r=1), it is probed
+        # -- the no-regression guarantee for "auto".
         planner = PortfolioPlanner(KNL_7210, Wisdom())
         probed = []
         planner.decide(
@@ -488,8 +517,7 @@ class TestAlgoWisdom:
 
     def _entry(self, algo="fft", **kw):
         return AlgoWisdomEntry(
-            algorithm=algo, predicted={"fft": 1.0, "winograd": 2.0},
-            measured={"fft": 0.5, "winograd": 0.9}, **kw,
+            algorithm=algo, measured={"fft": 0.5, "winograd": 0.9}, **kw,
         )
 
     def test_roundtrip_preserves_winners(self, tmp_path):
@@ -561,26 +589,54 @@ class TestAlgoWisdom:
     def test_schema1_wisdom_file_loads_and_drops_its_entries(
         self, tmp_path, capsys
     ):
-        """A file as the schema-1 code wrote it: a calibration section
-        and batch-keyed decisions.  It loads; its decisions are dropped
-        and counted, never trusted; ``repro wisdom`` prints it; and an
-        ``auto`` engine reading it decides the signature afresh."""
+        """Files as the older code wrote them: schema 1 (a calibration
+        section and batch-keyed decisions) and schema 2 (batch-free keys,
+        decisions probed from a model-ranked shortlist).  Each loads; its
+        decisions are dropped and counted, never trusted; ``repro
+        wisdom`` prints it; and an ``auto`` engine reading it decides
+        the signature afresh."""
         from repro.cli import main
 
-        path = tmp_path / "wisdom.json"
-        path.write_text(json.dumps(SCHEMA1_WISDOM))
-        loaded = Wisdom.load(path)
-        assert loaded.algo_count == 0
-        assert loaded.stale_dropped == 2
-        assert main(["wisdom", "--file", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "algo entries     : 0" in out
-        assert "stale dropped    : 2" in out
         images, kernels = _arrays(_layer(r=1, c_in=16, c_out=16, img=12, batch=2))
-        with ConvolutionEngine(algorithm="auto", wisdom_path=path) as eng:
-            eng.run(images, kernels)
+        for payload, dropped in ((SCHEMA1_WISDOM, 2), (SCHEMA2_WISDOM, 1)):
+            path = tmp_path / f"wisdom-{dropped}.json"
+            path.write_text(json.dumps(payload))
+            loaded = Wisdom.load(path)
+            assert loaded.algo_count == 0
+            assert loaded.stale_dropped == dropped
+            assert main(["wisdom", "--file", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert "algo entries     : 0" in out
+            assert f"stale dropped    : {dropped}" in out
+            with ConvolutionEngine(algorithm="auto", wisdom_path=path) as eng:
+                eng.run(images, kernels)
+                (decision,) = eng.algorithm_decisions()
+                assert decision["source"] == "probed"
+
+    @pytest.mark.parametrize("algorithm,r", [
+        ("nested", 3),     # nested needs some r > 3: UnsupportedLayer
+        ("strassen", 3),   # no such algorithm: ValueError
+        ("auto", 3),       # not an executable algorithm: ValueError
+        ("winograd", 7),   # past the r <= 5 fp32 accuracy gate
+    ])
+    def test_stored_non_candidate_is_decided_afresh(self, algorithm, r):
+        """A current-schema entry naming an algorithm outside the
+        layer's candidates is neither replayed nor allowed to fail the
+        request: the signature is probed and the entry overwritten."""
+        layer = _layer(r=r, c_in=8, c_out=8, img=24)
+        key = portfolio_key(layer)
+        wisdom = Wisdom()
+        wisdom.algo_put(self.FP, key, AlgoWisdomEntry(algorithm=algorithm))
+        images, kernels = _arrays(layer, seed=r)
+        with ConvolutionEngine(algorithm="auto", wisdom=wisdom) as eng:
+            out = eng.run(images, kernels, padding=layer.padding)
             (decision,) = eng.algorithm_decisions()
-            assert decision["source"] == "probed"
+        assert decision["source"] == "probed"
+        assert decision["algorithm"] in candidates(layer)
+        assert wisdom.algo_get(self.FP, key).algorithm == decision["algorithm"]
+        ref = direct_convolution(images, kernels, padding=layer.padding,
+                                 dtype=np.float32)
+        assert np.abs(out - ref).max() / max(np.abs(ref).max(), 1.0) < 1e-4
 
     def test_version1_files_still_load(self, tmp_path):
         path = tmp_path / "wisdom.json"
@@ -601,11 +657,16 @@ class TestAlgoWisdom:
 # ----------------------------------------------------------------------
 class TestNestedPortfolio:
     def test_candidate_sets_by_kernel_extent(self):
-        planner = PortfolioPlanner(KNL_7210, Wisdom())
         by_r = {
-            r: set(planner.candidates(_layer(r=r, c_in=16, c_out=16)))
-            for r in (3, 5, 7)
+            r: candidates(_layer(r=r, c_in=16, c_out=16)) for r in (1, 3, 5, 7)
         }
+        # Every set is listed in ALGORITHMS order.
+        for algos in by_r.values():
+            assert list(algos) == [a for a in ALGORITHMS if a in algos]
+        by_r = {r: set(algos) for r, algos in by_r.items()}
+        # r=1: FFT runs im2col's channel GEMM in complex arithmetic plus
+        # two transforms, so it cannot win and is not probed.
+        assert by_r[1] == {"winograd", "direct", "im2col"}
         # r=3: nested is pointless (it IS one-level there).
         assert by_r[3] == {"winograd", "fft", "direct", "im2col"}
         # r=5: both family members compete.
